@@ -1,28 +1,24 @@
 """Numeric hot kernels: a stack-machine interpreter for compiled expression
-tapes, batched over points, plus a fixed-step RK4 driver for strip fans.
+tapes, vectorised over a batch of points, plus a fixed-step RK4 driver that
+advances a whole strip fan at once.
 
-Two interchangeable backends:
-
-* ``numba`` -- @njit-compiled per-point interpreter (default when numba
-  imports cleanly);
-* ``numpy`` -- pure-numpy fallback vectorized over the point batch.
-
-Select with the environment variable ``EXFORM_BACKEND=numba|numpy`` (read at
-import), or at runtime via :func:`set_backend`.  Both backends implement the
-same arithmetic and the same domain-error codes; within one backend results
-are bit-reproducible run to run.
+A tape (see :mod:`exform.tape`) is postfix ``codes`` with one ``args`` entry
+each (constant-pool index, coordinate axis or integer exponent) and a float
+constant pool.  Every call decodes it afresh with ``tolist``; nothing is kept
+per tape.  Leaves on the operand stack stay unmaterialised: a constant is a
+Python float and a coordinate is a row of the ``(dim, m)`` point array, both
+fed straight to the numpy binary ufuncs, so stack rows hold only intermediate
+results.  Unary functions and powers always run in place on a contiguous
+stack row, copying a leaf in first.  Results are bit-reproducible run to run.
 
 Error codes: 0 ok, 1 division by zero, 2 ln of non-positive, 3 sqrt of
-negative, 4 zero base with negative exponent.  Values at error points are
-NaN.
-
-``benchmarks/bench_backends.py`` compares the two backends on the package's
-representative workloads.
+negative, 4 zero base with negative exponent.  Each point keeps its first
+error in instruction order, and its value is NaN.  :func:`rk4` also reports
+5 for the first step whose new state is not finite (overflow or NaN), which
+covers any non-finite stage value, since it propagates into the new state.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -44,309 +40,117 @@ ERR_DIV = 1
 ERR_LN = 2
 ERR_SQRT = 3
 ERR_POW = 4
+ERR_NONFINITE = 5
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+ERR_MESSAGES = {
+    ERR_DIV: "division by zero",
+    ERR_LN: "ln of non-positive argument",
+    ERR_SQRT: "sqrt of negative argument",
+    ERR_POW: "zero base with negative exponent",
+    ERR_NONFINITE: "non-finite value",
+}
 
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap
-
-
-def _resolve_backend() -> str:
-    env = os.environ.get("EXFORM_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError("EXFORM_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env:
-        raise ValueError(f"EXFORM_BACKEND must be 'numba' or 'numpy', got {env!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_backend = _resolve_backend()
+_UNARY = {OP_SIN: np.sin, OP_COS: np.cos, OP_EXP: np.exp, OP_NEG: np.negative}
+_MAY_FAIL = {OP_DIV, OP_POW, OP_LN, OP_SQRT}
 
 
 def backend_name() -> str:
-    return _backend
+    return "numpy"
 
 
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
+def _flag(errs, bad, code: int) -> None:
+    """Give ``code`` to the points in ``bad`` (a bool or a bool row) that have
+    no error yet."""
+    if bad is True or (bad is not False and bad.any()):
+        errs[bad & (errs == 0)] = code
 
 
-# ---------------------------------------------------------------------------
-# numba backend
+def _run(codes, args, consts, coords, stack, errs):
+    """Run one decoded tape over m points.
+
+    ``coords`` holds one row per axis and ``stack`` one row buffer per stack
+    slot; an intermediate at depth d always lives in ``stack[d]``.  Domain
+    errors are marked in ``errs`` in place.  Returns the result operand: a
+    float, a row of ``coords`` or a row of ``stack``.
+    """
+    ops = []
+    for code, arg in zip(codes, args):
+        if code == OP_CONST:
+            ops.append(consts[arg])
+        elif code == OP_COORD:
+            ops.append(coords[arg])
+        elif code <= OP_DIV:
+            b = ops.pop()
+            d = len(ops) - 1
+            out = stack[d]
+            if code == OP_MUL:
+                np.multiply(ops[d], b, out)
+            elif code == OP_ADD:
+                np.add(ops[d], b, out)
+            elif code == OP_SUB:
+                np.subtract(ops[d], b, out)
+            else:
+                _flag(errs, b == 0.0, ERR_DIV)
+                np.divide(ops[d], b, out)
+            ops[d] = out
+        else:
+            d = len(ops) - 1
+            out = stack[d]
+            if ops[d] is not out:
+                out[:] = ops[d]
+                ops[d] = out
+            if code == OP_POW:
+                if arg < 0:
+                    _flag(errs, out == 0.0, ERR_POW)
+                np.power(out, arg, out)
+            elif code == OP_LN:
+                _flag(errs, out <= 0.0, ERR_LN)
+                np.log(out, out)
+            elif code == OP_SQRT:
+                _flag(errs, out < 0.0, ERR_SQRT)
+                np.sqrt(out, out)
+            else:
+                _UNARY[code](out, out)
+    return ops[0]
 
 
-@njit(cache=True)
-def _run_tape_point(codes, args, consts, pt, stack):
-    """Run one tape at one point. Returns error code; result in stack[0]."""
-    sp = 0
-    for i in range(codes.shape[0]):
-        c = codes[i]
-        if c == OP_CONST:
-            stack[sp] = consts[args[i]]
-            sp += 1
-        elif c == OP_COORD:
-            stack[sp] = pt[args[i]]
-            sp += 1
-        elif c == OP_ADD:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] + stack[sp]
-        elif c == OP_SUB:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] - stack[sp]
-        elif c == OP_MUL:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] * stack[sp]
-        elif c == OP_DIV:
-            sp -= 1
-            if stack[sp] == 0.0:
-                return ERR_DIV
-            stack[sp - 1] = stack[sp - 1] / stack[sp]
-        elif c == OP_POW:
-            b = stack[sp - 1]
-            if b == 0.0 and args[i] < 0:
-                return ERR_POW
-            stack[sp - 1] = b ** args[i]
-        elif c == OP_SIN:
-            stack[sp - 1] = np.sin(stack[sp - 1])
-        elif c == OP_COS:
-            stack[sp - 1] = np.cos(stack[sp - 1])
-        elif c == OP_EXP:
-            stack[sp - 1] = np.exp(stack[sp - 1])
-        elif c == OP_LN:
-            if stack[sp - 1] <= 0.0:
-                return ERR_LN
-            stack[sp - 1] = np.log(stack[sp - 1])
-        elif c == OP_SQRT:
-            if stack[sp - 1] < 0.0:
-                return ERR_SQRT
-            stack[sp - 1] = np.sqrt(stack[sp - 1])
-        else:  # OP_NEG
-            stack[sp - 1] = -stack[sp - 1]
-    return 0
+def _decode(t):
+    return t.codes.tolist(), t.args.tolist(), t.consts.tolist()
 
 
-@njit(cache=True)
-def _eval_tape_numba(codes, args, consts, pts, stack_need):
+def _setup(pts, stack_need: int):
+    """Coordinate rows of an (m, dim) point batch and m-wide stack rows."""
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
     m = pts.shape[0]
-    vals = np.empty(m, np.float64)
-    errs = np.zeros(m, np.int8)
-    stack = np.empty(stack_need, np.float64)
-    for k in range(m):
-        err = _run_tape_point(codes, args, consts, pts[k], stack)
-        errs[k] = err
-        vals[k] = stack[0] if err == 0 else np.nan
-    return vals, errs
-
-
-@njit(cache=True)
-def _eval_pack_numba(codes, args, consts, offsets, pts, stack_need):
-    ncomp = offsets.shape[0] - 1
-    m = pts.shape[0]
-    vals = np.empty((ncomp, m), np.float64)
-    errs = np.zeros((ncomp, m), np.int8)
-    stack = np.empty(stack_need, np.float64)
-    for c in range(ncomp):
-        lo, hi = offsets[c], offsets[c + 1]
-        for k in range(m):
-            err = _run_tape_point(codes[lo:hi], args[lo:hi], consts, pts[k], stack)
-            errs[c, k] = err
-            vals[c, k] = stack[0] if err == 0 else np.nan
-    return vals, errs
-
-
-@njit(cache=True)
-def _rhs_into_numba(codes, args, consts, offsets, states, out, stack):
-    """Evaluate the d component tapes at all m states; out has shape (m, d)."""
-    d = offsets.shape[0] - 1
-    m = states.shape[0]
-    for c in range(d):
-        lo, hi = offsets[c], offsets[c + 1]
-        for k in range(m):
-            err = _run_tape_point(codes[lo:hi], args[lo:hi], consts, states[k], stack)
-            if err != 0:
-                return (c << 3) | err
-            out[k, c] = stack[0]
-    return -1
-
-
-@njit(cache=True)
-def _rk4_numba(codes, args, consts, offsets, stack_need, y0, h, nsteps):
-    m, d = y0.shape
-    traj = np.empty((nsteps + 1, m, d), np.float64)
-    traj[0] = y0
-    err_info = np.full(3, -1, np.int64)
-    y = y0.copy()
-    k1 = np.empty((m, d), np.float64)
-    k2 = np.empty((m, d), np.float64)
-    k3 = np.empty((m, d), np.float64)
-    k4 = np.empty((m, d), np.float64)
-    stack = np.empty(stack_need, np.float64)
-    for step in range(nsteps):
-        e = _rhs_into_numba(codes, args, consts, offsets, y, k1, stack)
-        if e < 0:
-            e = _rhs_into_numba(codes, args, consts, offsets, y + (0.5 * h) * k1, k2, stack)
-        if e < 0:
-            e = _rhs_into_numba(codes, args, consts, offsets, y + (0.5 * h) * k2, k3, stack)
-        if e < 0:
-            e = _rhs_into_numba(codes, args, consts, offsets, y + h * k3, k4, stack)
-        if e >= 0:
-            err_info[0] = step
-            err_info[1] = e >> 3
-            err_info[2] = e & 7
-            for rest in range(step + 1, nsteps + 1):
-                traj[rest] = y
-            return traj, err_info
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        traj[step + 1] = y
-    return traj, err_info
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
-
-def _eval_tape_numpy(codes, args, consts, pts, stack_need):
-    m = pts.shape[0]
-    stack = np.empty((stack_need, m), np.float64)
-    errs = np.zeros(m, np.int8)
-    sp = 0
-    with np.errstate(all="ignore"):
-        for i in range(codes.shape[0]):
-            c = codes[i]
-            if c == OP_CONST:
-                stack[sp] = consts[args[i]]
-                sp += 1
-            elif c == OP_COORD:
-                stack[sp] = pts[:, args[i]]
-                sp += 1
-            elif c == OP_ADD:
-                sp -= 1
-                np.add(stack[sp - 1], stack[sp], out=stack[sp - 1])
-            elif c == OP_SUB:
-                sp -= 1
-                np.subtract(stack[sp - 1], stack[sp], out=stack[sp - 1])
-            elif c == OP_MUL:
-                sp -= 1
-                np.multiply(stack[sp - 1], stack[sp], out=stack[sp - 1])
-            elif c == OP_DIV:
-                sp -= 1
-                bad = stack[sp] == 0.0
-                if bad.any():
-                    errs[bad & (errs == 0)] = ERR_DIV
-                np.divide(stack[sp - 1], stack[sp], out=stack[sp - 1], where=~bad)
-            elif c == OP_POW:
-                k = int(args[i])
-                b = stack[sp - 1]
-                if k < 0:
-                    bad = b == 0.0
-                    if bad.any():
-                        errs[bad & (errs == 0)] = ERR_POW
-                    np.power(b, k, out=b, where=~bad)
-                else:
-                    np.power(b, k, out=b)
-            elif c == OP_SIN:
-                np.sin(stack[sp - 1], out=stack[sp - 1])
-            elif c == OP_COS:
-                np.cos(stack[sp - 1], out=stack[sp - 1])
-            elif c == OP_EXP:
-                np.exp(stack[sp - 1], out=stack[sp - 1])
-            elif c == OP_LN:
-                b = stack[sp - 1]
-                bad = b <= 0.0
-                if bad.any():
-                    errs[bad & (errs == 0)] = ERR_LN
-                np.log(b, out=b, where=~bad)
-            elif c == OP_SQRT:
-                b = stack[sp - 1]
-                bad = b < 0.0
-                if bad.any():
-                    errs[bad & (errs == 0)] = ERR_SQRT
-                np.sqrt(b, out=b, where=~bad)
-            else:  # OP_NEG
-                np.negative(stack[sp - 1], out=stack[sp - 1])
-    vals = stack[0].copy()
-    vals[errs != 0] = np.nan
-    return vals, errs
-
-
-def _eval_pack_numpy(codes, args, consts, offsets, pts, stack_need):
-    ncomp = offsets.shape[0] - 1
-    m = pts.shape[0]
-    vals = np.empty((ncomp, m), np.float64)
-    errs = np.zeros((ncomp, m), np.int8)
-    for c in range(ncomp):
-        lo, hi = offsets[c], offsets[c + 1]
-        vals[c], errs[c] = _eval_tape_numpy(codes[lo:hi], args[lo:hi], consts,
-                                            pts, stack_need)
-    return vals, errs
-
-
-def _rk4_numpy(codes, args, consts, offsets, stack_need, y0, h, nsteps):
-    m, d = y0.shape
-    traj = np.empty((nsteps + 1, m, d), np.float64)
-    traj[0] = y0
-    err_info = np.full(3, -1, np.int64)
-    y = y0.copy()
-
-    def rhs(states):
-        vals, errs = _eval_pack_numpy(codes, args, consts, offsets, states,
-                                      stack_need)
-        if errs.any():
-            comp, pt = np.argwhere(errs != 0)[0]
-            return None, (int(comp), int(errs[comp, pt]))
-        return vals.T.copy(), None
-
-    for step in range(nsteps):
-        bad = None
-        k1, bad = rhs(y)
-        if bad is None:
-            k2, bad = rhs(y + (0.5 * h) * k1)
-        if bad is None:
-            k3, bad = rhs(y + (0.5 * h) * k2)
-        if bad is None:
-            k4, bad = rhs(y + h * k3)
-        if bad is not None:
-            err_info[:] = (step, bad[0], bad[1])
-            traj[step + 1:] = y
-            return traj, err_info
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        traj[step + 1] = y
-    return traj, err_info
-
-
-# ---------------------------------------------------------------------------
-# dispatch (accepts tape.Tape / tape.TapePack duck-typed)
+    return list(np.ascontiguousarray(pts.T)), list(np.empty((stack_need, m))), m
 
 
 def eval_tape(t, pts: np.ndarray):
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    if _backend == "numba":
-        return _eval_tape_numba(t.codes, t.args, t.consts, pts, t.stack_need)
-    return _eval_tape_numpy(t.codes, t.args, t.consts, pts, t.stack_need)
+    """Evaluate a Tape at an (m, dim) batch: (values (m,), error codes (m,))."""
+    coords, stack, m = _setup(pts, t.stack_need)
+    vals = np.empty(m)
+    errs = np.zeros(m, np.int8)
+    with np.errstate(all="ignore"):
+        vals[:] = _run(*_decode(t), coords, stack, errs)
+    if errs.any():
+        vals[errs != 0] = np.nan
+    return vals, errs
 
 
 def eval_pack(p, pts: np.ndarray):
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    if _backend == "numba":
-        return _eval_pack_numba(p.codes, p.args, p.consts, p.offsets, pts,
-                                p.stack_need)
-    return _eval_pack_numpy(p.codes, p.args, p.consts, p.offsets, pts,
-                            p.stack_need)
+    """Evaluate every tape of a TapePack: (values, error codes), each (ncomp, m)."""
+    coords, stack, m = _setup(pts, p.stack_need)
+    codes, args, consts = _decode(p)
+    offsets = p.offsets.tolist()
+    ncomp = len(offsets) - 1
+    vals = np.empty((ncomp, m))
+    errs = np.zeros((ncomp, m), np.int8)
+    with np.errstate(all="ignore"):
+        for c, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            vals[c] = _run(codes[lo:hi], args[lo:hi], consts, coords, stack, errs[c])
+    if errs.any():
+        vals[errs != 0] = np.nan
+    return vals, errs
 
 
 def rk4(p, y0: np.ndarray, h: float, nsteps: int):
@@ -354,16 +158,63 @@ def rk4(p, y0: np.ndarray, h: float, nsteps: int):
 
     The pack must have exactly one tape per state component.  Returns
     (trajectory (nsteps+1, m, d), err) where err is None on success or a
-    (step, component, code) tuple naming the first domain failure.
+    (step, component, code) tuple naming the first failure: a domain error
+    at the first (component, point) of the failing stage, or ERR_NONFINITE
+    at the first component whose new state is not finite.  The trajectory
+    repeats the last good state from the failing step on.
     """
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
     ncomp = p.offsets.shape[0] - 1
     if y0.ndim != 2 or y0.shape[1] != ncomp:
         raise ValueError(f"expected states of shape (m, {ncomp}), got {y0.shape}")
-    fn = _rk4_numba if _backend == "numba" else _rk4_numpy
-    traj, err_info = fn(p.codes, p.args, p.consts, p.offsets, p.stack_need,
-                        y0, float(h), int(nsteps))
+    h, nsteps = float(h), int(nsteps)
+    m, d = y0.shape
+    codes, args, consts = _decode(p)
+    offsets = p.offsets.tolist()
+    tapes = [(codes[lo:hi], args[lo:hi], not _MAY_FAIL.isdisjoint(codes[lo:hi]))
+             for lo, hi in zip(offsets, offsets[1:])]
+    # The state is kept as (d, m), so each component is a contiguous row.
+    traj = np.empty((nsteps + 1, d, m))
+    traj[0] = y0.T
+    stage_state = np.empty((d, m))
+    coords = list(stage_state)
+    stack = list(np.empty((p.stack_need, m)))
+    errs = np.zeros(m, np.int8)
+    k1, k2, k3, k4, acc = np.empty((5, d, m))
+
+    def rhs(k):
+        for c, (cc, aa, may_fail) in enumerate(tapes):
+            k[c] = _run(cc, aa, consts, coords, stack, errs)
+            if may_fail and errs.any():
+                return c, int(errs[errs != 0][0])
+        return None
+
     err = None
-    if err_info[0] >= 0:
-        err = (int(err_info[0]), int(err_info[1]), int(err_info[2]))
-    return traj, err
+    with np.errstate(all="ignore"):
+        for step in range(nsteps):
+            y, new = traj[step], traj[step + 1]
+            stage_state[:] = y
+            bad = rhs(k1)
+            if bad is None:
+                np.add(y, np.multiply(k1, 0.5 * h, stage_state), stage_state)
+                bad = rhs(k2)
+            if bad is None:
+                np.add(y, np.multiply(k2, 0.5 * h, stage_state), stage_state)
+                bad = rhs(k3)
+            if bad is None:
+                np.add(y, np.multiply(k3, h, stage_state), stage_state)
+                bad = rhs(k4)
+            if bad is None:
+                # y + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                np.add(k1, np.multiply(k2, 2.0, acc), acc)
+                np.add(acc, np.multiply(k3, 2.0, new), acc)
+                np.add(acc, k4, acc)
+                np.add(y, np.multiply(acc, h / 6.0, acc), new)
+                finite = np.isfinite(new).all(axis=1)
+                if not finite.all():
+                    bad = int(np.argmin(finite)), ERR_NONFINITE
+            if bad is not None:
+                err = (step, *bad)
+                traj[step + 1:] = y
+                break
+    return np.ascontiguousarray(traj.transpose(0, 2, 1)), err

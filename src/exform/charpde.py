@@ -159,16 +159,19 @@ def _charpit_system(pde: FirstOrderPDE):
     return rhs, tape.pack_exprs(rhs), tape.compile_expr(F)
 
 
-def charpit_rhs(pde: FirstOrderPDE, state: Sequence[float]):
-    """Strip derivatives (dx/ds, du/ds, dp/ds) at a state (x, u, p)."""
-    n = pde.n
-    flat = _state_vector(pde.n, state)
-    _, pack, _ = _charpit_system(pde)
+def _pack_at(pack: tape.TapePack, flat: np.ndarray) -> np.ndarray:
+    """Every component of a derivative pack at one state; domain errors raise."""
     vals, errs = _kernels.eval_pack(pack, flat.reshape(1, -1))
     if errs.any():
         comp = int(np.argwhere(errs != 0)[0][0])
         raise ex.DomainError(f"strip derivative component {comp} undefined at state")
-    v = vals[:, 0]
+    return vals[:, 0]
+
+
+def charpit_rhs(pde: FirstOrderPDE, state: Sequence[float]):
+    """Strip derivatives (dx/ds, du/ds, dp/ds) at a state (x, u, p)."""
+    n = pde.n
+    v = _pack_at(_charpit_system(pde)[1], _state_vector(n, state))
     return v[:n].copy(), float(v[n]), v[n + 1:].copy()
 
 
@@ -223,6 +226,18 @@ class CharacteristicStrip:
         return float(np.max(np.abs((self.u - self.u[0]) - integral)))
 
 
+def _rk4(pack: tape.TapePack, states0: np.ndarray, h: float,
+         steps: int) -> np.ndarray:
+    """Batched RK4 trajectory (steps+1, m, d); a failed step raises."""
+    traj, err = _kernels.rk4(pack, states0, h, steps)
+    if err is not None:
+        step, comp, code = err
+        raise StripIntegrationError(
+            f"{_kernels.ERR_MESSAGES[code]} in strip component {comp} "
+            f"at step {step}", step)
+    return traj
+
+
 def integrate_strip(pde: FirstOrderPDE, initial, s_end: float,
                     steps: int) -> CharacteristicStrip:
     """Integrate one Charpit strip; the initial state must satisfy |F| <= 1e-10."""
@@ -246,11 +261,7 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
         raise OffSurfaceError(
             f"initial state {k} off the surface: |F| = {abs(f0[k]):.3e} > {ON_SURFACE_TOL}")
     h = s_end / steps
-    traj, err = _kernels.rk4(pack, states0, h, steps)
-    if err is not None:
-        step, comp, code = err
-        raise StripIntegrationError(
-            f"domain failure in derivative component {comp} at sample {step}", step)
+    traj = _rk4(pack, states0, h, steps)
     m = states0.shape[0]
     flat = traj.reshape(-1, 2 * n + 1)
     f_vals, f_errs = _kernels.eval_tape(f_tape, flat)
@@ -306,11 +317,10 @@ def canonical_rhs(hj: HJEquation, state: Sequence[float]):
     flat = np.asarray(state, dtype=np.float64)
     if flat.shape != (2 * n + 1,):
         raise ValueError(f"state must be (t, x1..xn, p1..pn) of length {2 * n + 1}")
-    e_p = np.array([ex.evaluate(ex.partial(hj.E, 1 + n + j), flat) for j in range(n)])
-    e_x = np.array([ex.evaluate(ex.partial(hj.E, 1 + j), flat) for j in range(n)])
-    e_val = ex.evaluate(hj.E, flat)
-    p = flat[1 + n:]
-    return e_p, -e_x, float(np.dot(p, e_p) - e_val)
+    # the lifted system never reads u, so any value stands in for it
+    lifted = np.concatenate([flat[:1 + n], [0.0], flat[1 + n:]])
+    v = _pack_at(_canonical_system(hj)[1], lifted)
+    return v[1:1 + n].copy(), v[n + 2:].copy(), float(v[1 + n])
 
 
 def poisson_bracket(E: ScalarExpr, V: ScalarExpr) -> ScalarExpr:
@@ -355,11 +365,7 @@ def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,
     states0 = np.stack(rows)
     _, pack, e_tape = _canonical_system(hj)
     h = t_end / steps
-    traj, err = _kernels.rk4(pack, states0, h, steps)
-    if err is not None:
-        step, comp, code = err
-        raise StripIntegrationError(
-            f"domain failure in derivative component {comp} at sample {step}", step)
+    traj = _rk4(pack, states0, h, steps)
     m = states0.shape[0]
     hj_states = np.concatenate([traj[:, :, :1 + n], traj[:, :, n + 2:]], axis=2)
     e_vals, e_errs = _kernels.eval_tape(e_tape, hj_states.reshape(-1, 2 * n + 1))
@@ -417,10 +423,10 @@ def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float
     nodes = np.asarray(grid, dtype=np.float64).ravel()
     if nodes.size < 1:
         raise ValueError("grid must contain at least one node")
-    slope = ex.partial(u0, 0)
-    initials = []
-    for x0 in nodes:
-        initials.append(((x0,), ex.evaluate(u0, (x0,)), (ex.evaluate(slope, (x0,)),)))
+    at_nodes = nodes[:, None]
+    u_init = ex.evaluate_many(u0, at_nodes)
+    p_init = ex.evaluate_many(ex.partial(u0, 0), at_nodes)
+    initials = [((x0,), u, (p,)) for x0, u, p in zip(nodes, u_init, p_init)]
     strips = integrate_canonical_strips(hj, initials, t_end, steps)
     t = strips[0].s
     x = np.stack([s.x[:, 0] for s in strips], axis=1)
@@ -551,32 +557,35 @@ def detect_caustic(fan, dt_refine: float = 1e-4,
         x = np.stack([s.x[:, 0] for s in strips], axis=1)
     if x0.size < 3:
         raise FanError("need at least 3 strips")
-    events: list[CausticEvent] = []
-    for k in range(1, x0.size - 1):
-        denom = x0[k + 1] - x0[k - 1]
-        if denom == 0.0:
-            raise FanError("launch nodes must be distinct")
-        jac = (x[:, k + 1] - x[:, k - 1]) / denom
-        for i in range(len(t) - 1):
-            a, b = jac[i], jac[i + 1]
-            if a == 0.0 and i > 0:
-                events.append(_make_event(t[i], x0[k], k, x[i, k], context))
-                continue
-            if a * b < 0.0:
-                lo, hi = t[i], t[i + 1]
-                flo = a
-                while hi - lo > dt_refine:
-                    mid = 0.5 * (lo + hi)
-                    fmid = a + (b - a) * (mid - t[i]) / (t[i + 1] - t[i])
-                    if flo * fmid <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fmid
-                t_star = 0.5 * (lo + hi)
-                frac = (t_star - t[i]) / (t[i + 1] - t[i])
-                x_star = x[i, k] + frac * (x[i + 1, k] - x[i, k])
-                events.append(_make_event(t_star, x0[k], k, x_star, context))
-    return events
+    denom = x0[2:] - x0[:-2]
+    if np.any(denom == 0.0):
+        raise FanError("launch nodes must be distinct")
+    jac = (x[:, 2:] - x[:, :-2]) / denom      # (samples, strips - 2)
+    a, b = jac[:-1], jac[1:]
+    zero = a == 0.0
+    zero[0] = False
+    hit = zero | (a * b < 0.0)
+    # candidates in strip-major order: (strip - 1, sample interval)
+    kk, ii = np.argwhere(hit.T).T
+    a, b, zero = a[ii, kk], b[ii, kk], zero[ii, kk]
+    t0, t1 = t[ii], t[ii + 1]
+    # bisection on the linear interpolant, all sign changes at once
+    lo, hi, flo = t0.copy(), t1.copy(), a.copy()
+    active = ~zero & (hi - lo > dt_refine)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        fmid = a + (b - a) * (mid - t0) / (t1 - t0)
+        left = flo * fmid <= 0.0
+        hi = np.where(active & left, mid, hi)
+        lo = np.where(active & ~left, mid, lo)
+        flo = np.where(active & ~left, fmid, flo)
+        active &= hi - lo > dt_refine
+    t_star = np.where(zero, t0, 0.5 * (lo + hi))
+    frac = (t_star - t0) / (t1 - t0)
+    xa, xb = x[ii, kk + 1], x[ii + 1, kk + 1]
+    x_star = np.where(zero, xa, xa + frac * (xb - xa))
+    return [_make_event(ts, x0[k + 1], k + 1, xs, context)
+            for ts, k, xs in zip(t_star.tolist(), kk.tolist(), x_star.tolist())]
 
 
 def _make_event(t_star: float, x0: float, k: int, x_star: float,

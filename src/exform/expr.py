@@ -681,14 +681,6 @@ def _tape_for(e: ScalarExpr) -> tape.Tape:
     return tape.compile_expr(e)
 
 
-_ERR_MESSAGES = {
-    tape.ERR_DIV: "division by zero",
-    tape.ERR_LN: "ln of non-positive argument",
-    tape.ERR_SQRT: "sqrt of negative argument",
-    tape.ERR_POW: "zero base with negative exponent",
-}
-
-
 def evaluate(e: ScalarExpr, point: Sequence[float]) -> float:
     """Evaluate at a single point; domain violations raise DomainError."""
     pts = np.asarray(point, dtype=np.float64).reshape(1, -1)
@@ -697,7 +689,8 @@ def evaluate(e: ScalarExpr, point: Sequence[float]) -> float:
             f"point has {pts.shape[1]} components, chart has {e.chart.dim}")
     vals, errs = _kernels.eval_tape(_tape_for(e), pts)
     if errs[0]:
-        raise DomainError(f"{_ERR_MESSAGES[int(errs[0])]} at point {tuple(point)}")
+        raise DomainError(
+            f"{_kernels.ERR_MESSAGES[int(errs[0])]} at point {tuple(point)}")
     return float(vals[0])
 
 
@@ -711,7 +704,7 @@ def evaluate_many(e: ScalarExpr, points: np.ndarray) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         raise DomainError(
-            f"{_ERR_MESSAGES[int(errs[k])]} at point {tuple(pts[k])}")
+            f"{_kernels.ERR_MESSAGES[int(errs[k])]} at point {tuple(pts[k])}")
     return vals
 
 

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (ERR_DIV, ERR_LN, ERR_POW, ERR_SQRT, OP_ADD, OP_CONST,
-                       OP_COORD, OP_COS, OP_DIV, OP_EXP, OP_LN, OP_MUL,
-                       OP_NEG, OP_POW, OP_SIN, OP_SQRT, OP_SUB)
+from ._kernels import (OP_ADD, OP_CONST, OP_COORD, OP_COS, OP_DIV, OP_EXP,
+                       OP_LN, OP_MUL, OP_NEG, OP_POW, OP_SIN, OP_SQRT, OP_SUB)
 
 _BINOP = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}
 _UNOP = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "ln": OP_LN,

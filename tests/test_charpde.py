@@ -12,6 +12,47 @@ FREE = cp.HJEquation.from_text(1, "p1^2 / 2")
 OSCILLATOR = cp.HJEquation.from_text(1, "p1^2/2 + x1^2/2")
 
 
+def canonical_rhs_by_partials(hj, state):
+    """canonical_rhs as the direct formula: dE/dp, -dE/dx, p . dE/dp - E."""
+    n = hj.n
+    flat = np.asarray(state, dtype=np.float64)
+    e_p = np.array([ex.evaluate(ex.partial(hj.E, 1 + n + j), flat) for j in range(n)])
+    e_x = np.array([ex.evaluate(ex.partial(hj.E, 1 + j), flat) for j in range(n)])
+    e_val = ex.evaluate(hj.E, flat)
+    p = flat[1 + n:]
+    return e_p, -e_x, float(np.dot(p, e_p) - e_val)
+
+
+def caustic_events_by_loop(x0, t, x, dt_refine=1e-4):
+    """detect_caustic's scan as a per-strip, per-interval loop."""
+    events = []
+    for k in range(1, x0.size - 1):
+        denom = x0[k + 1] - x0[k - 1]
+        if denom == 0.0:
+            raise cp.FanError("launch nodes must be distinct")
+        jac = (x[:, k + 1] - x[:, k - 1]) / denom
+        for i in range(len(t) - 1):
+            a, b = jac[i], jac[i + 1]
+            if a == 0.0 and i > 0:
+                events.append(cp._make_event(t[i], x0[k], k, x[i, k], None))
+                continue
+            if a * b < 0.0:
+                lo, hi = t[i], t[i + 1]
+                flo = a
+                while hi - lo > dt_refine:
+                    mid = 0.5 * (lo + hi)
+                    fmid = a + (b - a) * (mid - t[i]) / (t[i + 1] - t[i])
+                    if flo * fmid <= 0.0:
+                        hi = mid
+                    else:
+                        lo, flo = mid, fmid
+                t_star = 0.5 * (lo + hi)
+                frac = (t_star - t[i]) / (t[i + 1] - t[i])
+                x_star = x[i, k] + frac * (x[i + 1, k] - x[i, k])
+                events.append(cp._make_event(t_star, x0[k], k, x_star, None))
+    return events
+
+
 class TestCharpitRhs:
     def test_eikonal(self):
         dx, du, dp = cp.charpit_rhs(EIKONAL, ((0.0, 0.0), 0.0, (0.6, 0.8)))
@@ -68,6 +109,21 @@ class TestStripIntegration:
                                    0.5, 500)
         assert strip.closure_defect() <= 1e-10
 
+    def test_blowup_raises_at_first_nonfinite_step(self):
+        # u' = p, p' = 2 p u from u = p = 1: u = 1/(1 - s) blows up at s = 1
+        pde = cp.FirstOrderPDE.from_text(1, "p1 - u^2")
+        with pytest.raises(cp.StripIntegrationError,
+                           match="non-finite value in strip component 2 at step") as err:
+            cp.integrate_strip(pde, ((0.0,), 1.0, (1.0,)), 2.0, 200)
+        assert 95 <= err.value.step <= 105
+
+    def test_canonical_blowup_raises(self):
+        # x'' = x^3 from x = p = 1 leaves the finite numbers before t = 4
+        hj = cp.HJEquation.from_text(1, "p1^2/2 - x1^4/4")
+        with pytest.raises(cp.StripIntegrationError, match="non-finite value") as err:
+            cp.integrate_canonical_strips(hj, [((1.0,), 0.0, (1.0,))], 4.0, 400)
+        assert 0 < err.value.step < 400
+
     def test_batch_matches_individual(self):
         inits = [((0.0, 0.0), 0.0, (1.0, 0.0)), ((1.0, -1.0), 2.0, (0.0, 1.0))]
         fan = cp.integrate_strips(EIKONAL, inits, 0.3, 50)
@@ -109,6 +165,23 @@ class TestCanonical:
             assert ldx[1] == pytest.approx(xd[0], abs=1e-12)       # dx/ds
             assert ldp[1] == pytest.approx(pd[0], abs=1e-12)       # dp/ds
             assert ldu == pytest.approx(ud, abs=1e-12)             # du/ds
+
+
+    def test_compiled_pack_matches_partials(self, rng):
+        hjs = [OSCILLATOR, cp.HJEquation.from_text(1, "p1^2/2 + sin(x1) * t"),
+               cp.HJEquation.from_text(2, "p1^2/2 + p2^2/2 + x1*x2 - exp(p1)*x2")]
+        for hj in hjs:
+            for _ in range(4):
+                state = rng.uniform(-1.5, 1.5, size=2 * hj.n + 1)
+                got = cp.canonical_rhs(hj, state)
+                ref = canonical_rhs_by_partials(hj, state)
+                for g, r in zip(got, ref):
+                    assert np.allclose(g, r, rtol=1e-12, atol=0.0)
+
+    def test_domain_error_raises(self):
+        hj = cp.HJEquation.from_text(1, "p1^2/2 + ln(x1)")
+        with pytest.raises(ex.DomainError):
+            cp.canonical_rhs(hj, (0.0, -1.0, 0.5))
 
 
 class TestPoissonBracket:
@@ -155,6 +228,19 @@ class TestSolveHJ:
         assert np.max(np.abs(sol.u - ref)) <= 1e-6
         p_ref = sol.x / (1.0 + sol.t[:, None])
         assert np.max(np.abs(sol.p - p_ref)) <= 1e-6
+
+    def test_launch_data_matches_pointwise_evaluation(self):
+        u0 = ex.parse_expr("sin(3*x1) + exp(x1)/(2 + x1)", cp.base_chart(1))
+        nodes = np.linspace(-1, 1, 33)
+        sol = cp.solve_hj(OSCILLATOR, u0, nodes, 0.5, 10)
+        slope = ex.partial(u0, 0)
+        assert sol.u[0].tolist() == [ex.evaluate(u0, (x,)) for x in nodes]
+        assert sol.p[0].tolist() == [ex.evaluate(slope, (x,)) for x in nodes]
+
+    def test_launch_data_domain_error_names_point(self):
+        u0 = ex.parse_expr("ln(x1)", cp.base_chart(1))
+        with pytest.raises(ex.DomainError, match=r"ln of non-positive .*-0\.5"):
+            cp.solve_hj(FREE, u0, [1.0, -0.5, -1.0], 1.0, 10)
 
     def test_linear_advection_translates_data(self):
         hj = cp.HJEquation.from_text(1, "2 * p1")
@@ -287,6 +373,39 @@ class TestCaustics:
         t_max = max(e.t_star for e in sol.events)
         assert t_min == pytest.approx(1.0, abs=1e-3)
         assert t_max == pytest.approx(1.0, abs=1e-3)
+
+    def test_scan_matches_loop(self, rng):
+        hj = cp.HJEquation.from_text(1, "0.9*p1^2/2 + 0.2*p1")
+        u0 = ex.parse_expr("0 - 0.8*x1^2/2 + 0.3*x1", cp.base_chart(1))
+        fans = []
+        for m in (8, 64, 512):
+            sol = cp.solve_hj(hj, u0, np.linspace(-1, 1, m), 1.5, 200,
+                              detect_crossings=False)
+            fans.append((sol.x0grid, sol.t, sol.x))
+            # a random-walk fan: many sign changes at scattered times
+            x0 = np.sort(rng.uniform(-1, 1, m))
+            t = np.linspace(0.0, 1.5, 60)
+            walk = rng.normal(scale=0.05, size=(60, m)).cumsum(axis=0)
+            fans.append((x0, t, x0 + walk))
+        # integer positions: exact-zero Jacobian entries, at t = 0 and later
+        x0 = np.arange(12.0)
+        fans.append((x0, np.linspace(0.0, 1.0, 30),
+                     rng.integers(-2, 3, size=(30, 12)).astype(float)))
+        zero_hits = 0
+        for x0, t, x in fans:
+            fan = cp.HJSolution(hj, x0, t, x, x, x, [])
+            events = cp.detect_caustic(fan)
+            assert events == caustic_events_by_loop(x0, t, x)
+            assert events
+            zero_hits += sum(e.t_star in t for e in events)
+        assert zero_hits > 0
+
+    def test_repeated_launch_nodes_rejected(self):
+        t = np.linspace(0.0, 1.0, 5)
+        x0 = np.array([0.0, 1.0, 0.0, 2.0])
+        fan = cp.HJSolution(FREE, x0, t, np.ones((5, 4)), None, None, [])
+        with pytest.raises(cp.FanError, match="distinct"):
+            cp.detect_caustic(fan)
 
     def test_single_strip_rejected(self):
         strip = cp.integrate_canonical_strips(FREE, [((0.0,), 0.0, (1.0,))],

@@ -1,84 +1,158 @@
-"""Backend parity: the numba and numpy tape interpreters must agree."""
+"""Kernel parity: `_kernels` must match the reference interpreter and RK4
+driver in `kernels_reference` bit for bit (NaN-equal), error codes included."""
 
 import numpy as np
-import pytest
 
-from exform import _kernels, expr as ex, tape
+from exform import _kernels, charpde as cp, expr as ex, tape
 
 from conftest import rand_expr
+from kernels_reference import _eval_pack_numpy, _eval_tape_numpy, _rk4_numpy
 
 CH = ex.chart("x1", "x2", "x3")
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba not importable")
+
+def edge_expr(rng, chart, depth=3):
+    """rand_expr plus the partial operations: /, ln, sqrt and negative powers."""
+    if depth == 0 or rng.random() < 0.25:
+        return rand_expr(rng, chart, depth=1)
+
+    def sub():
+        return edge_expr(rng, chart, depth - 1)
+
+    r = rng.random()
+    if r < 0.15:
+        return sub() / sub()
+    if r < 0.25:
+        return ex.ln(sub())
+    if r < 0.35:
+        return ex.sqrt(sub())
+    if r < 0.45:
+        return sub() ** -int(rng.integers(1, 4))
+    if r < 0.55:
+        fn = (ex.sin, ex.cos, ex.exp, lambda e: -e)[int(rng.integers(4))]
+        return fn(sub())
+    return ex.Binary(chart, ("+", "-", "*")[int(rng.integers(3))], sub(), sub())
 
 
-@pytest.fixture
-def restore_backend():
-    current = _kernels.backend_name()
-    yield
-    _kernels.set_backend(current)
+def edge_points(rng, m):
+    """About half the coordinates are small integers, so sums, differences and
+    products hit 0 exactly: zero divisors, ln(0), sqrt(0) and 0^-k."""
+    pts = rng.uniform(-2, 2, size=(m, CH.dim))
+    grid = rng.integers(-3, 4, size=(m, CH.dim)).astype(float)
+    return np.where(rng.random((m, CH.dim)) < 0.5, grid, pts)
 
 
-def _both(tape_obj, pts):
-    vals_np, errs_np = _kernels._eval_tape_numpy(
-        tape_obj.codes, tape_obj.args, tape_obj.consts, pts, tape_obj.stack_need)
-    vals_nb, errs_nb = _kernels._eval_tape_numba(
-        tape_obj.codes, tape_obj.args, tape_obj.consts, pts, tape_obj.stack_need)
-    return (vals_np, errs_np), (vals_nb, errs_nb)
+def assert_same(got, ref):
+    """Identical bits, NaN matching NaN."""
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
 
 
-@needs_numba
-def test_eval_parity_on_corpus(rng):
-    for _ in range(30):
-        e = rand_expr(rng, CH, depth=4)
-        t = tape.compile_expr(e)
-        pts = rng.uniform(-2, 2, size=(32, 3))
-        (v0, e0), (v1, e1) = _both(t, pts)
-        assert np.array_equal(e0, e1)
-        assert np.allclose(v0, v1, rtol=1e-12, atol=1e-12)
+def check_tape(t, pts):
+    vals, errs = _kernels.eval_tape(t, pts)
+    ref_vals, ref_errs = _eval_tape_numpy(t.codes, t.args, t.consts,
+                                          np.ascontiguousarray(pts), t.stack_need)
+    assert np.array_equal(errs, ref_errs) and errs.dtype == ref_errs.dtype
+    assert_same(vals, ref_vals)
+    return errs
 
 
-@needs_numba
-def test_error_masks_match(rng):
-    e = ex.parse_expr("ln(x1) + 1/x2 + sqrt(x3)", CH)
-    t = tape.compile_expr(e)
-    pts = rng.uniform(-1, 1, size=(64, 3))
-    pts[3, 1] = 0.0
-    (v0, e0), (v1, e1) = _both(t, pts)
-    assert np.array_equal(e0, e1)
-    assert e0[3] != 0
-    ok = e0 == 0
-    assert np.allclose(v0[ok], v1[ok], rtol=1e-12)
-    assert np.all(np.isnan(v0[~ok])) and np.all(np.isnan(v1[~ok]))
+def test_eval_tape_matches_reference_on_edge_corpus(rng):
+    seen = set()
+    for _ in range(240):
+        t = tape.compile_expr(edge_expr(rng, CH, depth=4))
+        seen.update(check_tape(t, edge_points(rng, 48)).tolist())
+    # the corpus reaches every domain edge and has in-domain points too
+    assert seen >= {0, _kernels.ERR_DIV, _kernels.ERR_LN, _kernels.ERR_SQRT,
+                    _kernels.ERR_POW}
 
 
-@needs_numba
-def test_rk4_parity():
-    chart = ex.chart("a", "b")
-    a, b = ex.coords(chart)
-    pack = tape.pack_exprs([b, -a])  # circular flow
-    y0 = np.array([[1.0, 0.0], [0.5, 0.5]])
-    t_np, err_np = _kernels._rk4_numpy(pack.codes, pack.args, pack.consts,
-                                       pack.offsets, pack.stack_need,
-                                       y0, 0.01, 200)
-    t_nb, err_nb = _kernels._rk4_numba(pack.codes, pack.args, pack.consts,
-                                       pack.offsets, pack.stack_need,
-                                       y0, 0.01, 200)
-    assert np.array_equal(err_np, err_nb)
-    assert np.allclose(t_np, t_nb, rtol=1e-12, atol=1e-14)
+def test_eval_pack_matches_reference(rng):
+    x1, x2, _ = ex.coords(CH)
+    for _ in range(40):
+        exprs = [edge_expr(rng, CH, depth=3) for _ in range(3)]
+        exprs += [ex.const(CH, 1.0), x2, x1 / 0.0]
+        p = tape.pack_exprs(exprs)
+        pts = edge_points(rng, 32)
+        vals, errs = _kernels.eval_pack(p, pts)
+        ref_vals, ref_errs = _eval_pack_numpy(p.codes, p.args, p.consts,
+                                              p.offsets, pts, p.stack_need)
+        assert np.array_equal(errs, ref_errs)
+        assert_same(vals, ref_vals)
 
 
-@needs_numba
-def test_backend_switch_changes_dispatch(restore_backend):
-    e = ex.parse_expr("x1 * x2 + sin(x3)", CH)
-    t = tape.compile_expr(e)
-    pts = np.array([[0.5, 2.0, 1.0]])
-    _kernels.set_backend("numpy")
-    v_np, _ = _kernels.eval_tape(t, pts)
-    _kernels.set_backend("numba")
-    v_nb, _ = _kernels.eval_tape(t, pts)
-    assert v_np[0] == pytest.approx(v_nb[0], rel=1e-14)
+def test_single_leaves_and_constant_domain_edges(rng):
+    x1, x2, x3 = ex.coords(CH)
+    zero, one = ex.const(CH, 0.0), ex.const(CH, 1.0)
+    cases = [one, x2, -one, ex.sin(x3), one + 2.0, x1 / 0.0, zero / zero,
+             x1 + 1.0 / zero, zero ** -2, zero ** 3, ex.ln(zero), ex.sqrt(-one),
+             ex.ln(x1) + 1.0 / (x2 - x2), ex.Binary(CH, "/", one, x3 - 1.0)]
+    pts = edge_points(rng, 16)
+    for e in cases:
+        check_tape(tape.compile_expr(e), pts)
+        check_tape(tape.compile_expr(e), pts[:1])
+
+
+def _first_nonfinite(traj):
+    """(step, component) whose new state first leaves the finite numbers, or None."""
+    bad = ~np.isfinite(traj).all(axis=1)       # (steps+1, d)
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size == 0:
+        return None
+    s = int(rows[0])
+    return s - 1, int(np.argmax(bad[s]))
+
+
+# (system, initial states, step, steps, outcome of the reference run)
+HJ_OSC = cp.HJEquation.from_text(1, "p1^2/2 + 0.7*x1^2")
+HJ_LN = cp.HJEquation.from_text(1, "-p1 + ln(x1)")
+HJ_BLOWUP = cp.HJEquation.from_text(1, "p1^2/2 - x1^4/4")
+PDE_EIK = cp.FirstOrderPDE.from_text(2, "p1^2 + p2^2 - 1")
+PDE_SQRT = cp.FirstOrderPDE.from_text(1, "p1 - 2*sqrt(1 - x1)")
+PDE_BLOWUP = cp.FirstOrderPDE.from_text(1, "p1 - u^2")
+PDE_GROWTH = cp.FirstOrderPDE.from_text(2, "p1 + p2 - u")
+
+RK4_CASES = [
+    (HJ_OSC, [[0.0, x, 0.5 * x, -x] for x in np.linspace(-1, 1, 9)], 0.01, 200, "ok"),
+    (HJ_LN, [[0.0, 0.5, 0.0, 1.0], [0.0, 2.0, 0.0, 0.5]], 0.1, 100, "domain"),
+    (HJ_BLOWUP, [[0.0, 1.0, 0.0, 1.0], [0.0, 0.5, 0.0, 0.2]], 0.01, 400, "nonfinite"),
+    (PDE_EIK, [[0.0, 0.0, 0.0, 0.6, 0.8], [1.0, -1.0, 2.0, 1.0, 0.0]], 0.01, 100, "ok"),
+    (PDE_SQRT, [[0.0, 0.0, 2.0], [0.5, 0.0, 2.0 ** 0.5]], 0.03, 100, "domain"),
+    (PDE_BLOWUP, [[0.0, 1.0, 1.0], [0.0, 0.6, 0.36]], 0.01, 200, "nonfinite"),
+    (PDE_GROWTH, [[0.1, 0.2, 0.5, 0.3, 0.2]], 0.05, 40, "ok"),
+]
+
+
+def _pack_for(system):
+    if isinstance(system, cp.HJEquation):
+        return cp._canonical_system(system)[1]
+    return cp._charpit_system(system)[1]
+
+
+def test_rk4_matches_reference_on_canonical_and_charpit_systems():
+    for system, initials, h, steps, outcome in RK4_CASES:
+        pack = _pack_for(system)
+        y0 = np.array(initials)
+        traj, err = _kernels.rk4(pack, y0, h, steps)
+        ref_traj, ref_info = _rk4_numpy(pack.codes, pack.args, pack.consts,
+                                        pack.offsets, pack.stack_need, y0, h, steps)
+        blowup = _first_nonfinite(ref_traj)
+        assert traj.shape == ref_traj.shape and traj.flags.c_contiguous
+        if outcome == "nonfinite":
+            assert blowup is not None and ref_info[0] < 0
+            step, comp = blowup
+            assert err == (step, comp, _kernels.ERR_NONFINITE)
+            assert_same(traj[:step + 1], ref_traj[:step + 1])
+            assert np.array_equal(traj[step + 1:],
+                                  np.broadcast_to(ref_traj[step], traj[step + 1:].shape))
+        else:
+            assert blowup is None
+            assert (err is None) == (outcome == "ok")
+            expected = None if ref_info[0] < 0 else tuple(ref_info.tolist())
+            assert err == expected
+            assert_same(traj, ref_traj)
 
 
 def test_rk4_reports_domain_failure():
@@ -102,8 +176,3 @@ def test_pack_offsets_and_shared_consts():
     vals, errs = _kernels.eval_pack(pack, np.array([[1.0, 3.0]]))
     assert errs.max() == 0
     assert vals[:, 0].tolist() == [3.0, 6.0, 2.0]
-
-
-def test_invalid_backend_name():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
