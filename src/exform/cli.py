@@ -297,13 +297,8 @@ def cmd_geom(args, config: RunConfig) -> int:
                                                 "gamma")
         rel = evolution.NonidenticalRelation(psi, omega, conn)
         identical = rel.is_identical(config.trials, config.tolerance, config.seed)
-        points = ex.sample_points(omega.chart, config.trials, config.seed)
-        residual = rel.residual_form()
-        worst = 0.0
-        for coeff in residual.coeffs.values():
-            vals, ok = ex.evaluate_masked(coeff, points)
-            if ok.any():
-                worst = max(worst, float(np.max(np.abs(vals[ok]))))
+        worst = max((ex.sampled_abs_max(coeff, config.trials, config.seed)
+                     for coeff in rel.residual_form().coeffs.values()), default=0.0)
         _write_json(out / "geom_relation.json", {
             "schema": SCHEMA_VERSION, "identical": identical,
             "max_residual": worst, "points": config.trials,

@@ -83,6 +83,7 @@ def curvature(conn: Connection):
     """
     chart = conn.chart
     n = chart.dim
+    nonzero = conn.gamma.keys()
 
     def entry(mu, nu, rho, sigma):
         total: ScalarExpr = ex.Binary(
@@ -90,6 +91,12 @@ def curvature(conn: Connection):
             ex.partial(conn.coeff(mu, nu, sigma), rho),
             ex.partial(conn.coeff(mu, nu, rho), sigma))
         for lam in range(n):
+            # a term with a zero factor in each product simplifies to 0 - 0,
+            # and t + 0 to t: skipping it leaves the simplified tree as it is
+            if (((mu, lam, rho) not in nonzero or (lam, nu, sigma) not in nonzero)
+                    and ((mu, lam, sigma) not in nonzero
+                         or (lam, nu, rho) not in nonzero)):
+                continue
             quad = ex.Binary(
                 chart, "-",
                 ex.Binary(chart, "*", conn.coeff(mu, lam, rho), conn.coeff(lam, nu, sigma)),

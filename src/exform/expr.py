@@ -5,9 +5,16 @@ partial differentiation: constants, coordinates, + - * /, integer powers,
 and sin/cos/exp/ln/sqrt.  Identity checking is done by seeded numeric
 sampling (`probably_zero`), not by canonical-form rewriting.
 
-All values are immutable; every operation returns a new tree.  Numeric
-evaluation is routed through the compiled tape kernels in `_kernels`, so
-scalar and batched evaluation share one arithmetic path.
+Trees are immutable.  Two caches live on the nodes themselves, outside the
+dataclass fields, so they never take part in `==`, `hash` or `repr`:
+
+* `simplify` marks every node it returns as a fixpoint and returns a marked
+  node unchanged; a node whose children simplify to themselves is kept, not
+  rebuilt, so a simplified tree may share nodes with its input;
+* `partial` keeps a dict from axis to derivative on the differentiated node.
+
+Numeric evaluation is routed through the compiled tape kernels in
+`_kernels`, so scalar and batched evaluation share one arithmetic path.
 """
 
 from __future__ import annotations
@@ -568,23 +575,36 @@ def _rewrite(e: ScalarExpr) -> ScalarExpr:
 
 
 def simplify(e: ScalarExpr) -> ScalarExpr:
-    """Constant folding, 0/1 identities, double negation; idempotent."""
+    """Constant folding, 0/1 identities, double negation; idempotent.
+
+    The mark is sound because every subtree of a result is itself a result:
+    `_rewrite` builds new nodes only at the top, from simplified subtrees.
+    """
+    # getattr and object.__setattr__, never __dict__: reading __dict__ makes
+    # CPython build a separate dict object for every node it touches
+    if getattr(e, "_simple", False):
+        return e
     match e:
         case Const() | Coord():
             node = e
         case Binary(op=op, left=l, right=r):
-            node = Binary(e.chart, op, simplify(l), simplify(r))
+            sl, sr = simplify(l), simplify(r)
+            node = e if sl is l and sr is r else Binary(e.chart, op, sl, sr)
         case Power(base=b, exponent=k):
-            node = Power(e.chart, simplify(b), k)
+            sb = simplify(b)
+            node = e if sb is b else Power(e.chart, sb, k)
         case Unary(fn=fn, arg=a):
-            node = Unary(e.chart, fn, simplify(a))
+            sa = simplify(a)
+            node = e if sa is a else Unary(e.chart, fn, sa)
         case _:
             raise TypeError(f"not a ScalarExpr node: {e!r}")
     while True:
         rewritten = _rewrite(node)
-        if rewritten == node:
-            return node
+        if rewritten is node or rewritten == node:
+            break
         node = rewritten
+    object.__setattr__(node, "_simple", True)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +612,17 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
 
 
 def partial(e: ScalarExpr, axis: int) -> ScalarExpr:
-    """Exact partial derivative with respect to the given axis, simplified."""
+    """Exact partial derivative with respect to the given axis, simplified;
+    memoised per axis on `e`."""
     if not 0 <= axis < e.chart.dim:
         raise ValueError(f"axis {axis} out of range for {e.chart.names}")
-    return simplify(_diff(e, axis))
+    memo = getattr(e, "_partials", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(e, "_partials", memo)
+    if axis not in memo:
+        memo[axis] = simplify(_diff(e, axis))
+    return memo[axis]
 
 
 def _diff(e: ScalarExpr, axis: int) -> ScalarExpr:
@@ -721,12 +748,12 @@ def sample_points(ch: CoordinateChart, count: int, seed: int) -> np.ndarray:
     return rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(count, ch.dim))
 
 
-def probably_zero(e: ScalarExpr, trials: int = DEFAULT_TRIALS,
-                  tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> bool:
-    """Seeded randomized zero test: true iff |e| <= tol at `trials` points.
+def _in_domain_values(e: ScalarExpr, trials: int, seed: int):
+    """Yield the in-domain values of each batch of the seeded sampling cloud.
 
     Points are drawn uniformly from [-2, 2]^n; points where the expression
-    is undefined are skipped and redrawn, up to a cap.
+    is undefined are skipped and redrawn, up to a cap, until `trials`
+    in-domain values have been yielded.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -738,35 +765,32 @@ def probably_zero(e: ScalarExpr, trials: int = DEFAULT_TRIALS,
         batch = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(remaining, e.chart.dim))
         drawn += remaining
         vals, ok = evaluate_masked(e, batch)
-        good = vals[ok]
-        if good.size and np.max(np.abs(good)) > tol:
-            return False
+        yield vals[ok]
         remaining -= int(ok.sum())
         if remaining > 0 and drawn >= cap:
             raise ResampleExhaustedError(
                 f"could not collect {trials} in-domain points after {drawn} draws")
+
+
+def probably_zero(e: ScalarExpr, trials: int = DEFAULT_TRIALS,
+                  tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> bool:
+    """Seeded randomized zero test: true iff |e| <= tol at `trials` in-domain
+    points; a non-finite value is never zero."""
+    for good in _in_domain_values(e, trials, seed):
+        if not np.all(np.isfinite(good) & (np.abs(good) <= tol)):
+            return False
     return True
 
 
 def sampled_abs_max(e: ScalarExpr, trials: int = DEFAULT_TRIALS,
                     seed: int = DEFAULT_SEED) -> float:
-    """Max |e| over the probably_zero sampling cloud (skipping bad points)."""
-    rng = np.random.default_rng(seed)
-    cap = RESAMPLE_CAP_FACTOR * trials
-    remaining = trials
-    drawn = 0
+    """Max |e| over the probably_zero sampling cloud; inf if any value is not
+    finite."""
     worst = 0.0
-    while remaining > 0:
-        batch = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(remaining, e.chart.dim))
-        drawn += remaining
-        vals, ok = evaluate_masked(e, batch)
-        good = vals[ok]
+    for good in _in_domain_values(e, trials, seed):
         if good.size:
-            worst = max(worst, float(np.max(np.abs(good))))
-        remaining -= int(ok.sum())
-        if remaining > 0 and drawn >= cap:
-            raise ResampleExhaustedError(
-                f"could not collect {trials} in-domain points after {drawn} draws")
+            m = float(np.max(np.abs(good)))
+            worst = max(worst, math.inf if math.isnan(m) else m)
     return worst
 
 

@@ -7,6 +7,7 @@ from exform import evolution as ev
 from exform import expr as ex
 from exform import forms
 
+import simplify_reference as ref
 from conftest import rand_expr, rand_form
 
 CH2 = ex.chart("x1", "x2")
@@ -102,6 +103,79 @@ class TestCurvature:
                         total = ex.Binary(CH2, "+", r[mu][nu][rho][sg],
                                           r[mu][nu][sg][rho])
                         assert ex.probably_zero(total)
+
+
+def dense_curvature(conn):
+    """`curvature` with every lambda term summed, zero products included, on
+    the rebuilding reference simplifier."""
+    chart = conn.chart
+    n = chart.dim
+
+    def entry(mu, nu, rho, sigma):
+        total = ex.Binary(chart, "-",
+                          ref.partial(conn.coeff(mu, nu, sigma), rho),
+                          ref.partial(conn.coeff(mu, nu, rho), sigma))
+        for lam in range(n):
+            quad = ex.Binary(
+                chart, "-",
+                ex.Binary(chart, "*", conn.coeff(mu, lam, rho), conn.coeff(lam, nu, sigma)),
+                ex.Binary(chart, "*", conn.coeff(mu, lam, sigma), conn.coeff(lam, nu, rho)))
+            total = ex.Binary(chart, "+", total, quad)
+        return ref.simplify(total)
+
+    return [entry(mu, nu, rho, sigma) for mu in range(n) for nu in range(n)
+            for rho in range(n) for sigma in range(n)]
+
+
+def signed_coeff(rng, chart):
+    """A coefficient whose partials include -0.0 constants half the time."""
+    e = rand_expr(rng, chart, depth=2)
+    return -e if rng.random() < 0.5 else e
+
+
+class TestCurvatureSparseSum:
+    def check(self, conn):
+        r = ev.curvature(conn)
+        n = conn.chart.dim
+        got = [r[mu][nu][rho][sg] for mu in range(n) for nu in range(n)
+               for rho in range(n) for sg in range(n)]
+        want = dense_curvature(conn)
+        assert [ex.to_text(e) for e in got] == [ex.to_text(e) for e in want]
+        assert [repr(e) for e in got] == [repr(e) for e in want]
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_sparse_connections(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        ch = ex.chart(*[f"x{k + 1}" for k in range(dim)])
+        slots = [(a, b, c) for a in range(dim) for b in range(dim) for c in range(dim)]
+        for _ in range(6):
+            keys = rng.choice(len(slots), size=2 * dim, replace=False)
+            self.check(ev.Connection(ch, {slots[k]: signed_coeff(rng, ch) for k in keys}))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_dense_connection(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        ch = ex.chart(*[f"x{k + 1}" for k in range(dim)])
+        self.check(ev.Connection(ch, {
+            (a, b, c): rand_expr(rng, ch, depth=1)
+            for a in range(dim) for b in range(dim) for c in range(dim)}))
+
+    def test_products_that_cancel_exactly(self):
+        ch = ex.chart("x1", "x2", "x3")
+        x1, x2, _ = ex.coords(ch)
+        # R[0][0][0][1] = x2 - 0 + (x1 * (x1*x2) - (x1*x2) * x1): the lambda = 0
+        # term has two nonzero products that cancel exactly
+        conn = ev.Connection(ch, {(0, 0, 0): x1, (0, 0, 1): x1 * x2, (1, 2, 0): x2})
+        assert ex.to_text(ev.curvature(conn)[0][0][0][1]) == "x2"
+        self.check(conn)
+
+    def test_negative_zero_coefficients(self):
+        ch = ex.chart("x1", "x2", "x3")
+        texts = {(0, 1, 2): "-0", (1, 0, 2): "-(0) * x2", (2, 2, 1): "-x2",
+                 (0, 2, 1): "-x3 * -0", (1, 1, 1): "-(x1 - x1)", (2, 0, 0): "-x1"}
+        conn = ev.Connection(ch, {k: ex.parse_expr(t, ch) for k, t in texts.items()})
+        assert sorted(conn.gamma) == [(2, 0, 0), (2, 2, 1)]
+        self.check(conn)
 
 
 class TestEvolutionaryCommutator:

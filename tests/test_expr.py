@@ -263,6 +263,27 @@ class TestProbablyZero:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             ex.probably_zero(X1, trials=0)
+        with pytest.raises(ValueError):
+            ex.sampled_abs_max(X1, trials=0)
+
+    def test_nan_is_never_zero(self):
+        # exp(exp(x1 + 10)) overflows to inf for x1 > -3.3, so inf - inf = nan
+        big = ex.parse_expr("exp(exp(x1 + 10))", CH2)
+        e = 2 * big - big
+        assert not ex.probably_zero(e)
+        assert ex.sampled_abs_max(e) == math.inf
+
+    def test_infinity_is_never_zero(self):
+        e = ex.parse_expr("exp(exp(x1 + 10)) * x2", CH2)
+        assert not ex.probably_zero(e, tol=math.inf)
+        assert ex.sampled_abs_max(e) == math.inf
+
+    def test_sampled_abs_max_draws_the_sample_points_cloud(self):
+        # with every point in-domain, the first batch is all that is drawn
+        assert ex.sampled_abs_max(X1, trials=5) == np.max(
+            np.abs(ex.sample_points(CH2, 5, ex.DEFAULT_SEED)[:, 0]))
+        # defined except on the x1 = 0 line, where points are redrawn
+        assert ex.sampled_abs_max(ex.parse_expr("x1/x1 - 1", CH2)) == 0.0
 
     def test_seed_determinism(self):
         e = ex.parse_expr("x1 * 1e-10", CH2)

@@ -200,6 +200,13 @@ class TestClosure:
         theta = forms.one_form(CH2, [A2, A1])  # = d(x1*x2), hand oracle
         assert forms.is_closed(theta)
 
+    def test_overflowing_coefficient_is_not_closed(self):
+        # d(x1 exp(exp(x1 + 10)) dx2) is non-finite on most of the cloud
+        theta = forms.DifferentialForm(
+            CH2, 1, {(1,): ex.parse_expr("x1 * exp(exp(x1 + 10))", CH2)})
+        assert not forms.is_closed(theta)
+        assert forms.closure_residual(theta) == float("inf")
+
     def test_closure_residual_scale(self):
         theta = forms.DifferentialForm(CH2, 1, {(1,): A1})
         assert forms.closure_residual(theta) == pytest.approx(1.0)

@@ -1,0 +1,93 @@
+"""Every CLI fixture command pinned: exit code, stdout and artifact digests.
+
+The expected values live in `golden_artifacts.json`.  Symbolic or numeric
+changes that are meant to leave results alone must keep every command's
+stdout and every artifact byte-identical.  To regenerate the file after a
+change that is meant to alter results, run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from exform import cli
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_artifacts.json"
+SEED = "42"
+
+F = str(FIXTURES) + "/"
+# (argv, expected exit code): one command per committed fixture
+COMMANDS = [
+    (["geom", "bistructure", "--in", F + "bistructure_event.json"], 0),
+    (["pde", "bracket", "--in", F + "bracket_momentum.json"], 0),
+    (["pde", "bracket", "--in", F + "bracket_self.json"], 0),
+    (["form", "stokes", "--form", F + "form_unclosed.json",
+      "--cell", F + "cell_unit_square.json"], 0),
+    (["pde", "classify", "--in", F + "classify_field.json"], 0),
+    (["geom", "curvature", "--in", F + "conn_symmetric.json"], 0),
+    (["geom", "torsion", "--in", F + "conn_torsion.json"], 0),
+    (["form", "cr", "--in", F + "cr_pair.json"], 0),
+    (["form", "d", "--in", F + "form_curl_input.json"], 0),
+    (["form", "d", "--in", F + "form_div_input.json"], 0),
+    (["form", "wedge", "--a", F + "form_curl_input.json", "--b", F + "form_dx3.json"], 0),
+    (["form", "closure", "--in", F + "form_exact_pair.json"], 0),
+    (["form", "d", "--in", F + "form_gradient_input.json"], 0),
+    (["form", "closure", "--in", F + "form_unclosed.json", "--assert-closed"], 1),
+    (["geom", "relation", "--psi", F + "form_zero_psi.json",
+      "--omega", F + "form_unclosed.json"], 0),
+    (["form", "harmonic", "--in", F + "scalar_harmonic.json"], 0),
+    (["form", "harmonic", "--in", F + "scalar_nonharmonic.json"], 0),
+    (["pde", "caustics", "--in", F + "hj_focusing.json"], 0),
+    (["pde", "hj", "--in", F + "hj_free_particle.json"], 0),
+    (["pde", "charpit", "--in", F + "pde_eikonal.json"], 0),
+]
+
+
+def command_key(argv) -> str:
+    """Fixture-relative name of a command, stable across checkouts."""
+    return " ".join(arg.replace(F, "") for arg in argv)
+
+
+def run_command(argv, out_dir: pathlib.Path) -> dict:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(list(argv) + ["--seed", SEED, "--out", str(out_dir)])
+    artifacts = {}
+    if out_dir.is_dir():
+        for path in sorted(out_dir.iterdir()):
+            artifacts[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"code": code, "stdout": stdout.getvalue(), "artifacts": artifacts}
+
+
+@pytest.mark.parametrize("argv, expect_code", COMMANDS,
+                         ids=[command_key(argv) for argv, _ in COMMANDS])
+def test_command_matches_golden(argv, expect_code, tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[command_key(argv)]
+    got = run_command(argv, tmp_path / "out")
+    assert got["code"] == expect_code == golden["code"]
+    assert got["stdout"] == golden["stdout"]
+    assert got["artifacts"] == golden["artifacts"]
+
+
+def test_golden_covers_every_fixture():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(command_key(argv) for argv, _ in COMMANDS)
+    used = {pathlib.Path(arg).name for argv, _ in COMMANDS for arg in argv
+            if arg.startswith(F)}
+    assert used == {path.name for path in FIXTURES.glob("*.json")}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {command_key(argv): run_command(argv, pathlib.Path(tmp) / f"out{k}")
+                 for k, (argv, _) in enumerate(COMMANDS)}
+    GOLDEN.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n",
+                      encoding="utf-8")
