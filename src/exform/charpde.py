@@ -7,7 +7,8 @@ the fan Jacobian, and the function-vs-functional classification of sampled
 derivative fields by their finite-difference commutator.
 
 Strips are integrated with classical fixed-step RK4 through the compiled
-tape kernels, so whole fans advance in one batched call.
+tape kernels, so whole fans advance in one batched call.  A fan stays the
+one trajectory array that call returns: its strips are read-only views.
 """
 
 from __future__ import annotations
@@ -171,30 +172,35 @@ def _pack_at(pack: tape.TapePack, flat: np.ndarray) -> np.ndarray:
 def charpit_rhs(pde: FirstOrderPDE, state: Sequence[float]):
     """Strip derivatives (dx/ds, du/ds, dp/ds) at a state (x, u, p)."""
     n = pde.n
-    v = _pack_at(_charpit_system(pde)[1], _state_vector(n, state))
+    v = _pack_at(_charpit_system(pde)[1], _state_rows(n, [state])[0])
     return v[:n].copy(), float(v[n]), v[n + 1:].copy()
 
 
-def _state_vector(n: int, state) -> np.ndarray:
-    if isinstance(state, (tuple, list)) and len(state) == 3:
-        x, u, p = state
-        flat = np.concatenate([np.atleast_1d(np.asarray(x, float)),
-                               [float(u)],
-                               np.atleast_1d(np.asarray(p, float))])
-    else:
-        flat = np.asarray(state, dtype=np.float64)
-    if flat.shape != (2 * n + 1,):
-        raise ValueError(f"state must have {2 * n + 1} components")
-    return flat
+def _state_rows(n: int, states) -> np.ndarray:
+    """States (x, u, p), or flat rows of 2n+1 numbers, as rows (m, 2n+1);
+    a malformed state raises naming its index."""
+    rows = []
+    for k, state in enumerate(states):
+        if isinstance(state, (tuple, list)) and len(state) == 3:
+            parts = [np.atleast_1d(np.asarray(v, float)) for v in state]
+            ok = [a.shape for a in parts] == [(n,), (1,), (n,)]
+            state = np.concatenate(parts) if ok else ()
+        row = np.asarray(state, dtype=np.float64)
+        if row.shape != (2 * n + 1,):
+            raise ValueError(f"state {k} must be (x, u, p) with {n} components "
+                             f"in x and p, or {2 * n + 1} components")
+        rows.append(row)
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)
 class CharacteristicStrip:
     """Sampled trajectory of (x, u, p) with its conserved-quantity audit.
 
-    ``drift`` holds F along the samples for Charpit strips (zero up to
-    integrator error when launched on-surface), or E minus its initial
-    value for canonical strips.
+    Integrated strips are read-only views into their fan's trajectory, so
+    strips of one fan share memory.  ``drift`` holds F along the samples
+    for Charpit strips (zero up to integrator error when launched
+    on-surface), or E minus its initial value for canonical strips.
     """
 
     s: np.ndarray       # (m+1,)
@@ -226,16 +232,43 @@ class CharacteristicStrip:
         return float(np.max(np.abs((self.u - self.u[0]) - integral)))
 
 
-def _rk4(pack: tape.TapePack, states0: np.ndarray, h: float,
-         steps: int) -> np.ndarray:
-    """Batched RK4 trajectory (steps+1, m, d); a failed step raises."""
+def _rk4(pack: tape.TapePack, states0: np.ndarray, span: float,
+         steps: int) -> tuple[np.ndarray, float]:
+    """Batched RK4 over [0, span]: the read-only trajectory (steps+1, m, d)
+    and the step h; a failed step raises."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    h = span / steps
     traj, err = _kernels.rk4(pack, states0, h, steps)
     if err is not None:
         step, comp, code = err
         raise StripIntegrationError(
             f"{_kernels.ERR_MESSAGES[code]} in strip component {comp} "
             f"at step {step}", step)
-    return traj
+    traj.flags.writeable = False
+    return traj, h
+
+
+def _audit(audit_tape: tape.Tape, states: np.ndarray, what: str) -> np.ndarray:
+    """The audit quantity (F or E) at every state of a fan (samples, m, d),
+    as (samples, m); an undefined value raises naming its sample."""
+    samples, m, d = states.shape
+    vals, errs = _kernels.eval_tape(audit_tape, states.reshape(-1, d))
+    if errs.any():
+        k = int(np.argwhere(errs != 0)[0][0]) // m
+        raise StripIntegrationError(f"{what} undefined at sample {k}", k)
+    return vals.reshape(samples, m)
+
+
+def _fan_strips(s: np.ndarray, states: np.ndarray, drift: np.ndarray,
+                h: float) -> list[CharacteristicStrip]:
+    """The strips of one fan as read-only views s, x[:, k], u[:, k], p[:, k]
+    and drift[:, k] of its (samples, m, 2n+1) states and (samples, m) drift."""
+    s.flags.writeable = drift.flags.writeable = False
+    n = states.shape[2] // 2
+    x, u, p = states[:, :, :n], states[:, :, n], states[:, :, n + 1:]
+    return [CharacteristicStrip(s, x[:, k], u[:, k], p[:, k], drift[:, k], h)
+            for k in range(states.shape[1])]
 
 
 def integrate_strip(pde: FirstOrderPDE, initial, s_end: float,
@@ -246,11 +279,9 @@ def integrate_strip(pde: FirstOrderPDE, initial, s_end: float,
 
 def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
                      steps: int) -> list[CharacteristicStrip]:
-    """Integrate a fan of Charpit strips in one batched RK4 run."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    n = pde.n
-    states0 = np.stack([_state_vector(n, init) for init in initials])
+    """Integrate a fan of Charpit strips in one batched RK4 run; the strips
+    are read-only views of the one fan trajectory."""
+    states0 = _state_rows(pde.n, initials)
     _, pack, f_tape = _charpit_system(pde)
     f0, errs0 = _kernels.eval_tape(f_tape, states0)
     if errs0.any():
@@ -260,23 +291,8 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
         k = int(np.argmax(bad))
         raise OffSurfaceError(
             f"initial state {k} off the surface: |F| = {abs(f0[k]):.3e} > {ON_SURFACE_TOL}")
-    h = s_end / steps
-    traj = _rk4(pack, states0, h, steps)
-    m = states0.shape[0]
-    flat = traj.reshape(-1, 2 * n + 1)
-    f_vals, f_errs = _kernels.eval_tape(f_tape, flat)
-    if f_errs.any():
-        k = int(np.argwhere(f_errs != 0)[0][0]) // m
-        raise StripIntegrationError(f"F undefined at sample {k}", k)
-    drift = f_vals.reshape(steps + 1, m)
-    s = np.arange(steps + 1) * h
-    return [CharacteristicStrip(s=s.copy(),
-                                x=traj[:, k, :n].copy(),
-                                u=traj[:, k, n].copy(),
-                                p=traj[:, k, n + 1:].copy(),
-                                drift=drift[:, k].copy(),
-                                step=h)
-            for k in range(m)]
+    traj, h = _rk4(pack, states0, s_end, steps)
+    return _fan_strips(np.arange(steps + 1) * h, traj, _audit(f_tape, traj, "F"), h)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +302,9 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
 @lru_cache(maxsize=64)
 def _canonical_system(hj: HJEquation):
     """Lifted state derivatives over (t, x.., u, p..):
-    dt = 1, dx_j = E_{p_j}, du = sum p_j E_{p_j} - E, dp_j = -E_{x_j}."""
+    dt = 1, dx_j = E_{p_j}, du = sum p_j E_{p_j} - E, dp_j = -E_{x_j}.
+    Returns them, their packed tapes and the tape of E, all over that chart."""
     n = hj.n
-    src = hj.chart
     dst = lifted_chart(n)
     repl = [ex.Coord(dst, 0)]
     repl += [ex.Coord(dst, 1 + i) for i in range(n)]
@@ -307,7 +323,7 @@ def _canonical_system(hj: HJEquation):
     du = ex.simplify(ex.Binary(dst, "-", du, lift(hj.E)))
     dp = [ex.simplify(ex.Unary(dst, "neg", lift(e))) for e in e_x]
     rhs = [ex.Const(dst, 1.0)] + dx + [du] + dp
-    return rhs, tape.pack_exprs(rhs), tape.compile_expr(hj.E)
+    return rhs, tape.pack_exprs(rhs), tape.compile_expr(lift(hj.E))
 
 
 def canonical_rhs(hj: HJEquation, state: Sequence[float]):
@@ -318,8 +334,7 @@ def canonical_rhs(hj: HJEquation, state: Sequence[float]):
     if flat.shape != (2 * n + 1,):
         raise ValueError(f"state must be (t, x1..xn, p1..pn) of length {2 * n + 1}")
     # the lifted system never reads u, so any value stands in for it
-    lifted = np.concatenate([flat[:1 + n], [0.0], flat[1 + n:]])
-    v = _pack_at(_canonical_system(hj)[1], lifted)
+    v = _pack_at(_canonical_system(hj)[1], np.insert(flat, 1 + n, 0.0))
     return v[1:1 + n].copy(), v[n + 2:].copy(), float(v[1 + n])
 
 
@@ -347,40 +362,26 @@ def poisson_bracket(E: ScalarExpr, V: ScalarExpr) -> ScalarExpr:
     return ex.simplify(total)
 
 
+def _canonical_fan(hj: HJEquation, initials, t_end: float, steps: int):
+    """One batched RK4 run of canonical strips from t = 0: the fan's times,
+    its read-only (steps+1, m, 2n+1) states (x, u, p), the E drift and h."""
+    states0 = np.insert(_state_rows(hj.n, initials), 0, 0.0, axis=1)
+    _, pack, e_tape = _canonical_system(hj)
+    traj, h = _rk4(pack, states0, t_end, steps)
+    e_vals = _audit(e_tape, traj, "E")
+    # dt/ds = 1 for every strip, so all strips share one time column
+    return traj[:, 0, 0], traj[:, :, 1:], e_vals - e_vals[0], h
+
+
 def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,
                                steps: int) -> list[CharacteristicStrip]:
     """Integrate canonical strips (t, x, u, p); initial = (x0, u0, p0) at t=0.
 
-    The drift audit records E along each strip minus its initial value
-    (a conserved quantity when E has no explicit time dependence).
+    The strips are read-only views of the one fan trajectory.  The drift
+    audit records E along each strip minus its initial value (a conserved
+    quantity when E has no explicit time dependence).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    n = hj.n
-    rows = []
-    for init in initials:
-        x0, u0, p0 = init
-        rows.append(np.concatenate([[0.0], np.atleast_1d(np.asarray(x0, float)),
-                                    [float(u0)], np.atleast_1d(np.asarray(p0, float))]))
-    states0 = np.stack(rows)
-    _, pack, e_tape = _canonical_system(hj)
-    h = t_end / steps
-    traj = _rk4(pack, states0, h, steps)
-    m = states0.shape[0]
-    hj_states = np.concatenate([traj[:, :, :1 + n], traj[:, :, n + 2:]], axis=2)
-    e_vals, e_errs = _kernels.eval_tape(e_tape, hj_states.reshape(-1, 2 * n + 1))
-    if e_errs.any():
-        k = int(np.argwhere(e_errs != 0)[0][0]) // m
-        raise StripIntegrationError(f"E undefined at sample {k}", k)
-    e_vals = e_vals.reshape(steps + 1, m)
-    drift = e_vals - e_vals[0]
-    return [CharacteristicStrip(s=traj[:, k, 0].copy(),
-                                x=traj[:, k, 1:1 + n].copy(),
-                                u=traj[:, k, 1 + n].copy(),
-                                p=traj[:, k, n + 2:].copy(),
-                                drift=drift[:, k].copy(),
-                                step=h)
-            for k in range(m)]
+    return _fan_strips(*_canonical_fan(hj, initials, t_end, steps))
 
 
 @dataclass(frozen=True)
@@ -415,6 +416,7 @@ def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float
     One strip launches per grid node with the symbolic slope p0 = du0/dx
     evaluated there.  Output stays Lagrangian; use resample_nearest for a
     fixed-grid view.  Crossing detection annotates events without aborting.
+    t, x, u, p and every strip are read-only views of one fan trajectory.
     """
     if hj.n != 1:
         raise ValueError("solution fans are implemented for a 1-D base")
@@ -426,13 +428,10 @@ def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float
     at_nodes = nodes[:, None]
     u_init = ex.evaluate_many(u0, at_nodes)
     p_init = ex.evaluate_many(ex.partial(u0, 0), at_nodes)
-    initials = [((x0,), u, (p,)) for x0, u, p in zip(nodes, u_init, p_init)]
-    strips = integrate_canonical_strips(hj, initials, t_end, steps)
-    t = strips[0].s
-    x = np.stack([s.x[:, 0] for s in strips], axis=1)
-    u = np.stack([s.u for s in strips], axis=1)
-    p = np.stack([s.p[:, 0] for s in strips], axis=1)
-    solution = HJSolution(hj, nodes, t, x, u, p, strips)
+    t, states, drift, h = _canonical_fan(
+        hj, np.column_stack([nodes, u_init, p_init]), t_end, steps)
+    x, u, p = states.transpose(2, 0, 1)   # read-only views (steps+1, m)
+    solution = HJSolution(hj, nodes, t, x, u, p, _fan_strips(t, states, drift, h))
     if detect_crossings and nodes.size >= 3:
         solution.events = detect_caustic(solution)
     return solution
@@ -552,9 +551,8 @@ def detect_caustic(fan, dt_refine: float = 1e-4,
                 raise FanError("strips must share a common sampling")
         if strips[0].n != 1:
             raise FanError("caustic detection is implemented for a 1-D base")
-        x0 = np.array([s.x[0, 0] for s in strips])
-        t = base
         x = np.stack([s.x[:, 0] for s in strips], axis=1)
+        t, x0 = base, x[0]
     if x0.size < 3:
         raise FanError("need at least 3 strips")
     denom = x0[2:] - x0[:-2]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -90,38 +91,36 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _strict(obj):
+    """obj with every non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a non-finite float is written as a string."""
+    _write_text(path, json.dumps(_strict(obj), sort_keys=True, indent=2,
+                                 allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(repr(float(v)) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _strip_rows(strip: charpde.CharacteristicStrip, t_values: np.ndarray):
-    for k in range(strip.samples):
-        yield ([strip.s[k], t_values[k]] + list(strip.x[k]) + [strip.u[k]]
-               + list(strip.p[k]) + [strip.drift[k]])
-
-
-def _strip_header(n: int) -> list[str]:
-    return (["s", "t"] + [f"x{i + 1}" for i in range(n)] + ["u"]
-            + [f"p{i + 1}" for i in range(n)] + ["F_drift"])
-
-
-def _write_strip(path: Path, strip: charpde.CharacteristicStrip,
-                 t_values: np.ndarray, fmt: str) -> None:
+def _write_strip(path: Path, strip: charpde.CharacteristicStrip, fmt: str) -> None:
+    """One row per sample: s, t (= s), x1..xn, u, p1..pn, F_drift."""
+    n = strip.n
+    columns = (["s", "t"] + [f"x{i + 1}" for i in range(n)] + ["u"]
+               + [f"p{i + 1}" for i in range(n)] + ["F_drift"])
+    rows = np.column_stack([strip.s, strip.s, strip.x, strip.u, strip.p,
+                            strip.drift]).tolist()
     if fmt == "csv":
-        _write_csv(path.with_suffix(".csv"), _strip_header(strip.n),
-                   _strip_rows(strip, t_values))
+        lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
+        _write_text(path.with_suffix(".csv"), "\n".join(lines) + "\n")
     else:
         _write_json(path.with_suffix(".json"), {
-            "schema": SCHEMA_VERSION,
-            "columns": _strip_header(strip.n),
-            "rows": [list(map(float, row)) for row in _strip_rows(strip, t_values)],
-        })
+            "schema": SCHEMA_VERSION, "columns": columns, "rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +149,9 @@ def cmd_form(args, config: RunConfig) -> int:
         print(f"commutator: {len(comm.entries)} nonzero entries")
     elif sub == "closure":
         theta = schemas.form_from_json(schemas.load_json_file(args.input))
-        closed = forms.is_closed(theta, config.trials, config.tolerance, config.seed)
         residual = forms.closure_residual(theta, config.trials, config.seed)
+        # is_closed's verdict: a non-finite value is never zero, even at tol = inf
+        closed = math.isfinite(residual) and residual <= config.tolerance
         _write_json(out / "form_closure.json", {
             "schema": SCHEMA_VERSION, "closed": closed, "max_residual": residual,
             "trials": config.trials, "tol": config.tolerance, "seed": config.seed,
@@ -170,8 +170,8 @@ def cmd_form(args, config: RunConfig) -> int:
         chart = schemas.chart_from_json(doc.get("chart"), "cr")
         if chart.dim != 2:
             raise SchemaError("cr: chart must have exactly 2 coordinates")
-        u = schemas._parse_coeff(doc.get("u"), chart, "cr.u")
-        v = schemas._parse_coeff(doc.get("v"), chart, "cr.v")
+        u = schemas.coeff_from_json(doc.get("u"), chart, "cr.u")
+        v = schemas.coeff_from_json(doc.get("v"), chart, "cr.v")
         first, second = dual.cauchy_riemann_residuals(u, v)
         first_zero = ex.probably_zero(first, config.trials, config.tolerance, config.seed)
         second_zero = ex.probably_zero(second, config.trials, config.tolerance, config.seed)
@@ -296,9 +296,10 @@ def cmd_geom(args, config: RunConfig) -> int:
             conn = schemas.connection_from_json(schemas.load_json_file(args.gamma),
                                                 "gamma")
         rel = evolution.NonidenticalRelation(psi, omega, conn)
-        identical = rel.is_identical(config.trials, config.tolerance, config.seed)
         worst = max((ex.sampled_abs_max(coeff, config.trials, config.seed)
                      for coeff in rel.residual_form().coeffs.values()), default=0.0)
+        # is_identical's verdict: a non-finite value is never zero
+        identical = math.isfinite(worst) and worst <= config.tolerance
         _write_json(out / "geom_relation.json", {
             "schema": SCHEMA_VERSION, "identical": identical,
             "max_residual": worst, "points": config.trials,
@@ -363,7 +364,7 @@ def cmd_pde(args, config: RunConfig) -> int:
             strip = charpde.integrate_strip(pde, init, s_end, steps)
         except charpde.OffSurfaceError as err:
             raise SchemaError(f"charpit: {err}") from None
-        _write_strip(out / "charpit_strip", strip, strip.s, config.format)
+        _write_strip(out / "charpit_strip", strip, config.format)
         print(f"charpit: {strip.samples} samples, max |F| drift "
               f"{strip.max_drift!r}")
     elif sub in ("hj", "caustics"):
@@ -395,17 +396,16 @@ def cmd_pde(args, config: RunConfig) -> int:
             "events": events_obj["events"],
         }
         if isinstance(doc.get("oracle_u"), str):
-            oracle = schemas._parse_coeff(doc["oracle_u"],
-                                          charpde.hj_chart(hj.n), "hj.oracle_u")
-            worst = 0.0
-            for k, strip in enumerate(solution.strips):
-                states = np.concatenate([strip.s[:, None], strip.x, strip.p],
-                                        axis=1)
-                ref = ex.evaluate_many(oracle, states)
-                worst = max(worst, float(np.max(np.abs(strip.u - ref))))
-            summary["max_error_vs_oracle"] = worst
+            oracle = schemas.coeff_from_json(doc["oracle_u"],
+                                             charpde.hj_chart(hj.n), "hj.oracle_u")
+            # (t, x1, p1) at every sample of the fan, strip by strip
+            states = np.stack(np.broadcast_arrays(solution.t, solution.x.T,
+                                                  solution.p.T), axis=-1)
+            ref = ex.evaluate_many(oracle, states.reshape(-1, 3))
+            worst = np.max(np.abs(solution.u.T.ravel() - ref))
+            summary["max_error_vs_oracle"] = float(worst)
         for k, strip in enumerate(solution.strips):
-            _write_strip(out / f"hj_strip_{k:03d}", strip, strip.s, config.format)
+            _write_strip(out / f"hj_strip_{k:03d}", strip, config.format)
         _write_json(out / "hj_summary.json", summary)
         if solution.events:
             _write_json(out / "hj_events.json", events_obj)
@@ -445,8 +445,8 @@ def cmd_pde(args, config: RunConfig) -> int:
         if not isinstance(n, int) or n < 1:
             raise SchemaError("bracket: \"n\" must be a positive integer")
         chart = charpde.hj_chart(n)
-        e = schemas._parse_coeff(doc.get("E"), chart, "bracket.E")
-        v = schemas._parse_coeff(doc.get("V"), chart, "bracket.V")
+        e = schemas.coeff_from_json(doc.get("E"), chart, "bracket.E")
+        v = schemas.coeff_from_json(doc.get("V"), chart, "bracket.V")
         bracket = charpde.poisson_bracket(e, v)
         _write_json(out / "pde_bracket.json", {
             "schema": SCHEMA_VERSION, "bracket": str(bracket),

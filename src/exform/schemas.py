@@ -57,7 +57,8 @@ def chart_from_json(names, what: str) -> CoordinateChart:
         raise SchemaError(f"{what}: {err}") from None
 
 
-def _parse_coeff(text, chart: CoordinateChart, what: str) -> ScalarExpr:
+def coeff_from_json(text, chart: CoordinateChart, what: str) -> ScalarExpr:
+    """A coefficient expression string parsed over the chart."""
     if not isinstance(text, str):
         raise SchemaError(f"{what}: coefficient must be an expression string")
     try:
@@ -83,7 +84,7 @@ def form_from_json(obj: dict, what: str = "form") -> forms.DifferentialForm:
         index = _require(term, "index", where)
         if not isinstance(index, list) or not all(isinstance(i, int) for i in index):
             raise SchemaError(f"{where}: \"index\" must be a list of integers")
-        coeff = _parse_coeff(_require(term, "coeff", where), chart, where)
+        coeff = coeff_from_json(_require(term, "coeff", where), chart, where)
         key = tuple(index)
         if key in coeffs:
             raise SchemaError(f"{where}: duplicate index {index}")
@@ -117,7 +118,7 @@ def cell_from_json(obj: dict, chart: CoordinateChart,
     if orientation not in (1, -1):
         raise SchemaError(f"{what}: \"orientation\" must be 1 or -1")
     pchart = forms.param_chart(k)
-    parsed = [_parse_coeff(m, pchart, f"{what}.maps[{i}]")
+    parsed = [coeff_from_json(m, pchart, f"{what}.maps[{i}]")
               for i, m in enumerate(maps)]
     try:
         return forms.Cell(chart, k, tuple(parsed), orientation)
@@ -153,7 +154,7 @@ def connection_from_json(obj: dict, what: str = "connection") -> evolution.Conne
             raise SchemaError(f"{where}: rho/mu/nu must be integers") from None
         if key in gamma:
             raise SchemaError(f"{where}: duplicate entry {key}")
-        gamma[key] = _parse_coeff(_require(entry, "coeff", where), chart, where)
+        gamma[key] = coeff_from_json(_require(entry, "coeff", where), chart, where)
     try:
         return evolution.Connection(chart, gamma)
     except (ValueError, ex.ChartMismatchError) as err:
@@ -172,7 +173,7 @@ def connection_to_json(conn: evolution.Connection) -> dict:
 def scalar_from_json(obj: dict, what: str = "scalar") -> ScalarExpr:
     check_version(obj, what)
     chart = chart_from_json(_require(obj, "chart", what), what)
-    return _parse_coeff(_require(obj, "expr", what), chart, what)
+    return coeff_from_json(_require(obj, "expr", what), chart, what)
 
 
 def commutator_to_json(comm: forms.Commutator1) -> dict:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from exform import _kernels
 from exform import charpde as cp
 from exform import evolution as ev
 from exform import expr as ex
 from exform import forms
+from exform import tape
 
 
 EIKONAL = cp.FirstOrderPDE.from_text(2, "p1^2 + p2^2 - 1")
@@ -51,6 +53,67 @@ def caustic_events_by_loop(x0, t, x, dt_refine=1e-4):
                 x_star = x[i, k] + frac * (x[i + 1, k] - x[i, k])
                 events.append(cp._make_event(t_star, x0[k], k, x_star, None))
     return events
+
+
+def charpit_strips_by_copies(pde, initials, s_end, steps):
+    """integrate_strips as a per-strip construction with one copy per array."""
+    n = pde.n
+    states0 = np.stack([np.concatenate([np.atleast_1d(np.asarray(x, float)), [float(u)],
+                                        np.atleast_1d(np.asarray(p, float))])
+                        for x, u, p in initials])
+    _, pack, f_tape = cp._charpit_system(pde)
+    h = s_end / steps
+    traj, err = _kernels.rk4(pack, states0, h, steps)
+    assert err is None
+    m = states0.shape[0]
+    f_vals, f_errs = _kernels.eval_tape(f_tape, traj.reshape(-1, 2 * n + 1))
+    assert not f_errs.any()
+    drift = f_vals.reshape(steps + 1, m)
+    s = np.arange(steps + 1) * h
+    return [cp.CharacteristicStrip(s=s.copy(), x=traj[:, k, :n].copy(),
+                                   u=traj[:, k, n].copy(), p=traj[:, k, n + 1:].copy(),
+                                   drift=drift[:, k].copy(), step=h)
+            for k in range(m)]
+
+
+def solve_hj_by_stacking(hj, u0, grid, t_end, steps):
+    """solve_hj as per-strip copies, with E audited over the (t, x, p) chart
+    and the fan arrays stacked back from the strips."""
+    n = hj.n
+    nodes = np.asarray(grid, dtype=np.float64)
+    u_init = ex.evaluate_many(u0, nodes[:, None])
+    p_init = ex.evaluate_many(ex.partial(u0, 0), nodes[:, None])
+    states0 = np.stack([np.concatenate([[0.0], [x0], [u], [p]])
+                        for x0, u, p in zip(nodes, u_init, p_init)])
+    pack = cp._canonical_system(hj)[1]
+    h = t_end / steps
+    traj, err = _kernels.rk4(pack, states0, h, steps)
+    assert err is None
+    m = states0.shape[0]
+    hj_states = np.concatenate([traj[:, :, :1 + n], traj[:, :, n + 2:]], axis=2)
+    e_vals, e_errs = _kernels.eval_tape(tape.compile_expr(hj.E),
+                                        hj_states.reshape(-1, 2 * n + 1))
+    assert not e_errs.any()
+    e_vals = e_vals.reshape(steps + 1, m)
+    drift = e_vals - e_vals[0]
+    strips = [cp.CharacteristicStrip(s=traj[:, k, 0].copy(), x=traj[:, k, 1:1 + n].copy(),
+                                     u=traj[:, k, 1 + n].copy(), p=traj[:, k, n + 2:].copy(),
+                                     drift=drift[:, k].copy(), step=h)
+              for k in range(m)]
+    x = np.stack([st.x[:, 0] for st in strips], axis=1)
+    u = np.stack([st.u for st in strips], axis=1)
+    p = np.stack([st.p[:, 0] for st in strips], axis=1)
+    solution = cp.HJSolution(hj, nodes, strips[0].s, x, u, p, strips)
+    solution.events = cp.detect_caustic(solution)
+    return solution
+
+
+def assert_strips_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        for name in ("s", "x", "u", "p", "drift"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.step == b.step
 
 
 class TestCharpitRhs:
@@ -124,12 +187,91 @@ class TestStripIntegration:
             cp.integrate_canonical_strips(hj, [((1.0,), 0.0, (1.0,))], 4.0, 400)
         assert 0 < err.value.step < 400
 
+    def test_malformed_initial_states_rejected(self):
+        # x and p must each have n components; only their total was checked
+        hj = cp.HJEquation.from_text(1, "p1^2 / 2")
+        with pytest.raises(ValueError, match="state 0 must be"):
+            cp.integrate_canonical_strips(hj, [((), 0.0, (1.0, 2.0))], 1.0, 10)
+        pde = cp.FirstOrderPDE.from_text(1, "p1 - 1")
+        with pytest.raises(ValueError, match="state 0 must be"):
+            cp.integrate_strip(pde, ((), 0.0, (5.0, 1.0)), 1.0, 10)
+        with pytest.raises(ValueError, match="state 1 must be"):
+            cp.integrate_strips(pde, [((0.0,), 0.0, (1.0,)), ((0.0, 1.0), 0.0, (1.0,))],
+                                1.0, 10)
+
+    def test_steps_must_be_positive(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            cp.integrate_strip(EIKONAL, ((0.0, 0.0), 0.0, (1.0, 0.0)), 0.5, 0)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            cp.integrate_canonical_strips(FREE, [((0.0,), 0.0, (1.0,))], 1.0, 0)
+
+    def test_flat_initial_rows_accepted(self):
+        tuples = cp.integrate_canonical_strips(OSCILLATOR, [((0.3,), 0.1, (0.7,))], 1.0, 20)
+        rows = cp.integrate_canonical_strips(OSCILLATOR, np.array([[0.3, 0.1, 0.7]]),
+                                             1.0, 20)
+        assert_strips_equal(rows, tuples)
+        flat = cp.integrate_strip(EIKONAL, [0.0, 0.0, 0.0, 0.6, 0.8], 0.5, 20)
+        assert_strips_equal([flat], cp.integrate_strips(
+            EIKONAL, [((0.0, 0.0), 0.0, (0.6, 0.8))], 0.5, 20))
+
     def test_batch_matches_individual(self):
         inits = [((0.0, 0.0), 0.0, (1.0, 0.0)), ((1.0, -1.0), 2.0, (0.0, 1.0))]
         fan = cp.integrate_strips(EIKONAL, inits, 0.3, 50)
         solo = cp.integrate_strip(EIKONAL, inits[1], 0.3, 50)
         assert np.array_equal(fan[1].x, solo.x)
         assert np.array_equal(fan[1].u, solo.u)
+
+
+class TestFanViews:
+    """Strips are read-only views of one fan, bit-equal to per-strip copies."""
+
+    def test_charpit_fans_match_per_strip_copies(self, rng):
+        growth = cp.FirstOrderPDE.from_text(2, "p1 + p2 - u")
+        for m in (1, 8, 64):
+            theta = rng.uniform(0, 2 * np.pi, m)
+            x0 = rng.uniform(-1, 1, (m, 2))
+            eik = [(x, u, (np.cos(a), np.sin(a)))
+                   for x, u, a in zip(x0, rng.uniform(-1, 1, m), theta)]
+            p0 = rng.uniform(-1, 1, (m, 2))
+            grow = [(x, p[0] + p[1], p) for x, p in zip(x0, p0)]
+            for pde, inits in ((EIKONAL, eik), (growth, grow)):
+                assert_strips_equal(cp.integrate_strips(pde, inits, 1.0, 200),
+                                    charpit_strips_by_copies(pde, inits, 1.0, 200))
+
+    def test_hj_fans_match_per_strip_copies(self):
+        hj = cp.HJEquation.from_text(1, "0.9*p1^2/2 + 0.2*p1")
+        u0 = ex.parse_expr("0 - 0.8*x1^2/2 + 0.3*x1", cp.base_chart(1))
+        for system in (hj, OSCILLATOR):
+            for m in (8, 64, 512):
+                grid = np.linspace(-1, 1, m)
+                sol = cp.solve_hj(system, u0, grid, 1.5, 200)
+                ref = solve_hj_by_stacking(system, u0, grid, 1.5, 200)
+                assert_strips_equal(sol.strips, ref.strips)
+                for name in ("x0grid", "t", "x", "u", "p"):
+                    assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+                assert sol.events == ref.events
+                assert sol.events
+                assert cp.detect_caustic(sol.strips) == ref.events
+
+    def test_strips_share_one_read_only_fan(self):
+        inits = [((0.0, 0.0), 0.0, (1.0, 0.0)), ((1.0, -1.0), 2.0, (0.0, 1.0))]
+        strips = cp.integrate_strips(EIKONAL, inits, 0.3, 50)
+        # two strips interleave in one buffer without sharing an element
+        assert np.may_share_memory(strips[0].x, strips[1].x)
+        assert strips[0].x.base is strips[1].p.base is not None
+        u0 = ex.parse_expr("x1^2 / 2", cp.base_chart(1))
+        sol = cp.solve_hj(FREE, u0, np.linspace(-1, 1, 5), 0.5, 20)
+        assert sol.strips[0].x.base is sol.strips[1].u.base is not None
+        assert np.shares_memory(sol.x, sol.strips[2].x)
+        assert np.shares_memory(sol.u, sol.strips[2].u)
+        for strip in (strips[0], sol.strips[1]):
+            for name in ("s", "x", "u", "p", "drift"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(strip, name)[0] = 1.0
+        for name in ("t", "x", "u", "p"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sol, name)[0] = 1.0
+        assert np.all(sol.x[0] == np.linspace(-1, 1, 5))
 
 
 class TestCanonical:

@@ -172,6 +172,40 @@ class TestFormCommands:
         assert coeffs == {(0,): "-x1", (1,): "x2"}
 
 
+    def test_nonfinite_residual_written_as_strict_json(self, tmp_path, capsys):
+        # d(x1 exp(exp(x1 + 10)) dx2) overflows to inf at every sample
+        doc = tmp_path / "overflow.json"
+        doc.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1", "x2"], "degree": 1,
+            "terms": [{"index": [1], "coeff": "x1 * exp(exp(x1 + 10))"}]}))
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1", "x2"], "degree": 0,
+            "terms": []}))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out = run(["form", "closure", "--in", str(doc)], tmp_path)
+        assert code == 0
+        assert capsys.readouterr().out == "UNCLOSED max residual inf\n"
+        result = json.loads((out / "form_closure.json").read_text(),
+                            parse_constant=reject)
+        assert result["max_residual"] == "inf" and result["closed"] is False
+        # a non-finite residual is never within tolerance, not even an infinite one
+        code, _ = run(["form", "closure", "--in", str(doc)], tmp_path,
+                      extra=("--tol", "inf"))
+        assert code == 0
+        assert capsys.readouterr().out == "UNCLOSED max residual inf\n"
+        code, out = run(["geom", "relation", "--psi", str(zero),
+                         "--omega", str(doc)], tmp_path)
+        assert code == 0
+        assert capsys.readouterr().out == "NONIDENTICAL max residual inf\n"
+        result = json.loads((out / "geom_relation.json").read_text(),
+                            parse_constant=reject)
+        assert result["max_residual"] == "inf" and result["identical"] is False
+
+
 class TestGeomCommands:
     def test_torsion_hand_table(self, tmp_path):
         code, out = run(["geom", "torsion", "--in",

@@ -48,6 +48,9 @@ COMMANDS = [
     (["pde", "caustics", "--in", F + "hj_focusing.json"], 0),
     (["pde", "hj", "--in", F + "hj_free_particle.json"], 0),
     (["pde", "charpit", "--in", F + "pde_eikonal.json"], 0),
+    # the JSON strip format, on the two commands that write strips
+    (["pde", "hj", "--in", F + "hj_free_particle.json", "--format", "json"], 0),
+    (["pde", "charpit", "--in", F + "pde_eikonal.json", "--format", "json"], 0),
 ]
 
 
