@@ -7,7 +7,6 @@ when a degeneracy event creates a conserved pair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -381,18 +380,3 @@ def capture_bistructure(event: DegeneracyEvent, omega: DifferentialForm,
             value = max(coeffs) if coeffs else 0.0
     return BiStructure(pseudostructure, event.point, best, value,
                        discrete, deformation)
-
-
-def write_event_log(records: Sequence[BiStructure], path) -> None:
-    """Emit one JSON object per line, one line per captured record.
-
-    Written atomically (write-then-rename), creating parent directories.
-    """
-    import os
-    from pathlib import Path
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(r.to_json_obj(), sort_keys=True) for r in records]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    os.replace(tmp, path)

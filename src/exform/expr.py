@@ -423,8 +423,8 @@ def _prec(e: ScalarExpr) -> int:
             return _PREC_MUL
         case Unary(fn="neg"):
             return _PREC_NEG
-        case Const(value=v) if v < 0:
-            # prints with a leading minus, so binds like a negation
+        case Const(value=v) if math.copysign(1.0, v) < 0:
+            # prints with a leading minus (-0.0 as "-0"), so binds like a negation
             return _PREC_NEG
         case Power():
             return _PREC_POW
@@ -441,7 +441,7 @@ def _fmt_const(v: float) -> str:
 def to_text(e: ScalarExpr) -> str:
     match e:
         case Const(value=v):
-            return f"-{_fmt_const(-v)}" if v < 0 else _fmt_const(v)
+            return f"-{_fmt_const(-v)}" if math.copysign(1.0, v) < 0 else _fmt_const(v)
         case Coord(axis=a):
             return e.chart.names[a]
         case Binary(op=op, left=l, right=r):
@@ -714,11 +714,7 @@ def evaluate(e: ScalarExpr, point: Sequence[float]) -> float:
     if pts.shape[1] != e.chart.dim:
         raise ValueError(
             f"point has {pts.shape[1]} components, chart has {e.chart.dim}")
-    vals, errs = _kernels.eval_tape(_tape_for(e), pts)
-    if errs[0]:
-        raise DomainError(
-            f"{_kernels.ERR_MESSAGES[int(errs[0])]} at point {tuple(point)}")
-    return float(vals[0])
+    return float(evaluate_many(e, pts)[0])
 
 
 def evaluate_many(e: ScalarExpr, points: np.ndarray) -> np.ndarray:
@@ -731,7 +727,7 @@ def evaluate_many(e: ScalarExpr, points: np.ndarray) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         raise DomainError(
-            f"{_kernels.ERR_MESSAGES[int(errs[k])]} at point {tuple(pts[k])}")
+            f"{_kernels.ERR_MESSAGES[int(errs[k])]} at point {tuple(pts[k].tolist())}")
     return vals
 
 

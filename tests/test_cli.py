@@ -17,6 +17,10 @@ def read(out, name):
     return json.loads((out / name).read_text())
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         code, _ = run(["form", "closure", "--in",
@@ -94,6 +98,28 @@ class TestSeedPrecedence:
         code, out = run(["form", "closure", "--in",
                          str(FIXTURES / "form_exact_pair.json")], tmp_path)
         assert read(out, "form_closure.json")["seed"] == 42
+
+    def test_bad_env_seed_is_schema_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("EXFORM_SEED", "seven")
+        code, _ = run(["form", "closure", "--in",
+                       str(FIXTURES / "form_exact_pair.json")], tmp_path)
+        assert code == 2
+        assert "EXFORM_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--trials", "0"), "trials, quad-order, and steps must be >= 1"),
+    (("--quad-order", "0"), "trials, quad-order, and steps must be >= 1"),
+    (("--steps", "0"), "trials, quad-order, and steps must be >= 1"),
+    (("--tol", "0"), "tolerance must be positive"),
+    (("--tol", "nan"), "tolerance must be positive"),
+])
+def test_common_flags_checked(flags, message, tmp_path, capsys):
+    code, out = run(["form", "d", "--in", str(FIXTURES / "form_curl_input.json")],
+                    tmp_path, extra=flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestFormCommands:
@@ -183,14 +209,11 @@ class TestFormCommands:
             "schema": "exform/v1", "chart": ["x1", "x2"], "degree": 0,
             "terms": []}))
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         code, out = run(["form", "closure", "--in", str(doc)], tmp_path)
         assert code == 0
         assert capsys.readouterr().out == "UNCLOSED max residual inf\n"
         result = json.loads((out / "form_closure.json").read_text(),
-                            parse_constant=reject)
+                            parse_constant=reject_constant)
         assert result["max_residual"] == "inf" and result["closed"] is False
         # a non-finite residual is never within tolerance, not even an infinite one
         code, _ = run(["form", "closure", "--in", str(doc)], tmp_path,
@@ -202,7 +225,7 @@ class TestFormCommands:
         assert code == 0
         assert capsys.readouterr().out == "NONIDENTICAL max residual inf\n"
         result = json.loads((out / "geom_relation.json").read_text(),
-                            parse_constant=reject)
+                            parse_constant=reject_constant)
         assert result["max_residual"] == "inf" and result["identical"] is False
 
 
@@ -255,6 +278,18 @@ class TestGeomCommands:
         assert record["discrete_change"] == 0.0
         assert record["deformation_measure"] == pytest.approx(2.5)
         assert record["closed_form_value"] == pytest.approx(1.0)
+
+    def test_bistructure_nonfinite_value_is_strict_json(self, tmp_path):
+        # psi = exp(exp(x1 + 10)) overflows to inf at the event point
+        doc = json.loads((FIXTURES / "bistructure_event.json").read_text())
+        doc["psi"]["terms"][0]["coeff"] = "exp(exp(x1 + 10))"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["geom", "bistructure", "--in", str(path)], tmp_path)
+        assert code == 0
+        record = json.loads((out / "events.jsonl").read_text(),
+                            parse_constant=reject_constant)
+        assert record["closed_form_value"] == "inf"
 
 
 class TestPdeCommands:
@@ -325,3 +360,41 @@ class TestSchemaRoundTrip:
                        "--seed", "42"], tmp_path / "second")
         for name in ("hj_summary.json", "hj_strip_000.csv", "hj_strip_007.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestDocumentNumbers:
+    """Numbers read from an input document are checked, not coerced."""
+
+    @pytest.mark.parametrize("cmd, fixture, field, value", [
+        ("hj", "hj_free_particle.json", "steps", 0),
+        ("hj", "hj_free_particle.json", "steps", "abc"),
+        ("hj", "hj_free_particle.json", "steps", None),
+        ("hj", "hj_free_particle.json", "steps", 2.5),
+        ("hj", "hj_free_particle.json", "steps", True),
+        ("caustics", "hj_focusing.json", "steps", "10"),
+        ("caustics", "hj_focusing.json", "t_end", None),
+        ("charpit", "pde_eikonal.json", "steps", 0),
+        ("charpit", "pde_eikonal.json", "s_end", "x"),
+        ("classify", "classify_field.json", "tol", "x"),
+    ])
+    def test_bad_number_is_schema_error(self, cmd, fixture, field, value,
+                                        tmp_path, capsys):
+        doc = json.loads((FIXTURES / fixture).read_text())
+        doc[field] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["pde", cmd, "--in", str(path)], tmp_path)
+        assert code == 2
+        assert f'{cmd}: "{field}"' in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_valued_number_accepted(self, tmp_path):
+        doc = json.loads((FIXTURES / "pde_eikonal.json").read_text())
+        doc["s_end"] = 1
+        doc["steps"] = 10
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["pde", "charpit", "--in", str(path)], tmp_path)
+        assert code == 0
+        last = (out / "charpit_strip.csv").read_text().splitlines()[-1]
+        assert last.startswith("1.0,1.0,")

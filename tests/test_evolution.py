@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -364,19 +363,6 @@ class TestBiStructure:
         record = ev.capture_bistructure(event, omega, None, self.ps,
                                         psi=forms.scalar_form(X1 * X2))
         assert record.closed_form_value == 6.0
-
-    def test_event_log_jsonl(self, tmp_path):
-        omega = forms.one_form(CH2, [-X2, X1])
-        event = ev.DegeneracyEvent((0.0, 0.0))
-        record = ev.capture_bistructure(event, omega, None, self.ps)
-        path = tmp_path / "events.jsonl"
-        ev.write_event_log([record, record], path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        parsed = json.loads(lines[0])
-        assert parsed["pseudostructure"]["kind"] == "level-set"
-        assert parsed["total_commutator"] == pytest.approx(
-            parsed["discrete_change"] + parsed["deformation_measure"])
 
     def test_pseudostructure_kinds(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exform import expr as ex
 from exform.expr import Binary, Const, Coord, Power, Unary
@@ -10,6 +11,25 @@ from conftest import rand_expr
 
 CH2 = ex.chart("x1", "x2")
 X1, X2 = ex.coords(CH2)
+
+
+def grammar_trees(ch):
+    """Trees the parser can produce: any finite constant, including -0.0,
+    but no negation node directly over a constant (the parser folds it)."""
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e16, -1e-300]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    leaves = st.one_of(st.builds(Const, st.just(ch), values),
+                       st.builds(Coord, st.just(ch), st.integers(0, ch.dim - 1)))
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(Binary, st.just(ch), st.sampled_from("+-*/"), sub, sub),
+            st.builds(Power, st.just(ch), sub, st.integers(-4, 4)),
+            st.builds(Unary, st.just(ch), st.sampled_from(ex.FUNCTION_NAMES), sub),
+            sub.filter(lambda a: not isinstance(a, Const)).map(
+                lambda a: Unary(ch, "neg", a)))
+
+    return st.recursive(leaves, extend, max_leaves=12)
 
 
 class TestChart:
@@ -117,6 +137,14 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="components"):
             ex.evaluate(X1, (1.0,))
+
+    def test_domain_error_names_the_point(self):
+        e = ex.parse_expr("1/(x1 - 0.5)", CH2)
+        message = r"at point \(0\.5, 1\.0\)$"
+        with pytest.raises(ex.DomainError, match=message):
+            ex.evaluate(e, (0.5, 1.0))
+        with pytest.raises(ex.DomainError, match=message):
+            ex.evaluate_many(e, np.array([[0.0, 0.0], [0.5, 1.0]]))
 
     def test_deterministic(self):
         e = ex.parse_expr("sin(x1)*exp(x2) - x1/x2", CH2)
@@ -315,6 +343,22 @@ class TestRoundTrip:
     def test_negative_constant_prints_parseable(self):
         e = ex.simplify(-ex.const(CH2, 2.0))
         assert ex.evaluate(ex.parse_expr(str(e), CH2), (0, 0)) == -2.0
+
+    def test_negative_zero_keeps_its_sign(self):
+        e = ex.partial(-X2, 1)
+        assert repr(e) == repr(Const(CH2, -1.0))
+        zero = ex.partial(-X2, 0)
+        assert math.copysign(1.0, zero.value) == -1.0
+        assert ex.to_text(zero) == "-0"
+        assert repr(ex.parse_expr(ex.to_text(zero), CH2)) == repr(zero)
+        assert ex.to_text(Power(CH2, zero, 2)) == "(-0)^2"
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(grammar_trees(CH2))
+    @example(Power(CH2, Const(CH2, -0.0), -2))
+    @example(Binary(CH2, "-", X1, Power(CH2, Const(CH2, -2.5), -3)))
+    def test_print_parse_round_trip(self, e):
+        assert repr(ex.parse_expr(ex.to_text(e), CH2)) == repr(e)
 
 
 class TestCompose:

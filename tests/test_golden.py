@@ -51,12 +51,26 @@ COMMANDS = [
     # the JSON strip format, on the two commands that write strips
     (["pde", "hj", "--in", F + "hj_free_particle.json", "--format", "json"], 0),
     (["pde", "charpit", "--in", F + "pde_eikonal.json", "--format", "json"], 0),
+    # the subcommands and flags not run above
+    (["form", "star", "--in", F + "form_exact_pair.json"], 0),
+    (["form", "commutator", "--in", F + "form_curl_input.json"], 0),
+    (["form", "antiderivative", "--in", F + "form_exact_pair.json",
+      "--base", "0,0", "--at", "0.5,0.4"], 0),
+    (["form", "antiderivative", "--in", F + "form_exact_pair.json", "--base", "0,0"], 0),
+    (["geom", "evcommutator", "--omega", F + "form_exact_pair.json",
+      "--gamma", F + "conn_torsion.json"], 0),
+    (["geom", "relation", "--psi", F + "form_zero_psi.json",
+      "--omega", F + "form_unclosed.json", "--gamma", F + "conn_torsion.json"], 0),
 ]
 
 
 def command_key(argv) -> str:
     """Fixture-relative name of a command, stable across checkouts."""
     return " ".join(arg.replace(F, "") for arg in argv)
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 def run_command(argv, out_dir: pathlib.Path) -> dict:
@@ -78,6 +92,11 @@ def test_command_matches_golden(argv, expect_code, tmp_path):
     assert got["code"] == expect_code == golden["code"]
     assert got["stdout"] == golden["stdout"]
     assert got["artifacts"] == golden["artifacts"]
+    # every JSON artifact, and each line of a JSON-lines log, is strict JSON
+    for path in (tmp_path / "out").glob("*.json*"):
+        text = path.read_text(encoding="utf-8")
+        for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(doc, parse_constant=reject_constant)
 
 
 def test_golden_covers_every_fixture():
