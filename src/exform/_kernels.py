@@ -3,13 +3,16 @@ tapes, vectorised over a batch of points, plus a fixed-step RK4 driver that
 advances a whole strip fan at once.
 
 A tape (see :mod:`exform.tape`) is postfix ``codes`` with one ``args`` entry
-each (constant-pool index, coordinate axis or integer exponent) and a float
-constant pool.  Every call decodes it afresh with ``tolist``; nothing is kept
-per tape.  Leaves on the operand stack stay unmaterialised: a constant is a
-Python float and a coordinate is a row of the ``(dim, m)`` point array, both
-fed straight to the numpy binary ufuncs, so stack rows hold only intermediate
-results.  Unary functions and powers always run in place on a contiguous
-stack row, copying a leaf in first.  Results are bit-reproducible run to run.
+each (constant-pool index, coordinate axis or integer exponent), cut into
+components at ``offsets`` over one float constant pool.  Every call splits it
+afresh with ``tolist`` (:func:`_components`); nothing is kept per tape.
+:func:`eval_pack` and :func:`rk4` run every component, and :func:`eval_tape`
+is :func:`eval_pack` on a one-component tape.  Leaves on the operand stack
+stay unmaterialised: a constant is a Python float and a coordinate is a row
+of the ``(dim, m)`` point array, both fed straight to the numpy binary
+ufuncs, so stack rows hold only intermediate results.  Unary functions and
+powers always run in place on a contiguous stack row, copying a leaf in
+first.  Results are bit-reproducible run to run.
 
 Error codes: 0 ok, 1 division by zero, 2 ln of non-positive, 3 sqrt of
 negative, 4 zero base with negative exponent.  Each point keeps its first
@@ -114,49 +117,44 @@ def _run(codes, args, consts, coords, stack, errs):
     return ops[0]
 
 
-def _decode(t):
-    return t.codes.tolist(), t.args.tolist(), t.consts.tolist()
+def _components(t):
+    """Decode a tape: its (codes, args) list pair per component, and its pool."""
+    codes, args, offsets = t.codes.tolist(), t.args.tolist(), t.offsets.tolist()
+    return ([(codes[lo:hi], args[lo:hi]) for lo, hi in zip(offsets, offsets[1:])],
+            t.consts.tolist())
 
 
-def _setup(pts, stack_need: int):
-    """Coordinate rows of an (m, dim) point batch and m-wide stack rows."""
+def eval_pack(t, pts: np.ndarray):
+    """Evaluate every component of a tape at an (m, dim) batch:
+    (values, error codes), each (ncomp, m)."""
+    comps, consts = _components(t)
     pts = np.ascontiguousarray(pts, dtype=np.float64)
     m = pts.shape[0]
-    return list(np.ascontiguousarray(pts.T)), list(np.empty((stack_need, m))), m
+    coords = list(np.ascontiguousarray(pts.T))
+    stack = list(np.empty((t.stack_need, m)))
+    vals = np.empty((len(comps), m))
+    errs = np.zeros((len(comps), m), np.int8)
+    with np.errstate(all="ignore"):
+        for c, (codes, args) in enumerate(comps):
+            vals[c] = _run(codes, args, consts, coords, stack, errs[c])
+    if errs.any():
+        vals[errs != 0] = np.nan
+    return vals, errs
 
 
 def eval_tape(t, pts: np.ndarray):
-    """Evaluate a Tape at an (m, dim) batch: (values (m,), error codes (m,))."""
-    coords, stack, m = _setup(pts, t.stack_need)
-    vals = np.empty(m)
-    errs = np.zeros(m, np.int8)
-    with np.errstate(all="ignore"):
-        vals[:] = _run(*_decode(t), coords, stack, errs)
-    if errs.any():
-        vals[errs != 0] = np.nan
-    return vals, errs
+    """Evaluate a one-component tape at an (m, dim) batch:
+    (values (m,), error codes (m,))."""
+    if t.offsets.shape[0] != 2:
+        raise ValueError(f"eval_tape takes one component, got {t.offsets.shape[0] - 1}")
+    vals, errs = eval_pack(t, pts)
+    return vals[0], errs[0]
 
 
-def eval_pack(p, pts: np.ndarray):
-    """Evaluate every tape of a TapePack: (values, error codes), each (ncomp, m)."""
-    coords, stack, m = _setup(pts, p.stack_need)
-    codes, args, consts = _decode(p)
-    offsets = p.offsets.tolist()
-    ncomp = len(offsets) - 1
-    vals = np.empty((ncomp, m))
-    errs = np.zeros((ncomp, m), np.int8)
-    with np.errstate(all="ignore"):
-        for c, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            vals[c] = _run(codes[lo:hi], args[lo:hi], consts, coords, stack, errs[c])
-    if errs.any():
-        vals[errs != 0] = np.nan
-    return vals, errs
+def rk4(t, y0: np.ndarray, h: float, nsteps: int):
+    """Classical fixed-step RK4 on dy/ds = t(y).
 
-
-def rk4(p, y0: np.ndarray, h: float, nsteps: int):
-    """Classical fixed-step RK4 on dy/ds = pack(y).
-
-    The pack must have exactly one tape per state component.  Returns
+    The tape must have exactly one component per state component.  Returns
     (trajectory (nsteps+1, m, d), err) where err is None on success or a
     (step, component, code) tuple naming the first failure: a domain error
     at the first (component, point) of the failing stage, or ERR_NONFINITE
@@ -164,26 +162,23 @@ def rk4(p, y0: np.ndarray, h: float, nsteps: int):
     repeats the last good state from the failing step on.
     """
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
-    ncomp = p.offsets.shape[0] - 1
-    if y0.ndim != 2 or y0.shape[1] != ncomp:
-        raise ValueError(f"expected states of shape (m, {ncomp}), got {y0.shape}")
+    comps, consts = _components(t)
+    if y0.ndim != 2 or y0.shape[1] != len(comps):
+        raise ValueError(f"expected states of shape (m, {len(comps)}), got {y0.shape}")
     h, nsteps = float(h), int(nsteps)
     m, d = y0.shape
-    codes, args, consts = _decode(p)
-    offsets = p.offsets.tolist()
-    tapes = [(codes[lo:hi], args[lo:hi], not _MAY_FAIL.isdisjoint(codes[lo:hi]))
-             for lo, hi in zip(offsets, offsets[1:])]
+    comps = [(cc, aa, not _MAY_FAIL.isdisjoint(cc)) for cc, aa in comps]
     # The state is kept as (d, m), so each component is a contiguous row.
     traj = np.empty((nsteps + 1, d, m))
     traj[0] = y0.T
     stage_state = np.empty((d, m))
     coords = list(stage_state)
-    stack = list(np.empty((p.stack_need, m)))
+    stack = list(np.empty((t.stack_need, m)))
     errs = np.zeros(m, np.int8)
     k1, k2, k3, k4, acc = np.empty((5, d, m))
 
     def rhs(k):
-        for c, (cc, aa, may_fail) in enumerate(tapes):
+        for c, (cc, aa, may_fail) in enumerate(comps):
             k[c] = _run(cc, aa, consts, coords, stack, errs)
             if may_fail and errs.any():
                 return c, int(errs[errs != 0][0])

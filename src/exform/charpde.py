@@ -160,7 +160,7 @@ def _charpit_system(pde: FirstOrderPDE):
     return rhs, tape.pack_exprs(rhs), tape.compile_expr(F)
 
 
-def _pack_at(pack: tape.TapePack, flat: np.ndarray) -> np.ndarray:
+def _pack_at(pack: tape.Tape, flat: np.ndarray) -> np.ndarray:
     """Every component of a derivative pack at one state; domain errors raise."""
     vals, errs = _kernels.eval_pack(pack, flat.reshape(1, -1))
     if errs.any():
@@ -232,7 +232,7 @@ class CharacteristicStrip:
         return float(np.max(np.abs((self.u - self.u[0]) - integral)))
 
 
-def _rk4(pack: tape.TapePack, states0: np.ndarray, span: float,
+def _rk4(pack: tape.Tape, states0: np.ndarray, span: float,
          steps: int) -> tuple[np.ndarray, float]:
     """Batched RK4 over [0, span]: the read-only trajectory (steps+1, m, d)
     and the step h; a failed step raises."""

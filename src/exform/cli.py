@@ -413,6 +413,8 @@ def pde_classify(args) -> None:
     if p1.ndim != 2 or p1.shape != p2.shape or len(spacing) != 2:
         raise SchemaError("classify: p1 and p2 must be equal-shape 2-D arrays")
     tol = _doc_number(doc, "tol", args.tol, "classify")
+    if not tol > 0:  # the rule --tol obeys
+        raise SchemaError(f"classify: \"tol\" must be positive, got {tol!r}")
     try:
         result = charpde.classify_derivative_field(np.stack([p1, p2], axis=2),
                                                    spacing, tol)
@@ -454,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default="out", help="output directory")
     common.add_argument("--format", choices=("json", "csv"), default="csv",
                         help="strip artifact format")
-    common.add_argument("--assert-closed", action="store_true",
-                        help="exit 1 when a closure check reports UNCLOSED")
 
     parser = argparse.ArgumentParser(prog="exform")
     groups = parser.add_subparsers(dest="group", required=True)
@@ -477,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     command(form, "d", form_d, "--in")
     command(form, "wedge", form_wedge, "--a", "--b")
     command(form, "commutator", form_commutator, "--in")
-    command(form, "closure", form_closure, "--in")
+    p = command(form, "closure", form_closure, "--in")
+    p.add_argument("--assert-closed", action="store_true",
+                   help="exit 1 when the closure check reports UNCLOSED")
     command(form, "star", form_star, "--in")
     command(form, "cr", form_cr, "--in")
     command(form, "harmonic", form_harmonic, "--in")

@@ -167,6 +167,16 @@ class Const(ScalarExpr):
         if not math.isfinite(self.value):
             raise ValueError(f"non-finite constant {self.value}")
 
+    # 0.0 and -0.0 are different constants (x * -0 is -0 at x > 0), so equal
+    # nodes, and the tapes cached for them, agree in every bit.  The generated
+    # hash of (chart, value) still agrees with ==, as hash(-0.0) == hash(0.0).
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        v, w = self.value, other.value
+        return (v == w and (v != 0.0 or math.copysign(1.0, v) == math.copysign(1.0, w))
+                and self.chart == other.chart)
+
 
 @dataclass(frozen=True)
 class Coord(ScalarExpr):
@@ -736,12 +746,6 @@ def evaluate_masked(e: ScalarExpr, points: np.ndarray) -> tuple[np.ndarray, np.n
     pts = np.ascontiguousarray(points, dtype=np.float64)
     vals, errs = _kernels.eval_tape(_tape_for(e), pts)
     return vals, errs == 0
-
-
-def sample_points(ch: CoordinateChart, count: int, seed: int) -> np.ndarray:
-    """The deterministic sampling cloud used by probably_zero."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(count, ch.dim))
 
 
 def _in_domain_values(e: ScalarExpr, trials: int, seed: int):

@@ -1,7 +1,16 @@
-"""Compilation of ScalarExpr trees to flat postfix tapes for the kernels."""
+"""Compilation of ScalarExpr trees to flat postfix tapes for the kernels.
+
+A `Tape` has one component per compiled expression: component c is
+``codes[offsets[c]:offsets[c + 1]]`` with the same slice of ``args``, and
+every component reads the one constant pool.  A scalar expression is a
+one-component tape; a vector-valued right-hand side has one component per
+entry.  One tree walk builds codes, args and pool together, and the pool is
+keyed on each constant's value and sign, so ``-0.0`` keeps its own slot.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,56 +25,42 @@ _UNOP = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "ln": OP_LN,
 
 @dataclass(frozen=True)
 class Tape:
-    codes: np.ndarray   # int64 opcodes, postfix order
-    args: np.ndarray    # int64: const index / coord axis / integer exponent
-    consts: np.ndarray  # float64 constant pool
+    codes: np.ndarray    # int64 opcodes, postfix order
+    args: np.ndarray     # int64: const index / coord axis / integer exponent
+    consts: np.ndarray   # float64 constant pool shared by every component
+    offsets: np.ndarray  # int64, ncomp+1 entries; component c is [offsets[c], offsets[c+1])
     stack_need: int
     dim: int
-
-
-@dataclass(frozen=True)
-class TapePack:
-    """Several tapes over one chart sharing a constant pool (vector-valued RHS)."""
-
-    codes: np.ndarray
-    args: np.ndarray
-    consts: np.ndarray
-    offsets: np.ndarray  # int64, len ncomp+1; tape c occupies [offsets[c], offsets[c+1])
-    stack_need: int
-    dim: int
-
-    @property
-    def ncomp(self) -> int:
-        return len(self.offsets) - 1
 
 
 def compile_expr(e) -> Tape:
+    """Compile one expression into a one-component tape."""
+    return pack_exprs([e])
+
+
+def pack_exprs(exprs) -> Tape:
+    """Compile expressions over one chart into a tape, one component each."""
     from . import expr  # local import: expr imports this module at top level
 
-    codes: list[int] = []
-    args: list[int] = []
-    consts: list[float] = []
-    pool: dict[float, int] = {}
-
-    def intern(v: float) -> int:
-        if v not in pool:
-            pool[v] = len(consts)
-            consts.append(v)
-        return pool[v]
+    codes, args, consts, offsets = [], [], [], [0]
+    pool: dict[tuple[float, float], int] = {}  # (value, sign) -> slot in consts
 
     def emit(node) -> int:
         match node:
             case expr.Const(value=v):
+                key = (v, math.copysign(1.0, v))
+                if key not in pool:
+                    pool[key] = len(consts)
+                    consts.append(v)
                 codes.append(OP_CONST)
-                args.append(intern(v))
+                args.append(pool[key])
                 return 1
             case expr.Coord(axis=a):
                 codes.append(OP_COORD)
                 args.append(a)
                 return 1
             case expr.Binary(op=op, left=l, right=r):
-                dl = emit(l)
-                dr = emit(r)
+                dl, dr = emit(l), emit(r)
                 codes.append(_BINOP[op])
                 args.append(0)
                 return max(dl, dr + 1)
@@ -81,34 +76,19 @@ def compile_expr(e) -> Tape:
                 return d
         raise TypeError(f"not a ScalarExpr node: {node!r}")
 
-    depth = emit(e)
+    exprs = list(exprs)
+    if not exprs:
+        raise ValueError("need at least one expression")
+    dim = exprs[0].chart.dim
+    depth = 0
+    for e in exprs:
+        if e.chart.dim != dim:
+            raise ValueError("all expressions must share one chart")
+        depth = max(depth, emit(e))
+        offsets.append(len(codes))
     return Tape(codes=np.asarray(codes, np.int64),
                 args=np.asarray(args, np.int64),
                 consts=np.asarray(consts, np.float64),
+                offsets=np.asarray(offsets, np.int64),
                 stack_need=depth,
-                dim=e.chart.dim)
-
-
-def pack_exprs(exprs) -> TapePack:
-    """Compile several expressions over a shared chart into one TapePack."""
-    tapes = [compile_expr(e) for e in exprs]
-    if not tapes:
-        raise ValueError("need at least one expression")
-    dim = tapes[0].dim
-    if any(t.dim != dim for t in tapes):
-        raise ValueError("all expressions must share one chart")
-    codes, args, consts, offsets = [], [], [], [0]
-    for t in tapes:
-        base = len(consts)
-        consts.extend(t.consts.tolist())
-        codes.extend(t.codes.tolist())
-        # rebase constant-pool references onto the shared pool
-        for code, arg in zip(t.codes.tolist(), t.args.tolist()):
-            args.append(arg + base if code == OP_CONST else arg)
-        offsets.append(len(codes))
-    return TapePack(codes=np.asarray(codes, np.int64),
-                    args=np.asarray(args, np.int64),
-                    consts=np.asarray(consts, np.float64),
-                    offsets=np.asarray(offsets, np.int64),
-                    stack_need=max(t.stack_need for t in tapes),
-                    dim=dim)
+                dim=dim)

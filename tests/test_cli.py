@@ -33,6 +33,14 @@ class TestExitCodes:
                        "--assert-closed"], tmp_path)
         assert code == 1
 
+    def test_assert_closed_is_a_closure_flag_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["form", "d", "--in", str(FIXTURES / "form_curl_input.json"),
+                 "--assert-closed"], tmp_path)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --assert-closed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unclosed_without_assert_is_success(self, tmp_path):
         code, _ = run(["form", "closure", "--in",
                        str(FIXTURES / "form_unclosed.json")], tmp_path)
@@ -376,6 +384,8 @@ class TestDocumentNumbers:
         ("charpit", "pde_eikonal.json", "steps", 0),
         ("charpit", "pde_eikonal.json", "s_end", "x"),
         ("classify", "classify_field.json", "tol", "x"),
+        ("classify", "classify_field.json", "tol", -1),
+        ("classify", "classify_field.json", "tol", 0),
     ])
     def test_bad_number_is_schema_error(self, cmd, fixture, field, value,
                                         tmp_path, capsys):

@@ -152,6 +152,19 @@ class TestEvaluate:
         b = ex.evaluate(e, (0.7, 1.3))
         assert a == b
 
+    def test_signed_zero_constants_get_their_own_tapes(self):
+        # equal nodes share one cached tape, so -0 and 0 must not be equal
+        neg = ex.parse_expr("x1 * -0", CH2)
+        pos = ex.parse_expr("x1 * 0", CH2)
+        assert neg != pos and Const(CH2, -0.0) != Const(CH2, 0.0)
+        assert math.copysign(1.0, ex.evaluate(neg, (1, 2))) == -1.0
+        assert math.copysign(1.0, ex.evaluate(pos, (1, 2))) == 1.0
+
+    def test_constant_pool_keeps_the_sign_of_zero(self):
+        # x1 * 0 + x2 * -0 at (-1, 1) is -0 + -0
+        e = ex.parse_expr("x1 * 0 + x2 * -0", CH2)
+        assert math.copysign(1.0, ex.evaluate(e, (-1, 1))) == -1.0
+
     def test_batch_matches_scalar(self):
         e = ex.parse_expr("sin(x1)*x2 + x1^3", CH2)
         pts = np.array([[0.1, 0.2], [1.0, -1.0], [-0.5, 2.0]])
@@ -309,7 +322,8 @@ class TestProbablyZero:
     def test_sampled_abs_max_draws_the_sample_points_cloud(self):
         # with every point in-domain, the first batch is all that is drawn
         assert ex.sampled_abs_max(X1, trials=5) == np.max(
-            np.abs(ex.sample_points(CH2, 5, ex.DEFAULT_SEED)[:, 0]))
+            np.abs(np.random.default_rng(ex.DEFAULT_SEED).uniform(
+                -ex.SAMPLE_BOX, ex.SAMPLE_BOX, (5, CH2.dim))[:, 0]))
         # defined except on the x1 = 0 line, where points are redrawn
         assert ex.sampled_abs_max(ex.parse_expr("x1/x1 - 1", CH2)) == 0.0
 
@@ -331,7 +345,8 @@ class TestRoundTrip:
             assert again == e, text
 
     def test_round_trip_evaluation(self, rng):
-        pts = ex.sample_points(CH2, 100, seed=5)
+        pts = np.random.default_rng(5).uniform(-ex.SAMPLE_BOX, ex.SAMPLE_BOX,
+                                               (100, CH2.dim))
         for _ in range(20):
             e = rand_expr(rng, CH2, depth=4)
             again = ex.parse_expr(str(e), CH2)

@@ -10,18 +10,23 @@ import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
-from exform import expr as ex
+from exform import _kernels, expr as ex, tape
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _boundaries():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("exform_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(module, attr) for _, module, attrs in tracer.BOUNDARIES
+    return tracer
+
+
+def _boundaries():
+    return [(module, attr) for _, module, attrs in _tracer_module().BOUNDARIES
             for attr in attrs]
 
 
@@ -36,3 +41,20 @@ def test_boundary_resolves(module, attr):
 
 def test_tape_cache_info():
     assert callable(ex._tape_for.cache_info)
+
+
+def test_tape_counters_read_compiled_tapes():
+    """The compile and kernel-eval counters run on the tapes the package makes."""
+    tracer = _tracer_module().Tracer()
+    x1, x2 = ex.coords(ex.chart("x1", "x2"))
+    exprs = [ex.sin(x1) * x2, x1 + 2.0]
+    pts = np.ones((3, 2))
+    one, pack = tape.compile_expr(exprs[0]), tape.pack_exprs(exprs)
+    tracer._count_compile_expr((exprs[0],), one)
+    tracer._count_pack_exprs((exprs,), pack)
+    tracer._count_eval_tape((one, pts), _kernels.eval_tape(one, pts))
+    tracer._count_eval_pack((pack, pts), _kernels.eval_pack(pack, pts))
+    assert tracer.counts["tape.compile.instructions"] == one.codes.size + pack.codes.size
+    assert tracer.counts["kernels.eval.points"] == 6
+    assert tracer.counts["kernels.eval.instr_points"] == 3 * (one.codes.size
+                                                              + pack.codes.size)
