@@ -1,32 +1,37 @@
-"""Numeric hot kernels: a stack-machine interpreter for compiled expression
-tapes, vectorised over a batch of points, plus a fixed-step RK4 driver that
-advances a whole strip fan at once.
+"""Numeric hot kernels: an interpreter for compiled register tapes, vectorised
+over a batch of points, plus a fixed-step RK4 driver that advances a whole
+strip fan at once.
 
-A tape (see :mod:`exform.tape`) is postfix ``codes`` with one ``args`` entry
-each (constant-pool index, coordinate axis or integer exponent), cut into
-components at ``offsets`` over one float constant pool.  Every call splits it
-afresh with ``tolist`` (:func:`_components`); nothing is kept per tape.
-:func:`eval_pack` and :func:`rk4` run every component, and :func:`eval_tape`
-is :func:`eval_pack` on a one-component tape.  Leaves on the operand stack
-stay unmaterialised: a constant is a Python float and a coordinate is a row
-of the ``(dim, m)`` point array, both fed straight to the numpy binary
-ufuncs, so stack rows hold only intermediate results.  Unary functions and
-powers always run in place on a contiguous stack row, copying a leaf in
-first.  Results are bit-reproducible run to run.
+A tape (see :mod:`exform.tape`) is a straight-line program over slots laid
+out as ``registers + coordinate rows + constants``.  Every call decodes it
+afresh with ``tolist`` and binds it to that call's rows (:func:`_bind`);
+nothing is kept per tape.  A register is one row of m values, a coordinate is
+a row of the ``(dim, m)`` point array, and a constant is a Python float fed
+straight to the numpy binary ufuncs.  A component's output register is the
+caller's output row itself, so results need no copy out; only components
+that are a coordinate, a constant or a repeat of an earlier component are
+copied.  :func:`eval_pack` and :func:`rk4` run the program once per batch
+(once per RK4 stage), and :func:`eval_tape` is :func:`eval_pack` on a
+one-component tape.  :func:`rk4` writes constant components into its stage
+rows once, before the step loop.  Results are bit-reproducible run to run.
 
 Error codes: 0 ok, 1 division by zero, 2 ln of non-positive, 3 sqrt of
-negative, 4 zero base with negative exponent.  Each point keeps its first
-error in instruction order, and its value is NaN.  :func:`rk4` also reports
-5 for the first step whose new state is not finite (overflow or NaN), which
-covers any non-finite stage value, since it propagates into the new state.
+negative, 4 zero base with negative exponent.  Each may-fail operation runs
+once and records the points where it fails; each component then takes, per
+point, the first failure among its own may-fail operations in
+first-occurrence postfix order (``Tape.checks``), which is the first error
+in the instruction order of the component's own tree.  Its value there is
+NaN.  :func:`rk4` also reports 5 for the first step whose new state is not
+finite (overflow or NaN), which covers any non-finite stage value, since it
+propagates into the new state.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-OP_CONST = 0
-OP_COORD = 1
 OP_ADD = 2
 OP_SUB = 3
 OP_MUL = 4
@@ -53,100 +58,108 @@ ERR_MESSAGES = {
     ERR_NONFINITE: "non-finite value",
 }
 
-_UNARY = {OP_SIN: np.sin, OP_COS: np.cos, OP_EXP: np.exp, OP_NEG: np.negative}
-_MAY_FAIL = {OP_DIV, OP_POW, OP_LN, OP_SQRT}
+_UFUNC = {OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply,
+          OP_DIV: np.divide, OP_POW: np.power, OP_SIN: np.sin, OP_COS: np.cos,
+          OP_EXP: np.exp, OP_LN: np.log, OP_SQRT: np.sqrt, OP_NEG: np.negative}
+# opcode of a checked operation (see Tape.checks) -> (error code, test that
+# is true where its checked operand fails)
+_CHECK = {OP_DIV: (ERR_DIV, operator.eq), OP_POW: (ERR_POW, operator.eq),
+          OP_LN: (ERR_LN, operator.le), OP_SQRT: (ERR_SQRT, operator.lt)}
 
 
 def backend_name() -> str:
     return "numpy"
 
 
-def _flag(errs, bad, code: int) -> None:
-    """Give ``code`` to the points in ``bad`` (a bool or a bool row) that have
-    no error yet."""
-    if bad is True or (bad is not False and bad.any()):
-        errs[bad & (errs == 0)] = code
+def _bind(t, coords, out):
+    """Bind a tape to one call's rows: the ``(dim, m)`` coordinates and the
+    ``(ncomp, m)`` output rows ``out``.
 
-
-def _run(codes, args, consts, coords, stack, errs):
-    """Run one decoded tape over m points.
-
-    ``coords`` holds one row per axis and ``stack`` one row buffer per stack
-    slot; an intermediate at depth d always lives in ``stack[d]``.  Domain
-    errors are marked in ``errs`` in place.  Returns the result operand: a
-    float, a row of ``coords`` or a row of ``stack``.
+    Returns (steps, copies).  A step is (ufunc, arguments, check), where check
+    is None or (operation index, error code, test, checked operand).
+    ``copies`` are the (output row, slot value) pairs the program does not
+    write: a coordinate row, a constant, or an earlier component's row.
     """
-    ops = []
-    for code, arg in zip(codes, args):
-        if code == OP_CONST:
-            ops.append(consts[arg])
-        elif code == OP_COORD:
-            ops.append(coords[arg])
-        elif code <= OP_DIV:
-            b = ops.pop()
-            d = len(ops) - 1
-            out = stack[d]
-            if code == OP_MUL:
-                np.multiply(ops[d], b, out)
-            elif code == OP_ADD:
-                np.add(ops[d], b, out)
-            elif code == OP_SUB:
-                np.subtract(ops[d], b, out)
-            else:
-                _flag(errs, b == 0.0, ERR_DIV)
-                np.divide(ops[d], b, out)
-            ops[d] = out
+    nreg = t.nreg
+    regs = list(np.empty((nreg, coords.shape[1])))
+    copies, owned = [], set()
+    for c, s in enumerate(t.outputs.tolist()):
+        if s < nreg and s not in owned:
+            owned.add(s)
+            regs[s] = out[c]
         else:
-            d = len(ops) - 1
-            out = stack[d]
-            if ops[d] is not out:
-                out[:] = ops[d]
-                ops[d] = out
-            if code == OP_POW:
-                if arg < 0:
-                    _flag(errs, out == 0.0, ERR_POW)
-                np.power(out, arg, out)
-            elif code == OP_LN:
-                _flag(errs, out <= 0.0, ERR_LN)
-                np.log(out, out)
-            elif code == OP_SQRT:
-                _flag(errs, out < 0.0, ERR_SQRT)
-                np.sqrt(out, out)
-            else:
-                _UNARY[code](out, out)
-    return ops[0]
+            copies.append((c, s))
+    slots = regs + list(coords) + t.consts.tolist()
+    checked = set(t.checks.tolist())
+    steps = []
+    for i, (code, (d, a, b)) in enumerate(zip(t.codes.tolist(), t.args.tolist())):
+        f, res, x = _UFUNC[code], slots[d], slots[a]
+        if code <= OP_DIV:
+            y = slots[b]
+            args, v = (x, y, res), y
+        else:
+            if not isinstance(x, np.ndarray):
+                # A constant is spread over the row first, so unary functions
+                # and powers always run on a contiguous row, as numpy's SIMD
+                # loops need for the same bits.
+                steps.append((res.fill, (x,), None))
+                x = res
+            args, v = ((x, b, res) if code == OP_POW else (x, res)), x
+        steps.append((f, args, (i, *_CHECK[code], v) if i in checked else None))
+    return steps, [(out[c], slots[s]) for c, s in copies]
 
 
-def _components(t):
-    """Decode a tape: its (codes, args) list pair per component, and its pool."""
-    codes, args, offsets = t.codes.tolist(), t.args.tolist(), t.offsets.tolist()
-    return ([(codes[lo:hi], args[lo:hi]) for lo, hi in zip(offsets, offsets[1:])],
-            t.consts.tolist())
+def _run(steps):
+    """Run bound steps once.  Returns {operation index: (error code, failing
+    points)} for each may-fail operation that failed somewhere."""
+    fails = {}
+    for f, args, check in steps:
+        if check is not None:
+            i, code, test, v = check
+            bad = test(v, 0.0)
+            if bad is True or (bad is not False and bad.any()):
+                fails[i] = code, bad
+        f(*args)
+    return fails
+
+
+def _errors(t, fails, m):
+    """(ncomp, m) error codes: each component's first failed check at each point."""
+    checks, offsets = t.checks.tolist(), t.check_offsets.tolist()
+    errs = np.zeros((len(offsets) - 1, m), np.int8)
+    for c, row in enumerate(errs):
+        for i in checks[offsets[c]:offsets[c + 1]]:
+            if i in fails:
+                code, bad = fails[i]
+                row[bad & (row == 0)] = code
+    return errs
 
 
 def eval_pack(t, pts: np.ndarray):
     """Evaluate every component of a tape at an (m, dim) batch:
     (values, error codes), each (ncomp, m)."""
-    comps, consts = _components(t)
     pts = np.ascontiguousarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != t.dim:
+        raise ValueError(f"expected (m, {t.dim}) points, got {pts.shape}")
     m = pts.shape[0]
-    coords = list(np.ascontiguousarray(pts.T))
-    stack = list(np.empty((t.stack_need, m)))
-    vals = np.empty((len(comps), m))
-    errs = np.zeros((len(comps), m), np.int8)
+    vals = np.empty((t.outputs.shape[0], m))
+    steps, copies = _bind(t, np.ascontiguousarray(pts.T), vals)
     with np.errstate(all="ignore"):
-        for c, (codes, args) in enumerate(comps):
-            vals[c] = _run(codes, args, consts, coords, stack, errs[c])
-    if errs.any():
-        vals[errs != 0] = np.nan
+        fails = _run(steps)
+    for row, v in copies:
+        row[:] = v
+    if not fails:
+        return vals, np.zeros(vals.shape, np.int8)
+    errs = _errors(t, fails, m)
+    vals[errs != 0] = np.nan
     return vals, errs
 
 
 def eval_tape(t, pts: np.ndarray):
     """Evaluate a one-component tape at an (m, dim) batch:
     (values (m,), error codes (m,))."""
-    if t.offsets.shape[0] != 2:
-        raise ValueError(f"eval_tape takes one component, got {t.offsets.shape[0] - 1}")
+    if t.outputs.shape[0] != 1:
+        raise ValueError(f"eval_tape takes one component, got {t.outputs.shape[0]}")
     vals, errs = eval_pack(t, pts)
     return vals[0], errs[0]
 
@@ -162,26 +175,37 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
     repeats the last good state from the failing step on.
     """
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
-    comps, consts = _components(t)
-    if y0.ndim != 2 or y0.shape[1] != len(comps):
-        raise ValueError(f"expected states of shape (m, {len(comps)}), got {y0.shape}")
+    d = t.outputs.shape[0]
+    if y0.ndim != 2 or y0.shape[1] != d or t.dim != d:
+        raise ValueError(f"expected states of shape (m, {d}) for a tape over "
+                         f"{t.dim} coordinates, got {y0.shape}")
     h, nsteps = float(h), int(nsteps)
-    m, d = y0.shape
-    comps = [(cc, aa, not _MAY_FAIL.isdisjoint(cc)) for cc, aa in comps]
+    m = y0.shape[0]
     # The state is kept as (d, m), so each component is a contiguous row.
     traj = np.empty((nsteps + 1, d, m))
     traj[0] = y0.T
     stage_state = np.empty((d, m))
-    coords = list(stage_state)
-    stack = list(np.empty((t.stack_need, m)))
-    errs = np.zeros(m, np.int8)
-    k1, k2, k3, k4, acc = np.empty((5, d, m))
+    ks = np.empty((4, d, m))
+    acc = np.empty((d, m))
+    stages = []
+    for k in ks:
+        steps, copies = _bind(t, stage_state, k)
+        for row, v in copies:
+            if not isinstance(v, np.ndarray):
+                row[:] = v   # a constant component, written once
+        stages.append((steps, [(row, v) for row, v in copies
+                               if isinstance(v, np.ndarray)]))
+    k1, k2, k3, k4 = ks
 
-    def rhs(k):
-        for c, (cc, aa, may_fail) in enumerate(comps):
-            k[c] = _run(cc, aa, consts, coords, stack, errs)
-            if may_fail and errs.any():
-                return c, int(errs[errs != 0][0])
+    def rhs(stage):
+        steps, copies = stage
+        fails = _run(steps)
+        if fails:
+            errs = _errors(t, fails, m)
+            c = int(np.argmax(errs.any(axis=1)))
+            return c, int(errs[c][errs[c] != 0][0])
+        for row, v in copies:
+            row[:] = v
         return None
 
     err = None
@@ -189,16 +213,16 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
         for step in range(nsteps):
             y, new = traj[step], traj[step + 1]
             stage_state[:] = y
-            bad = rhs(k1)
+            bad = rhs(stages[0])
             if bad is None:
                 np.add(y, np.multiply(k1, 0.5 * h, stage_state), stage_state)
-                bad = rhs(k2)
+                bad = rhs(stages[1])
             if bad is None:
                 np.add(y, np.multiply(k2, 0.5 * h, stage_state), stage_state)
-                bad = rhs(k3)
+                bad = rhs(stages[2])
             if bad is None:
                 np.add(y, np.multiply(k3, h, stage_state), stage_state)
-                bad = rhs(k4)
+                bad = rhs(stages[3])
             if bad is None:
                 # y + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
                 np.add(k1, np.multiply(k2, 2.0, acc), acc)

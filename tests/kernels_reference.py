@@ -1,16 +1,29 @@
-"""Reference tape interpreter and RK4 driver for the kernel parity tests.
+"""Reference compiler, tape interpreter and RK4 driver for the kernel parity
+tests.
 
-These are the numpy interpreter and RK4 driver that `exform._kernels` used
-before it kept leaves unmaterialised and the RK4 state as (d, m) rows, kept
-verbatim.  `_kernels.eval_tape`, `eval_pack` and `rk4` must match them bit
-for bit (NaN-equal), error codes included.
+`pack_exprs` and `compile_expr` are the postfix stack-tape compiler that
+`exform.tape` used before register tapes, and the interpreter and RK4 driver
+are the numpy ones `exform._kernels` used before it kept leaves
+unmaterialised and the RK4 state as (d, m) rows, all kept verbatim.  The
+reference runs each component separately, in tree order, with every repeated
+subexpression computed again.  `_kernels.eval_tape`, `eval_pack` and `rk4`
+on a register tape must match them bit for bit (NaN-equal), error codes
+included.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from exform import expr
 from exform._kernels import (ERR_DIV, ERR_LN, ERR_POW, ERR_SQRT, OP_ADD,
-                             OP_CONST, OP_COORD, OP_COS, OP_DIV, OP_EXP, OP_LN,
-                             OP_MUL, OP_POW, OP_SIN, OP_SQRT, OP_SUB)
+                             OP_COS, OP_DIV, OP_EXP, OP_LN, OP_MUL, OP_NEG,
+                             OP_POW, OP_SIN, OP_SQRT, OP_SUB)
+
+# Leaf opcodes of the postfix tape; register tapes have no leaf operations.
+OP_CONST = 0
+OP_COORD = 1
 
 
 def _eval_tape_numpy(codes, args, consts, pts, stack_need):
@@ -121,3 +134,76 @@ def _rk4_numpy(codes, args, consts, offsets, stack_need, y0, h, nsteps):
         traj[step + 1] = y
     return traj, err_info
 
+
+_BINOP = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}
+_UNOP = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "ln": OP_LN,
+         "sqrt": OP_SQRT, "neg": OP_NEG}
+
+
+@dataclass(frozen=True)
+class Tape:
+    codes: np.ndarray    # int64 opcodes, postfix order
+    args: np.ndarray     # int64: const index / coord axis / integer exponent
+    consts: np.ndarray   # float64 constant pool shared by every component
+    offsets: np.ndarray  # int64, ncomp+1 entries; component c is [offsets[c], offsets[c+1])
+    stack_need: int
+    dim: int
+
+
+def compile_expr(e) -> Tape:
+    """Compile one expression into a one-component tape."""
+    return pack_exprs([e])
+
+
+def pack_exprs(exprs) -> Tape:
+    """Compile expressions over one chart into a tape, one component each."""
+    codes, args, consts, offsets = [], [], [], [0]
+    pool: dict[tuple[float, float], int] = {}  # (value, sign) -> slot in consts
+
+    def emit(node) -> int:
+        match node:
+            case expr.Const(value=v):
+                key = (v, math.copysign(1.0, v))
+                if key not in pool:
+                    pool[key] = len(consts)
+                    consts.append(v)
+                codes.append(OP_CONST)
+                args.append(pool[key])
+                return 1
+            case expr.Coord(axis=a):
+                codes.append(OP_COORD)
+                args.append(a)
+                return 1
+            case expr.Binary(op=op, left=l, right=r):
+                dl, dr = emit(l), emit(r)
+                codes.append(_BINOP[op])
+                args.append(0)
+                return max(dl, dr + 1)
+            case expr.Power(base=b, exponent=k):
+                d = emit(b)
+                codes.append(OP_POW)
+                args.append(k)
+                return d
+            case expr.Unary(fn=fn, arg=a):
+                d = emit(a)
+                codes.append(_UNOP[fn])
+                args.append(0)
+                return d
+        raise TypeError(f"not a ScalarExpr node: {node!r}")
+
+    exprs = list(exprs)
+    if not exprs:
+        raise ValueError("need at least one expression")
+    dim = exprs[0].chart.dim
+    depth = 0
+    for e in exprs:
+        if e.chart.dim != dim:
+            raise ValueError("all expressions must share one chart")
+        depth = max(depth, emit(e))
+        offsets.append(len(codes))
+    return Tape(codes=np.asarray(codes, np.int64),
+                args=np.asarray(args, np.int64),
+                consts=np.asarray(consts, np.float64),
+                offsets=np.asarray(offsets, np.int64),
+                stack_need=depth,
+                dim=dim)

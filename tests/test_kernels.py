@@ -1,8 +1,13 @@
-"""Kernel parity: `_kernels` must match the reference interpreter and RK4
-driver in `kernels_reference` bit for bit (NaN-equal), error codes included."""
+"""Kernel parity: every case is compiled twice, to a register tape by
+`exform.tape` and to a postfix tape by the reference compiler in
+`kernels_reference`.  `_kernels` on the register tape must match the reference
+interpreter and RK4 driver on the postfix tape bit for bit (NaN-equal),
+error codes included."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
+import kernels_reference as ref
 from exform import _kernels, charpde as cp, expr as ex, tape
 
 from conftest import rand_expr
@@ -50,10 +55,21 @@ def assert_same(got, ref):
     assert got[~nan].tobytes() == ref[~nan].tobytes()
 
 
-def check_tape(t, pts):
-    vals, errs = _kernels.eval_tape(t, pts)
-    ref_vals, ref_errs = _eval_tape_numpy(t.codes, t.args, t.consts,
-                                          np.ascontiguousarray(pts), t.stack_need)
+def check_expr(e, pts):
+    vals, errs = _kernels.eval_tape(tape.compile_expr(e), pts)
+    r = ref.compile_expr(e)
+    ref_vals, ref_errs = _eval_tape_numpy(r.codes, r.args, r.consts,
+                                          np.ascontiguousarray(pts), r.stack_need)
+    assert np.array_equal(errs, ref_errs) and errs.dtype == ref_errs.dtype
+    assert_same(vals, ref_vals)
+    return errs
+
+
+def check_pack(exprs, pts):
+    vals, errs = _kernels.eval_pack(tape.pack_exprs(exprs), pts)
+    r = ref.pack_exprs(exprs)
+    ref_vals, ref_errs = _eval_pack_numpy(r.codes, r.args, r.consts, r.offsets,
+                                          np.ascontiguousarray(pts), r.stack_need)
     assert np.array_equal(errs, ref_errs) and errs.dtype == ref_errs.dtype
     assert_same(vals, ref_vals)
     return errs
@@ -62,8 +78,8 @@ def check_tape(t, pts):
 def test_eval_tape_matches_reference_on_edge_corpus(rng):
     seen = set()
     for _ in range(240):
-        t = tape.compile_expr(edge_expr(rng, CH, depth=4))
-        seen.update(check_tape(t, edge_points(rng, 48)).tolist())
+        e = edge_expr(rng, CH, depth=4)
+        seen.update(check_expr(e, edge_points(rng, 48)).tolist())
     # the corpus reaches every domain edge and has in-domain points too
     assert seen >= {0, _kernels.ERR_DIV, _kernels.ERR_LN, _kernels.ERR_SQRT,
                     _kernels.ERR_POW}
@@ -74,13 +90,98 @@ def test_eval_pack_matches_reference(rng):
     for _ in range(40):
         exprs = [edge_expr(rng, CH, depth=3) for _ in range(3)]
         exprs += [ex.const(CH, 1.0), x2, x1 / 0.0]
-        p = tape.pack_exprs(exprs)
-        pts = edge_points(rng, 32)
-        vals, errs = _kernels.eval_pack(p, pts)
-        ref_vals, ref_errs = _eval_pack_numpy(p.codes, p.args, p.consts,
-                                              p.offsets, pts, p.stack_need)
-        assert np.array_equal(errs, ref_errs)
-        assert_same(vals, ref_vals)
+        check_pack(exprs, edge_points(rng, 32))
+
+
+def shared_packs(rng, x1, x2):
+    """Packs whose components share subexpressions by identity and by
+    structure, may-fail ones included, in varying component order."""
+    ln_x1 = ex.ln(x1)
+    base = [ln_x1 + x2, 2.0 * ln_x1, x1 / (x2 - x2), x1 / 0.0, x1 / -0.0,
+            ex.const(CH, 1.0)]
+    yield base
+    yield [ex.ln(x1) + x2, 2.0 * ex.ln(x1), ex.ln(x1)]      # by structure only
+    yield [1.0 / x2, ln_x1 + 1.0 / x2]      # second component fails ln first
+    yield [x1 * 0.0, x1 * -0.0, x1 * 0.0 + x1 * -0.0]
+    for _ in range(60):
+        parts = [edge_expr(rng, CH, depth=3) for _ in range(3)]
+        exprs = []
+        for _ in range(int(rng.integers(2, 6))):
+            a = parts[int(rng.integers(len(parts)))]
+            b = parts[int(rng.integers(len(parts)))]
+            r = rng.random()
+            e = (a if r < 0.2 else ex.sqrt(a) / b if r < 0.4 else
+                 ex.Binary(CH, ("+", "-", "*", "/")[int(rng.integers(4))], a, b))
+            exprs.append(e)
+            parts.append(e)
+        # the same trees rebuilt node by node share by structure only
+        exprs.append(ex.parse_expr(ex.to_text(exprs[0]), CH)
+                     if rng.random() < 0.5 else exprs[-1])
+        yield [base[int(i)] for i in rng.choice(len(base), 2, replace=False)] + exprs
+
+
+def test_eval_pack_matches_reference_on_shared_subexpressions(rng):
+    x1, x2, _ = ex.coords(CH)
+    seen = set()
+    for exprs in shared_packs(rng, x1, x2):
+        pts = np.vstack([edge_points(rng, 24), [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]])
+        seen.update(check_pack(exprs, pts).ravel().tolist())
+    assert seen >= {0, _kernels.ERR_DIV, _kernels.ERR_LN, _kernels.ERR_SQRT}
+
+
+def test_component_error_follows_its_own_postfix_order():
+    """A may-fail operation shared with an earlier component still counts in
+    the later component's own order: ln comes before the division there."""
+    x1, x2, _ = ex.coords(CH)
+    t = tape.pack_exprs([1.0 / x2, ex.ln(x1) + 1.0 / x2])
+    _, errs = _kernels.eval_pack(t, np.zeros((1, 3)))
+    assert errs[:, 0].tolist() == [_kernels.ERR_DIV, _kernels.ERR_LN]
+
+
+_FN = st.sampled_from(["sin", "cos", "exp", "ln", "sqrt", "neg"])
+
+
+def _trees(ch):
+    leaves = st.one_of(
+        st.builds(ex.Coord, st.just(ch), st.integers(0, ch.dim - 1)),
+        st.builds(ex.Const, st.just(ch), st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5])))
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(ex.Binary, st.just(ch), st.sampled_from("+-*/"), sub, sub),
+            st.builds(ex.Power, st.just(ch), sub, st.integers(-3, 3)),
+            st.builds(ex.Unary, st.just(ch), _FN, sub))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def _shared_pack(draw):
+    """Components built over a pool of subtrees, so that they share nodes by
+    identity (one pool entry used twice) and by structure (equal draws)."""
+    pool = draw(st.lists(_trees(CH), min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    exprs = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.integers(0, 2))
+        if shape == 0:
+            e = draw(pick)
+        elif shape == 1:
+            e = ex.Unary(CH, draw(_FN), draw(pick))
+        else:
+            e = ex.Binary(CH, draw(st.sampled_from("+-*/")), draw(pick), draw(pick))
+        exprs.append(e)
+    return exprs
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 3.0])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_shared_pack(),
+       st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=6))
+def test_shared_pack_parity_property(exprs, points):
+    check_pack(exprs, np.array(points))
 
 
 def test_single_leaves_and_constant_domain_edges(rng):
@@ -91,8 +192,8 @@ def test_single_leaves_and_constant_domain_edges(rng):
              ex.ln(x1) + 1.0 / (x2 - x2), ex.Binary(CH, "/", one, x3 - 1.0)]
     pts = edge_points(rng, 16)
     for e in cases:
-        check_tape(tape.compile_expr(e), pts)
-        check_tape(tape.compile_expr(e), pts[:1])
+        check_expr(e, pts)
+        check_expr(e, pts[:1])
 
 
 def _first_nonfinite(traj):
@@ -125,19 +226,21 @@ RK4_CASES = [
 ]
 
 
-def _pack_for(system):
+def _system(system):
+    """(right-hand sides, register tape) of a system's characteristic ODEs."""
     if isinstance(system, cp.HJEquation):
-        return cp._canonical_system(system)[1]
-    return cp._charpit_system(system)[1]
+        return cp._canonical_system(system)[:2]
+    return cp._charpit_system(system)[:2]
 
 
 def test_rk4_matches_reference_on_canonical_and_charpit_systems():
     for system, initials, h, steps, outcome in RK4_CASES:
-        pack = _pack_for(system)
+        rhs, pack = _system(system)
+        r = ref.pack_exprs(rhs)
         y0 = np.array(initials)
         traj, err = _kernels.rk4(pack, y0, h, steps)
-        ref_traj, ref_info = _rk4_numpy(pack.codes, pack.args, pack.consts,
-                                        pack.offsets, pack.stack_need, y0, h, steps)
+        ref_traj, ref_info = _rk4_numpy(r.codes, r.args, r.consts, r.offsets,
+                                        r.stack_need, y0, h, steps)
         blowup = _first_nonfinite(ref_traj)
         assert traj.shape == ref_traj.shape and traj.flags.c_contiguous
         if outcome == "nonfinite":
@@ -153,6 +256,19 @@ def test_rk4_matches_reference_on_canonical_and_charpit_systems():
             expected = None if ref_info[0] < 0 else tuple(ref_info.tolist())
             assert err == expected
             assert_same(traj, ref_traj)
+
+
+def test_rk4_matches_reference_with_repeated_coordinate_and_constant_components():
+    chart = ex.chart("a", "b", "c", "d")
+    a, b, c, _ = ex.coords(chart)
+    rhs = [b * c, b * c, a, ex.const(chart, -0.0)]
+    y0 = np.array([[0.1, 0.2, 0.3, 0.4], [1.0, -0.5, 0.25, 0.0]])
+    traj, err = _kernels.rk4(tape.pack_exprs(rhs), y0, 0.01, 50)
+    r = ref.pack_exprs(rhs)
+    ref_traj, ref_info = _rk4_numpy(r.codes, r.args, r.consts, r.offsets,
+                                    r.stack_need, y0, 0.01, 50)
+    assert err is None and ref_info[0] < 0
+    assert_same(traj, ref_traj)
 
 
 def test_rk4_reports_domain_failure():

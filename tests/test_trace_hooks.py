@@ -58,3 +58,14 @@ def test_tape_counters_read_compiled_tapes():
     assert tracer.counts["kernels.eval.points"] == 6
     assert tracer.counts["kernels.eval.instr_points"] == 3 * (one.codes.size
                                                               + pack.codes.size)
+
+
+def test_compile_counter_counts_a_repeated_subexpression_once():
+    """`tape.compile.instructions` counts operations: sin(x1) * x2 is two
+    of them however often it repeats, by identity or by structure."""
+    tracer = _tracer_module().Tracer()
+    x1, x2 = ex.coords(ex.chart("x1", "x2"))
+    e = ex.sin(x1) * x2
+    exprs = [e + e, ex.sin(x1) * x2, e]
+    tracer._count_pack_exprs((exprs,), tape.pack_exprs(exprs))
+    assert tracer.counts["tape.compile.instructions"] == 3
