@@ -6,14 +6,17 @@ A tape (see :mod:`exform.tape`) is a straight-line program over slots laid
 out as ``registers + coordinate rows + constants``.  Every call decodes it
 afresh with ``tolist`` and binds it to that call's rows (:func:`_bind`);
 nothing is kept per tape.  A register is one row of m values, a coordinate is
-a row of the ``(dim, m)`` point array, and a constant is a Python float fed
-straight to the numpy binary ufuncs.  A component's output register is the
-caller's output row itself, so results need no copy out; only components
-that are a coordinate, a constant or a repeat of an earlier component are
-copied.  :func:`eval_pack` and :func:`rk4` run the program once per batch
-(once per RK4 stage), and :func:`eval_tape` is :func:`eval_pack` on a
-one-component tape.  :func:`rk4` writes constant components into its stage
-rows once, before the step loop.  Results are bit-reproducible run to run.
+a row of the ``(dim, m)`` point array, and a constant is a 0-d float64 array
+built once per call.  Every operand a ufunc gets is an array, so numpy never
+converts a Python scalar per call; a 0-d float64 operand runs the same
+float64 loop, so the bits are those of the Python float.  A component's
+output register is the caller's output row itself, so results need no copy
+out; only components that are a coordinate, a constant or a repeat of an
+earlier component are copied.  :func:`eval_pack` and :func:`rk4` run the
+program once per batch (once per RK4 stage), and :func:`eval_tape` is
+:func:`eval_pack` on a one-component tape.  :func:`rk4` writes constant
+components into its stage rows once, before the step loop.  Results are
+bit-reproducible run to run.
 
 Error codes: 0 ok, 1 division by zero, 2 ln of non-positive, 3 sqrt of
 negative, 4 zero base with negative exponent.  Each may-fail operation runs
@@ -23,7 +26,11 @@ first-occurrence postfix order (``Tape.checks``), which is the first error
 in the instruction order of the component's own tree.  Its value there is
 NaN.  :func:`rk4` also reports 5 for the first step whose new state is not
 finite (overflow or NaN), which covers any non-finite stage value, since it
-propagates into the new state.
+propagates into the new state.  It finds that step with one scan of the
+trajectory after the step loop, not one check per step: a non-finite state
+component stays non-finite (``y + c * acc`` is inf or NaN when ``y`` is), so
+the first non-finite sample is the step the per-step check would have
+stopped at.
 """
 
 from __future__ import annotations
@@ -62,9 +69,11 @@ _UFUNC = {OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply,
           OP_DIV: np.divide, OP_POW: np.power, OP_SIN: np.sin, OP_COS: np.cos,
           OP_EXP: np.exp, OP_LN: np.log, OP_SQRT: np.sqrt, OP_NEG: np.negative}
 # opcode of a checked operation (see Tape.checks) -> (error code, test that
-# is true where its checked operand fails)
+# is true where its checked operand fails when compared with zero)
 _CHECK = {OP_DIV: (ERR_DIV, operator.eq), OP_POW: (ERR_POW, operator.eq),
           OP_LN: (ERR_LN, operator.le), OP_SQRT: (ERR_SQRT, operator.lt)}
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 def backend_name() -> str:
@@ -79,8 +88,11 @@ def _bind(t, coords, out):
     is None or (operation index, error code, test, checked operand).
     ``copies`` are the (output row, slot value) pairs the program does not
     write: a coordinate row, a constant, or an earlier component's row.
+    Constants and exponents are 0-d float64 arrays, as is the zero that
+    :func:`_run` compares checked operands with.
     """
     nreg = t.nreg
+    first_const = nreg + t.dim
     regs = list(np.empty((nreg, coords.shape[1])))
     copies, owned = [], set()
     for c, s in enumerate(t.outputs.tolist()):
@@ -89,22 +101,23 @@ def _bind(t, coords, out):
             regs[s] = out[c]
         else:
             copies.append((c, s))
-    slots = regs + list(coords) + t.consts.tolist()
+    slots = regs + list(coords) + [np.array(v) for v in t.consts.tolist()]
     checked = set(t.checks.tolist())
     steps = []
     for i, (code, (d, a, b)) in enumerate(zip(t.codes.tolist(), t.args.tolist())):
         f, res, x = _UFUNC[code], slots[d], slots[a]
         if code <= OP_DIV:
-            y = slots[b]
-            args, v = (x, y, res), y
+            v = slots[b]
+            args = (x, v, res)
         else:
-            if not isinstance(x, np.ndarray):
+            if a >= first_const:
                 # A constant is spread over the row first, so unary functions
                 # and powers always run on a contiguous row, as numpy's SIMD
                 # loops need for the same bits.
                 steps.append((res.fill, (x,), None))
                 x = res
-            args, v = ((x, b, res) if code == OP_POW else (x, res)), x
+            v = x
+            args = (x, np.array(b, np.float64), res) if code == OP_POW else (x, res)
         steps.append((f, args, (i, *_CHECK[code], v) if i in checked else None))
     return steps, [(out[c], slots[s]) for c, s in copies]
 
@@ -116,8 +129,8 @@ def _run(steps):
     for f, args, check in steps:
         if check is not None:
             i, code, test, v = check
-            bad = test(v, 0.0)
-            if bad is True or (bad is not False and bad.any()):
+            bad = test(v, _ZERO)
+            if bad.any():
                 fails[i] = code, bad
         f(*args)
     return fails
@@ -137,8 +150,9 @@ def _errors(t, fails, m):
 
 def eval_pack(t, pts: np.ndarray):
     """Evaluate every component of a tape at an (m, dim) batch:
-    (values, error codes), each (ncomp, m)."""
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    (values, error codes), each (ncomp, m).  An F-ordered batch (the
+    transpose of C-ordered ``(dim, m)`` rows) is read without a copy."""
+    pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != t.dim:
         raise ValueError(f"expected (m, {t.dim}) points, got {pts.shape}")
     m = pts.shape[0]
@@ -169,19 +183,27 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
 
     The tape must have exactly one component per state component.  Returns
     (trajectory (nsteps+1, m, d), err) where err is None on success or a
-    (step, component, code) tuple naming the first failure: a domain error
-    at the first (component, point) of the failing stage, or ERR_NONFINITE
-    at the first component whose new state is not finite.  The trajectory
+    (step, component, code) tuple naming the first failure: ERR_NONFINITE at
+    the first component whose new state is not finite, or a domain error at
+    the first (component, point) of the failing stage.  The trajectory
     repeats the last good state from the failing step on.
+
+    The state is kept step-major as ``(nsteps+1, d, m)``, so each component
+    is a contiguous row, and the trajectory returned is the
+    ``transpose(0, 2, 1)`` view of that buffer, not a copy.  The step
+    constants ``h/2``, ``h``, ``2`` and ``h/6`` are 0-d float64 arrays.
+    Finiteness is checked once, after the step loop (see the module
+    docstring); a blown-up fan runs on to the end or to its first domain
+    error, and that scan still reports the step where it left the finite
+    numbers.
     """
-    y0 = np.ascontiguousarray(y0, dtype=np.float64)
+    y0 = np.asarray(y0, dtype=np.float64)
     d = t.outputs.shape[0]
     if y0.ndim != 2 or y0.shape[1] != d or t.dim != d:
         raise ValueError(f"expected states of shape (m, {d}) for a tape over "
                          f"{t.dim} coordinates, got {y0.shape}")
     h, nsteps = float(h), int(nsteps)
     m = y0.shape[0]
-    # The state is kept as (d, m), so each component is a contiguous row.
     traj = np.empty((nsteps + 1, d, m))
     traj[0] = y0.T
     stage_state = np.empty((d, m))
@@ -191,11 +213,11 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
     for k in ks:
         steps, copies = _bind(t, stage_state, k)
         for row, v in copies:
-            if not isinstance(v, np.ndarray):
+            if v.ndim == 0:
                 row[:] = v   # a constant component, written once
-        stages.append((steps, [(row, v) for row, v in copies
-                               if isinstance(v, np.ndarray)]))
+        stages.append((steps, [(row, v) for row, v in copies if v.ndim]))
     k1, k2, k3, k4 = ks
+    half_h, full_h, two, sixth_h = (np.array(v) for v in (0.5 * h, h, 2.0, h / 6.0))
 
     def rhs(stage):
         steps, copies = stage
@@ -208,32 +230,34 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
             row[:] = v
         return None
 
-    err = None
+    err, last = None, nsteps
     with np.errstate(all="ignore"):
         for step in range(nsteps):
             y, new = traj[step], traj[step + 1]
             stage_state[:] = y
             bad = rhs(stages[0])
             if bad is None:
-                np.add(y, np.multiply(k1, 0.5 * h, stage_state), stage_state)
+                np.add(y, np.multiply(k1, half_h, stage_state), stage_state)
                 bad = rhs(stages[1])
             if bad is None:
-                np.add(y, np.multiply(k2, 0.5 * h, stage_state), stage_state)
+                np.add(y, np.multiply(k2, half_h, stage_state), stage_state)
                 bad = rhs(stages[2])
             if bad is None:
-                np.add(y, np.multiply(k3, h, stage_state), stage_state)
+                np.add(y, np.multiply(k3, full_h, stage_state), stage_state)
                 bad = rhs(stages[3])
-            if bad is None:
-                # y + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-                np.add(k1, np.multiply(k2, 2.0, acc), acc)
-                np.add(acc, np.multiply(k3, 2.0, new), acc)
-                np.add(acc, k4, acc)
-                np.add(y, np.multiply(acc, h / 6.0, acc), new)
-                finite = np.isfinite(new).all(axis=1)
-                if not finite.all():
-                    bad = int(np.argmin(finite)), ERR_NONFINITE
             if bad is not None:
-                err = (step, *bad)
-                traj[step + 1:] = y
+                err, last = (step, *bad), step
                 break
-    return np.ascontiguousarray(traj.transpose(0, 2, 1)), err
+            # y + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.add(k1, np.multiply(k2, two, acc), acc)
+            np.add(acc, np.multiply(k3, two, new), acc)
+            np.add(acc, k4, acc)
+            np.add(y, np.multiply(acc, sixth_h, acc), new)
+    # finite[j, c]: component c of the state after step j is finite everywhere
+    finite = np.isfinite(traj[1:last + 1]).all(axis=2)
+    if not finite.all():
+        step, c = np.argwhere(~finite)[0].tolist()
+        err, last = (step, c, ERR_NONFINITE), step
+    if err is not None:
+        traj[last + 1:] = traj[last]
+    return traj.transpose(0, 2, 1), err

@@ -177,20 +177,42 @@ def charpit_rhs(pde: FirstOrderPDE, state: Sequence[float]):
 
 
 def _state_rows(n: int, states) -> np.ndarray:
-    """States (x, u, p), or flat rows of 2n+1 numbers, as rows (m, 2n+1);
-    a malformed state raises naming its index."""
-    rows = []
-    for k, state in enumerate(states):
-        if isinstance(state, (tuple, list)) and len(state) == 3:
-            parts = [np.atleast_1d(np.asarray(v, float)) for v in state]
-            ok = [a.shape for a in parts] == [(n,), (1,), (n,)]
-            state = np.concatenate(parts) if ok else ()
-        row = np.asarray(state, dtype=np.float64)
-        if row.shape != (2 * n + 1,):
+    """States (x, u, p), or flat rows of 2n+1 numbers, as rows (m, 2n+1),
+    converted to numbers in one numpy call for the whole fan; a malformed
+    state raises naming its index."""
+    width = 2 * n + 1
+    rows = states if isinstance(states, np.ndarray) else [
+        _flat_state(n, state) for state in states]
+    try:
+        out = np.array(rows, dtype=np.float64)
+        if len(rows) and out.shape == (len(rows), width):
+            return out
+    except (TypeError, ValueError):
+        pass
+    for k, row in enumerate(rows):
+        try:
+            ok = row is not None and np.asarray(row, np.float64).shape == (width,)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise ValueError(f"state {k} must be (x, u, p) with {n} components "
-                             f"in x and p, or {2 * n + 1} components")
-        rows.append(row)
-    return np.stack(rows)
+                             f"in x and p, or {width} components")
+    raise ValueError("need at least one state")
+
+
+def _flat_state(n: int, state):
+    """A triple (x, u, p) with n, 1 and n entries spliced into one flat list,
+    None for a triple of other sizes; any other state as it is."""
+    if not (isinstance(state, (tuple, list)) and len(state) == 3):
+        return state
+    row = []
+    for part, size in zip(state, (n, 1, n)):
+        part = part.tolist() if isinstance(part, np.ndarray) else part
+        part = part if isinstance(part, (tuple, list)) else [part]
+        if len(part) != size:
+            return None
+        row += part
+    return row
 
 
 @dataclass(frozen=True)
@@ -253,7 +275,9 @@ def _audit(audit_tape: tape.Tape, states: np.ndarray, what: str) -> np.ndarray:
     """The audit quantity (F or E) at every state of a fan (samples, m, d),
     as (samples, m); an undefined value raises naming its sample."""
     samples, m, d = states.shape
-    vals, errs = _kernels.eval_tape(audit_tape, states.reshape(-1, d))
+    # one copy into (d, samples*m) coordinate rows; their .T is the batch
+    rows = states.transpose(2, 0, 1).reshape(d, -1)
+    vals, errs = _kernels.eval_tape(audit_tape, rows.T)
     if errs.any():
         k = int(np.argwhere(errs != 0)[0][0]) // m
         raise StripIntegrationError(f"{what} undefined at sample {k}", k)

@@ -23,7 +23,11 @@ Error rule: component c owns the may-fail operations (division, negative
 power, ln, sqrt) of its expression, listed in ``checks[check_offsets[c]:
 check_offsets[c + 1]]`` in first-occurrence postfix order.  At each point the
 first of these that fails gives the component's error code, which is the
-first error in the postfix order of the component's own tree.
+first error in the postfix order of the component's own tree.  An operation
+whose checked operand (the divisor, the base of a power, the argument of ln
+or sqrt) is a constant that passes its test cannot fail and is not listed:
+``x / 4`` and ``ln(2)`` have no checks, while ``x / 0`` and ``x / -0`` fail
+everywhere.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (OP_ADD, OP_COS, OP_DIV, OP_EXP, OP_LN, OP_MUL, OP_NEG,
-                       OP_POW, OP_SIN, OP_SQRT, OP_SUB)
+from ._kernels import (_CHECK, OP_ADD, OP_COS, OP_DIV, OP_EXP, OP_LN, OP_MUL,
+                       OP_NEG, OP_POW, OP_SIN, OP_SQRT, OP_SUB)
 
 _BINOP = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}
 _UNOP = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "ln": OP_LN,
@@ -129,7 +133,12 @@ def pack_exprs(exprs) -> Tape:
     fails = [False] * nops
     risky = [False] * nops
     for i, (c, a, b) in enumerate(zip(codes, lhs, rhs)):
-        fails[i] = r = c in _MAY_FAIL and (c != OP_POW or b < 0)
+        r = c in _MAY_FAIL and (c != OP_POW or b < 0)
+        if r:
+            v = b if c == OP_DIV else a           # the checked operand
+            if v < 0 and ~v >= dim:               # a constant fails everywhere or nowhere
+                r = _CHECK[c][1](consts[~v - dim], 0.0)
+        fails[i] = r
         if a >= 0:
             last[a] = i
             r = r or risky[a]

@@ -199,6 +199,34 @@ class TestStripIntegration:
             cp.integrate_strips(pde, [((0.0,), 0.0, (1.0,)), ((0.0, 1.0), 0.0, (1.0,))],
                                 1.0, 10)
 
+    def test_state_rows_accept_every_state_form(self):
+        expected = np.array([[0.1, 0.2, 0.5, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0, 5.0]])
+        forms_ = [
+            [((0.1, 0.2), 0.5, (0.3, 0.4)), ([1.0, 2.0], 3.0, [4.0, 5.0])],
+            [(np.array([0.1, 0.2]), np.array(0.5), np.array([0.3, 0.4])),
+             ((1, 2), [3.0], np.array([4.0, 5.0]))],
+            [[0.1, 0.2, 0.5, 0.3, 0.4], np.array([1.0, 2.0, 3.0, 4.0, 5.0])],
+            expected.copy(),
+        ]
+        for states in forms_:
+            rows = cp._state_rows(2, states)
+            assert rows.dtype == np.float64 and rows.tobytes() == expected.tobytes()
+        # for n = 1 a triple of numbers and a flat row are the same state
+        assert cp._state_rows(1, [(0.3, 0.1, 0.7), [0.3, 0.1, 0.7]]).tolist() == [
+            [0.3, 0.1, 0.7]] * 2
+
+    def test_malformed_state_among_many_is_named(self):
+        good = ((0.0, 0.0), 0.0, (0.6, 0.8))
+        for bad in (((0.0, 0.0), 0.0, (0.6, 0.8, 1.0)), ((0.0,), 0.0, (0.6, 0.8)),
+                    ([[0.0], [0.0]], 0.0, (0.6, 0.8)), ((0.0, 0.0), "u", (0.6, 0.8)),
+                    [0.0, 0.0, 0.0, 0.6], [0.0, 0.0, 0.0, 0.6, 0.8, 1.0]):
+            with pytest.raises(ValueError, match="state 3 must be"):
+                cp._state_rows(2, [good] * 3 + [bad] + [good])
+        with pytest.raises(ValueError, match="state 0 must be"):
+            cp._state_rows(1, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            cp._state_rows(1, [])
+
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError, match="steps must be >= 1"):
             cp.integrate_strip(EIKONAL, ((0.0, 0.0), 0.0, (1.0, 0.0)), 0.5, 0)

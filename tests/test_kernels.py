@@ -197,13 +197,14 @@ def test_single_leaves_and_constant_domain_edges(rng):
 
 
 def _first_nonfinite(traj):
-    """(step, component) whose new state first leaves the finite numbers, or None."""
-    bad = ~np.isfinite(traj).all(axis=1)       # (steps+1, d)
+    """(step, component) whose new state first leaves the finite numbers, or
+    None.  Step s makes sample s + 1; the initial sample is not a new state."""
+    bad = ~np.isfinite(traj[1:]).all(axis=1)   # (steps, d)
     rows = np.flatnonzero(bad.any(axis=1))
     if rows.size == 0:
         return None
     s = int(rows[0])
-    return s - 1, int(np.argmax(bad[s]))
+    return s, int(np.argmax(bad[s]))
 
 
 # (system, initial states, step, steps, outcome of the reference run)
@@ -242,7 +243,9 @@ def test_rk4_matches_reference_on_canonical_and_charpit_systems():
         ref_traj, ref_info = _rk4_numpy(r.codes, r.args, r.consts, r.offsets,
                                         r.stack_need, y0, h, steps)
         blowup = _first_nonfinite(ref_traj)
-        assert traj.shape == ref_traj.shape and traj.flags.c_contiguous
+        # a step-major view of one (steps+1, d, m) buffer, not a copy
+        assert traj.shape == ref_traj.shape and traj.base is not None
+        assert traj.transpose(0, 2, 1).flags.c_contiguous
         if outcome == "nonfinite":
             assert blowup is not None and ref_info[0] < 0
             step, comp = blowup
@@ -292,3 +295,121 @@ def test_pack_offsets_and_shared_consts():
     vals, errs = _kernels.eval_pack(pack, np.array([[1.0, 3.0]]))
     assert errs.max() == 0
     assert vals[:, 0].tolist() == [3.0, 6.0, 2.0]
+
+
+def _reference_rk4(rhs, y0, h, steps):
+    r = ref.pack_exprs(rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rk4_numpy(r.codes, r.args, r.consts, r.offsets, r.stack_need,
+                          y0, h, steps)
+
+
+def _reference_outcome(rhs, y0, h, steps):
+    """The reference trajectory and error under the kernel's failure rule: the
+    first non-finite new state wins over any domain error at a later step,
+    and the trajectory repeats the last good state from the failing step on."""
+    traj, info = _reference_rk4(rhs, y0, h, steps)
+    blowup = _first_nonfinite(traj)
+    if blowup is None:
+        return traj, None if info[0] < 0 else tuple(info.tolist())
+    step, comp = blowup
+    assert info[0] < 0 or info[0] > step
+    traj[step + 1:] = traj[step]
+    return traj, (step, comp, _kernels.ERR_NONFINITE)
+
+
+def check_rk4(rhs, y0, h, steps):
+    traj, err = _kernels.rk4(tape.pack_exprs(rhs), y0, h, steps)
+    ref_traj, ref_err = _reference_outcome(rhs, y0, h, steps)
+    assert err == ref_err
+    assert_same(traj, ref_traj)
+    return err
+
+
+def test_rk4_blowup_before_a_later_domain_error_reports_the_blowup():
+    """a' = 1e308 overflows a to inf in step 0 although every stage is finite;
+    step 1 then divides by 1/a = 0.  The non-finite state wins."""
+    chart = ex.chart("a", "b")
+    a, _ = ex.coords(chart)
+    one = ex.const(chart, 1.0)
+    rhs = [ex.const(chart, 1e308), one / (one / a)]
+    y0 = np.array([[1.0, 0.0], [2.0, 1.0]])
+    for steps in (1, 2, 5):
+        assert check_rk4(rhs, y0, 0.1, steps) == (0, 0, _kernels.ERR_NONFINITE)
+    _, info = _reference_rk4(rhs, y0, 0.1, 5)
+    # the reference has no finiteness check and runs on to the division
+    assert info.tolist() == [1, 1, _kernels.ERR_DIV]
+
+
+def test_rk4_nonfinite_initial_state_fails_at_step_zero():
+    rhs, _ = _system(HJ_OSC)
+    # (t, x, u, p): nothing reads u, so an inf u stays in its own component,
+    # while a NaN p reaches x (dx/dt = p) in step 0 and x is the first one
+    for bad, comp in (([0.0, 0.5, np.inf, -1.0], 2), ([0.0, np.nan, 0.0, 1.0], 1),
+                      ([0.0, 0.5, 0.0, np.nan], 1)):
+        y0 = np.array([[0.0, 0.2, 0.0, 0.3], bad])
+        for steps in (1, 3):
+            assert check_rk4(rhs, y0, 0.01, steps) == (0, comp, _kernels.ERR_NONFINITE)
+
+
+def test_rk4_blowup_on_the_last_step_is_reported():
+    rhs, _ = _system(PDE_BLOWUP)
+    y0 = np.array([[0.0, 1.0, 1.0], [0.0, 0.6, 0.36]])
+    ref_traj, _ = _reference_rk4(rhs, y0, 0.01, 200)
+    step, comp = _first_nonfinite(ref_traj)
+    assert step > 0
+    assert check_rk4(rhs, y0, 0.01, step) is None
+    assert check_rk4(rhs, y0, 0.01, step + 1) == (step, comp, _kernels.ERR_NONFINITE)
+
+
+class _UfuncRecorder:
+    """Stands in for numpy inside `_kernels`, recording every ufunc operand."""
+
+    def __init__(self):
+        self.operands = []
+
+    def wrap(self, f):
+        def call(*args, **kwargs):
+            self.operands.extend(args)
+            return f(*args, **kwargs)
+        return call
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        return self.wrap(f) if isinstance(f, np.ufunc) else f
+
+
+def test_ufunc_operands_are_arrays(monkeypatch):
+    """Constants, exponents, check zeros and the RK4 step constants reach
+    numpy as arrays, so no Python scalar is converted per call."""
+    x1, x2, x3 = ex.coords(CH)
+    two = ex.const(CH, 2.0)
+    pack = tape.pack_exprs([x1 / 4.0 + 0.5, ex.ln(two) * x2, ex.sin(x3) ** 3, x1 ** -2,
+                            ex.sqrt(x2) - ex.ln(x3), x1 / (x2 - 1.0), x1 / 0.0,
+                            ex.exp(two)])
+    system = tape.pack_exprs([x2 * 0.5, -x1 * 1.5 + x3 ** 2, ex.const(CH, 1.0)])
+    rec = _UfuncRecorder()
+    monkeypatch.setattr(_kernels, "np", rec)
+    for code, f in _kernels._UFUNC.items():
+        monkeypatch.setitem(_kernels._UFUNC, code, rec.wrap(f))
+    for code, (err, test) in _kernels._CHECK.items():
+        monkeypatch.setitem(_kernels._CHECK, code, (err, rec.wrap(test)))
+    _, errs = _kernels.eval_pack(pack, edge_points(np.random.default_rng(7), 8))
+    assert errs.any()
+    _, err = _kernels.rk4(system, np.array([[0.1, 0.2, 0.3]]), 0.01, 3)
+    assert err is None
+    assert rec.operands
+    assert [v for v in rec.operands if not isinstance(v, np.ndarray)] == []
+    assert any(v.ndim == 0 for v in rec.operands)
+
+
+def test_eval_pack_reads_an_f_ordered_batch_bit_for_bit(rng):
+    for _ in range(40):
+        t = tape.pack_exprs([edge_expr(rng, CH, depth=3) for _ in range(3)])
+        pts = edge_points(rng, 33)
+        f_pts = np.asfortranarray(pts)
+        assert f_pts.flags.f_contiguous and not f_pts.flags.c_contiguous
+        vals, errs = _kernels.eval_pack(t, f_pts)
+        c_vals, c_errs = _kernels.eval_pack(t, pts)
+        assert np.array_equal(errs, c_errs)
+        assert vals.tobytes() == c_vals.tobytes()

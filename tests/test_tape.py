@@ -73,6 +73,30 @@ def test_fan_quad_pack_has_no_repeats_and_free_constant_components():
     assert varying.codes.size == pack.codes.size
 
 
+def test_constant_operands_that_cannot_fail_are_not_checked():
+    """x / 4 and ln(2) cannot fail, so they have no checks; a constant that
+    fails its test (x / 0, x / -0, ln(0), 0^-2) fails at every point."""
+    zero, two = ex.const(CH, 0.0), ex.const(CH, 2.0)
+    for e in (A / 4.0, ex.ln(two) + A, ex.sqrt(two) * B, two ** -3, A / -2.5):
+        assert tape.compile_expr(e).checks.size == 0
+    pts = np.array([[1.0, 2.0], [0.0, -1.0], [-3.0, 0.0]])
+    for e, code in ((A / 0.0, _kernels.ERR_DIV), (A / -0.0, _kernels.ERR_DIV),
+                    (ex.ln(zero) + A, _kernels.ERR_LN), (zero ** -2, _kernels.ERR_POW),
+                    (ex.sqrt(ex.const(CH, -1.0)), _kernels.ERR_SQRT)):
+        t = tape.compile_expr(e)
+        assert t.checks.size == 1
+        vals, errs = _kernels.eval_tape(t, pts)
+        assert errs.tolist() == [code] * 3 and np.isnan(vals).all()
+    # a checked operand that varies is still checked
+    assert tape.compile_expr(two / A).checks.size == 1
+
+
+def test_fan_quad_pack_has_no_checks():
+    """The quad system's divisions are by the constants 2 and 4."""
+    _, pack, _ = cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))
+    assert _kernels.OP_DIV in pack.codes.tolist() and pack.checks.size == 0
+
+
 def test_pack_needs_one_chart_and_an_expression():
     with pytest.raises(ValueError):
         tape.pack_exprs([])
