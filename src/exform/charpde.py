@@ -28,6 +28,7 @@ from .evolution import Pseudostructure
 from .expr import CoordinateChart, ExformError, ScalarExpr
 
 ON_SURFACE_TOL = 1e-10
+DT_REFINE = 1e-4      # bisection width of a caustic time
 
 
 class OffSurfaceError(ExformError):
@@ -231,7 +232,6 @@ class CharacteristicStrip:
     p: np.ndarray       # (m+1, n)
     drift: np.ndarray   # (m+1,)
     step: float
-    order: int = 4
 
     @property
     def n(self) -> int:
@@ -434,7 +434,7 @@ class HJSolution:
 
 
 def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float,
-             steps: int, detect_crossings: bool = True) -> HJSolution:
+             steps: int) -> HJSolution:
     """Solve du/dt + E = 0 by characteristics from initial data u(0, x) = u0.
 
     One strip launches per grid node with the symbolic slope p0 = du0/dx
@@ -456,7 +456,7 @@ def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float
         hj, np.column_stack([nodes, u_init, p_init]), t_end, steps)
     x, u, p = states.transpose(2, 0, 1)   # read-only views (steps+1, m)
     solution = HJSolution(hj, nodes, t, x, u, p, _fan_strips(t, states, drift, h))
-    if detect_crossings and nodes.size >= 3:
+    if nodes.size >= 3:
         solution.events = detect_caustic(solution)
     return solution
 
@@ -553,13 +553,12 @@ class BiStructureContext:
     psi: forms.DifferentialForm | None = None
 
 
-def detect_caustic(fan, dt_refine: float = 1e-4,
-                   context: BiStructureContext | None = None) -> list[CausticEvent]:
+def detect_caustic(fan, context: BiStructureContext | None = None) -> list[CausticEvent]:
     """Scan a strip fan for sign changes of the launch-Jacobian dx/dx0.
 
     The Jacobian is estimated by central differences across neighboring
     strips; each sign change is bracketed in time and refined by bisection
-    on the linear interpolant to within dt_refine.
+    on the linear interpolant to within DT_REFINE.
     """
     if isinstance(fan, HJSolution):
         x0 = fan.x0grid
@@ -593,7 +592,7 @@ def detect_caustic(fan, dt_refine: float = 1e-4,
     t0, t1 = t[ii], t[ii + 1]
     # bisection on the linear interpolant, all sign changes at once
     lo, hi, flo = t0.copy(), t1.copy(), a.copy()
-    active = ~zero & (hi - lo > dt_refine)
+    active = ~zero & (hi - lo > DT_REFINE)
     while active.any():
         mid = 0.5 * (lo + hi)
         fmid = a + (b - a) * (mid - t0) / (t1 - t0)
@@ -601,7 +600,7 @@ def detect_caustic(fan, dt_refine: float = 1e-4,
         hi = np.where(active & left, mid, hi)
         lo = np.where(active & ~left, mid, lo)
         flo = np.where(active & ~left, fmid, flo)
-        active &= hi - lo > dt_refine
+        active &= hi - lo > DT_REFINE
     t_star = np.where(zero, t0, 0.5 * (lo + hi))
     frac = (t_star - t0) / (t1 - t0)
     xa, xb = x[ii, kk + 1], x[ii + 1, kk + 1]

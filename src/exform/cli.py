@@ -5,8 +5,17 @@ Three command groups: `form` (exterior algebra and duals), `geom`
 of the 19 subcommands is one handler function named after its group and
 subcommand (`form_d`, `pde_hj`, ...).  `build_parser` registers every
 handler next to its input flags with argparse `set_defaults(handler=...)`,
-so the table of subcommands is the parser itself; `main` checks the common
-flags and calls the chosen handler.  All inputs are exform/v1 JSON documents.
+so the table of subcommands is the parser itself; `main` checks the flags
+and calls the chosen handler.  All inputs are exform/v1 JSON documents.
+
+Every subcommand takes --seed and --out; the other flags go only to the
+subcommands that read them, and any other flag is an argparse usage error:
+
+  --trials, --tol   form closure, form cr, form harmonic, form antiderivative,
+                    geom relation (and --tol alone: pde classify)
+  --quad-order      form stokes
+  --steps           pde charpit, pde hj, pde caustics
+  --format          pde charpit, pde hj
 
 This module is the only code in the package that writes files, and every
 file goes through `_write_text`, atomically (write, then rename).  JSON
@@ -43,39 +52,22 @@ EXIT_ASSERT = 1
 EXIT_SCHEMA = 2
 EXIT_MATH = 3
 
-DEFAULT_SEED = 42
-
-
 class AssertionFailure(ex.ExformError):
     """A requested --assert-closed check failed."""
 
 
 def _check_args(args) -> None:
-    """Check the common flags; a missing --seed is resolved in place."""
+    """Check the flags the subcommand has; a missing --seed is resolved in place."""
     if args.seed is None:
         env = os.environ.get("EXFORM_SEED")
         try:
-            args.seed = DEFAULT_SEED if env is None else int(env)
+            args.seed = ex.DEFAULT_SEED if env is None else int(env)
         except ValueError:
             raise SchemaError(f"EXFORM_SEED must be an integer, got {env!r}") from None
-    if args.trials < 1 or args.quad_order < 1 or args.steps < 1:
+    if any(getattr(args, name, 1) < 1 for name in ("trials", "quad_order", "steps")):
         raise SchemaError("trials, quad-order, and steps must be >= 1")
-    if not args.tol > 0:
+    if not getattr(args, "tol", 1.0) > 0:
         raise SchemaError("tolerance must be positive")
-
-
-def _doc_number(doc: dict, key: str, default, cmd: str):
-    """doc[key], or default when it is absent.  "steps" must be a JSON
-    integer >= 1; any other key must be a JSON number, returned as a float."""
-    value = doc.get(key, default)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if key == "steps":
-        if not (number and isinstance(value, int) and value >= 1):
-            raise SchemaError(f"{cmd}: \"steps\" must be an integer >= 1, got {value!r}")
-        return value
-    if not number:
-        raise SchemaError(f"{cmd}: \"{key}\" must be a number, got {value!r}")
-    return float(value)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -307,18 +299,14 @@ def geom_bistructure(args) -> None:
     psi = None
     if doc.get("psi") is not None:
         psi = schemas.form_from_json(doc["psi"], "bistructure.psi")
-    point = doc.get("point")
-    if (not isinstance(point, list)
-            or len(point) != omega.chart.dim
-            or not all(isinstance(v, (int, float)) for v in point)):
-        raise SchemaError("bistructure: \"point\" must list one number per coordinate")
+    point = schemas.doc_numbers(doc.get("point"), 'bistructure: "point"', omega.chart.dim)
     try:
         ps = evolution.Pseudostructure(doc.get("kind", "level-set"), dim=1)
     except ValueError as err:
         raise SchemaError(f"bistructure: {err}") from None
     comm = evolution.evolutionary_commutator(
         omega, conn if conn is not None else evolution.Connection(omega.chart))
-    event = evolution.commutator_event(comm, tuple(point))
+    event = evolution.commutator_event(comm, point)
     record = evolution.capture_bistructure(event, omega, conn, ps, psi=psi)
     _write_text(args.out / "events.jsonl", _json_text(record.to_json_obj()) + "\n")
     print(f"bistructure: discrete {record.discrete_change!r}, "
@@ -331,18 +319,16 @@ def geom_bistructure(args) -> None:
 
 def pde_charpit(args) -> None:
     doc = schemas.load_json_file(args.input)
-    pde = schemas.pde_from_json(doc)
+    pde = schemas.pde_from_json(doc, "charpit")
     initial = doc.get("initial")
     if not isinstance(initial, dict):
         raise SchemaError("charpit: \"initial\" object with x, u, p required")
-    try:
-        init = (tuple(float(v) for v in initial["x"]),
-                float(initial["u"]),
-                tuple(float(v) for v in initial["p"]))
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError("charpit: initial needs x (list), u, p (list)") from None
-    s_end = _doc_number(doc, "s_end", 1.0, "charpit")
-    steps = _doc_number(doc, "steps", args.steps, "charpit")
+    init = (schemas.doc_numbers(initial.get("x"), 'charpit: "initial.x"', pde.n),
+            schemas.doc_number(initial.get("u"), 'charpit: "initial.u"'),
+            schemas.doc_numbers(initial.get("p"), 'charpit: "initial.p"', pde.n))
+    s_end = schemas.doc_number(doc.get("s_end", 1.0), 'charpit: "s_end"')
+    steps = schemas.doc_number(doc.get("steps", args.steps), 'charpit: "steps"',
+                               count=True)
     try:
         strip = charpde.integrate_strip(pde, init, s_end, steps)
     except charpde.OffSurfaceError as err:
@@ -357,10 +343,11 @@ def _solve_fan(args, cmd: str):
     Returns the document, the solution, and the summary fields both commands
     report: steps, t_end and the caustic events."""
     doc = schemas.load_json_file(args.input)
-    hj, u0 = schemas.hj_from_json(doc)
+    hj, u0 = schemas.hj_from_json(doc, cmd)
     grid = schemas.grid_from_json(doc.get("grid"), f"{cmd}.grid")
-    t_end = _doc_number(doc, "t_end", 1.0, cmd)
-    steps = _doc_number(doc, "steps", args.steps, cmd)
+    t_end = schemas.doc_number(doc.get("t_end", 1.0), f'{cmd}: "t_end"')
+    steps = schemas.doc_number(doc.get("steps", args.steps), f'{cmd}: "steps"',
+                               count=True)
     solution = charpde.solve_hj(hj, u0, grid, t_end, steps)
     events = [{"t_star": e.t_star, "x0": e.x0, "x_star": e.x_star,
                "strip_index": e.strip_index} for e in solution.events]
@@ -406,13 +393,12 @@ def pde_classify(args) -> None:
     try:
         p1 = np.asarray(doc["p1"], dtype=float)
         p2 = np.asarray(doc["p2"], dtype=float)
-        spacing = tuple(float(v) for v in doc["spacing"])
     except (KeyError, TypeError, ValueError):
-        raise SchemaError("classify: need p1, p2 (2-D arrays) and spacing "
-                          "(two numbers)") from None
-    if p1.ndim != 2 or p1.shape != p2.shape or len(spacing) != 2:
+        raise SchemaError("classify: need p1 and p2 (2-D arrays)") from None
+    if p1.ndim != 2 or p1.shape != p2.shape:
         raise SchemaError("classify: p1 and p2 must be equal-shape 2-D arrays")
-    tol = _doc_number(doc, "tol", args.tol, "classify")
+    spacing = schemas.doc_numbers(doc.get("spacing"), 'classify: "spacing"', 2)
+    tol = schemas.doc_number(doc["tol"], 'classify: "tol"') if "tol" in doc else args.tol
     if not tol > 0:  # the rule --tol obeys
         raise SchemaError(f"classify: \"tol\" must be positive, got {tol!r}")
     try:
@@ -430,9 +416,7 @@ def pde_classify(args) -> None:
 def pde_bracket(args) -> None:
     doc = schemas.load_json_file(args.input)
     schemas.check_version(doc, "bracket")
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError("bracket: \"n\" must be a positive integer")
+    n = schemas.doc_number(doc.get("n"), 'bracket: "n"', count=True)
     chart = charpde.hj_chart(n)
     bracket = charpde.poisson_bracket(
         schemas.coeff_from_json(doc.get("E"), chart, "bracket.E"),
@@ -445,17 +429,28 @@ def pde_bracket(args) -> None:
 # parser: the table of subcommands
 
 
+# the flags a subcommand takes besides --seed, --out and its input files
+OPTIONS = {
+    "--trials": dict(type=int, default=ex.DEFAULT_TRIALS),
+    "--tol": dict(type=float, default=ex.DEFAULT_TOL),
+    "--quad-order": dict(type=int, default=forms.DEFAULT_QUAD_ORDER),
+    "--steps": dict(type=int, default=1000),
+    "--format": dict(choices=("json", "csv"), default="csv",
+                     help="strip artifact format"),
+    "--assert-closed": dict(action="store_true",
+                            help="exit 1 when the closure check reports UNCLOSED"),
+    "--base": dict(required=True, help="comma-separated base point"),
+    "--at": dict(action="append", help="evaluation point (repeatable)"),
+    "--gamma": dict(help="connection document"),
+}
+ZERO_TEST = ("--trials", "--tol")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: EXFORM_SEED or 42)")
-    common.add_argument("--tol", type=float, default=ex.DEFAULT_TOL)
-    common.add_argument("--trials", type=int, default=ex.DEFAULT_TRIALS)
-    common.add_argument("--quad-order", type=int, default=forms.DEFAULT_QUAD_ORDER)
-    common.add_argument("--steps", type=int, default=1000)
     common.add_argument("--out", type=Path, default="out", help="output directory")
-    common.add_argument("--format", choices=("json", "csv"), default="csv",
-                        help="strip artifact format")
 
     parser = argparse.ArgumentParser(prog="exform")
     groups = parser.add_subparsers(dest="group", required=True)
@@ -464,43 +459,43 @@ def build_parser() -> argparse.ArgumentParser:
         return groups.add_parser(name, help=help).add_subparsers(
             dest="subcommand", required=True)
 
-    def command(subcommands, name, handler, *inputs):
-        """Register one subcommand: its handler and its required input files."""
+    def command(subcommands, name, handler, *inputs, flags=()):
+        """Register one subcommand: its handler, its required input files and
+        the OPTIONS flags it reads."""
         p = subcommands.add_parser(name, parents=[common])
         for flag in inputs:
             p.add_argument(flag, dest="input" if flag == "--in" else None,
                            required=True)
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
         p.set_defaults(handler=handler)
-        return p
 
     form = group("form", "exterior algebra and duals")
     command(form, "d", form_d, "--in")
     command(form, "wedge", form_wedge, "--a", "--b")
     command(form, "commutator", form_commutator, "--in")
-    p = command(form, "closure", form_closure, "--in")
-    p.add_argument("--assert-closed", action="store_true",
-                   help="exit 1 when the closure check reports UNCLOSED")
+    command(form, "closure", form_closure, "--in",
+            flags=ZERO_TEST + ("--assert-closed",))
     command(form, "star", form_star, "--in")
-    command(form, "cr", form_cr, "--in")
-    command(form, "harmonic", form_harmonic, "--in")
-    command(form, "stokes", form_stokes, "--form", "--cell")
-    p = command(form, "antiderivative", form_antiderivative, "--in")
-    p.add_argument("--base", required=True, help="comma-separated base point")
-    p.add_argument("--at", action="append", help="evaluation point (repeatable)")
+    command(form, "cr", form_cr, "--in", flags=ZERO_TEST)
+    command(form, "harmonic", form_harmonic, "--in", flags=ZERO_TEST)
+    command(form, "stokes", form_stokes, "--form", "--cell", flags=("--quad-order",))
+    command(form, "antiderivative", form_antiderivative, "--in",
+            flags=ZERO_TEST + ("--base", "--at"))
 
     geom = group("geom", "connections and relations")
     command(geom, "torsion", geom_torsion, "--in")
     command(geom, "curvature", geom_curvature, "--in")
     command(geom, "evcommutator", geom_evcommutator, "--omega", "--gamma")
-    p = command(geom, "relation", geom_relation, "--psi", "--omega")
-    p.add_argument("--gamma")
+    command(geom, "relation", geom_relation, "--psi", "--omega",
+            flags=ZERO_TEST + ("--gamma",))
     command(geom, "bistructure", geom_bistructure, "--in")
 
     pde = group("pde", "first-order PDE analysis")
-    command(pde, "charpit", pde_charpit, "--in")
-    command(pde, "hj", pde_hj, "--in")
-    command(pde, "caustics", pde_caustics, "--in")
-    command(pde, "classify", pde_classify, "--in")
+    command(pde, "charpit", pde_charpit, "--in", flags=("--steps", "--format"))
+    command(pde, "hj", pde_hj, "--in", flags=("--steps", "--format"))
+    command(pde, "caustics", pde_caustics, "--in", flags=("--steps",))
+    command(pde, "classify", pde_classify, "--in", flags=("--tol",))
     command(pde, "bracket", pde_bracket, "--in")
     return parser
 

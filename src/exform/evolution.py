@@ -48,14 +48,6 @@ class Connection:
     def coeff(self, rho: int, mu: int, nu: int) -> ScalarExpr:
         return self.gamma.get((rho, mu, nu), Const(self.chart, 0.0))
 
-    def is_symmetric(self, trials: int = ex.DEFAULT_TRIALS,
-                     tol: float = ex.DEFAULT_TOL,
-                     seed: int = ex.DEFAULT_SEED) -> bool:
-        t = torsion(self)
-        n = self.chart.dim
-        return all(ex.probably_zero(t[r][m][nu], trials, tol, seed)
-                   for r in range(n) for m in range(n) for nu in range(n))
-
 
 def torsion(conn: Connection):
     """T[rho][mu][nu] = Gamma[rho,mu,nu] - Gamma[rho,nu,mu], simplified;

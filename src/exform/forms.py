@@ -22,6 +22,8 @@ from .expr import (ChartMismatchError, Const, CoordinateChart, DomainError,
 Index = tuple[int, ...]
 
 DEFAULT_QUAD_ORDER = 16
+# Gauss-Legendre order of a homotopy coefficient, checked against twice it
+HOMOTOPY_ORDER = 48
 
 
 class DegreeError(ExformError):
@@ -332,7 +334,6 @@ class HomotopyField:
 
     source: DifferentialForm
     base: tuple[float, ...]
-    quad_order: int = 48
 
     @property
     def degree(self) -> int:
@@ -346,16 +347,15 @@ class HomotopyField:
         n = self.chart.dim
         return [tuple(c) for c in itertools.combinations(range(n), self.degree)]
 
-    def coefficient(self, index: Index, point: Sequence[float],
-                    order: int | None = None) -> float:
+    def coefficient(self, index: Index, point: Sequence[float]) -> float:
         index = tuple(index)
         _check_index(index, self.degree, self.chart.dim)
-        value = self._coefficient(index, point, order or self.quad_order)
-        check = self._coefficient(index, point, 2 * (order or self.quad_order))
+        value = self._coefficient(index, point, HOMOTOPY_ORDER)
+        check = self._coefficient(index, point, 2 * HOMOTOPY_ORDER)
         if abs(value - check) > 1e-9 * max(1.0, abs(check)):
             raise QuadratureError(
                 f"quadrature for coefficient {index} did not converge "
-                f"(order {order or self.quad_order}: {value}, doubled: {check})")
+                f"(order {HOMOTOPY_ORDER}: {value}, doubled: {check})")
         return check
 
     def _coefficient(self, index: Index, point, order: int) -> float:
@@ -388,8 +388,7 @@ class HomotopyField:
 
 def antiderivative(theta: DifferentialForm, base: Sequence[float],
                    trials: int = ex.DEFAULT_TRIALS, tol: float = ex.DEFAULT_TOL,
-                   seed: int = ex.DEFAULT_SEED,
-                   quad_order: int = 48) -> HomotopyField:
+                   seed: int = ex.DEFAULT_SEED) -> HomotopyField:
     """Invert d on a closed form via the cone construction about `base`."""
     if theta.degree < 1:
         raise DegreeError("antiderivative needs degree >= 1")
@@ -397,7 +396,7 @@ def antiderivative(theta: DifferentialForm, base: Sequence[float],
         raise ValueError("base point has wrong dimension")
     if not is_closed(theta, trials, tol, seed):
         raise NotClosedError("input form fails the closure test")
-    return HomotopyField(theta, tuple(float(b) for b in base), quad_order)
+    return HomotopyField(theta, tuple(float(b) for b in base))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ re-evaluate identically.
 from __future__ import annotations
 
 import json
-from typing import Any
+import math
 
 from . import charpde, evolution, expr as ex, forms
 from .expr import CoordinateChart, ExformError, ScalarExpr
@@ -39,6 +39,27 @@ def check_version(obj: dict, what: str) -> None:
     if version != SCHEMA_VERSION:
         raise SchemaError(
             f"{what}: expected \"schema\": \"{SCHEMA_VERSION}\", got {version!r}")
+
+
+def doc_number(value, what: str, count: bool = False):
+    """A number read from a document: a finite JSON number, returned as a
+    float, or with `count` a JSON integer >= 1.  A boolean is not a number.
+    `what` names the value in the error, e.g. 'hj: "t_end"'."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if count:
+        if not (number and isinstance(value, int) and value >= 1):
+            raise SchemaError(f"{what} must be an integer >= 1, got {value!r}")
+        return value
+    if not (number and math.isfinite(value)):
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def doc_numbers(values, what: str, dim: int | None = None) -> list[float]:
+    """A non-empty JSON list of finite numbers, `dim` of them when given."""
+    if not isinstance(values, list) or not values or dim not in (None, len(values)):
+        raise SchemaError(f"{what} must be a list of {dim or 'one or more'} numbers")
+    return [doc_number(v, f"{what}[{k}]") for k, v in enumerate(values)]
 
 
 def _require(obj: dict, key: str, what: str):
@@ -126,15 +147,6 @@ def cell_from_json(obj: dict, chart: CoordinateChart,
         raise SchemaError(f"{what}: {err}") from None
 
 
-def cell_to_json(cell: forms.Cell) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "k": cell.k,
-        "maps": [str(m) for m in cell.maps],
-        "orientation": cell.orientation,
-    }
-
-
 def connection_from_json(obj: dict, what: str = "connection") -> evolution.Connection:
     check_version(obj, what)
     chart = chart_from_json(_require(obj, "chart", what), what)
@@ -161,15 +173,6 @@ def connection_from_json(obj: dict, what: str = "connection") -> evolution.Conne
         raise SchemaError(f"{what}: {err}") from None
 
 
-def connection_to_json(conn: evolution.Connection) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "chart": list(conn.chart.names),
-        "gamma": [{"rho": r, "mu": m, "nu": n, "coeff": str(c)}
-                  for (r, m, n), c in conn.gamma.items()],
-    }
-
-
 def scalar_from_json(obj: dict, what: str = "scalar") -> ScalarExpr:
     check_version(obj, what)
     chart = chart_from_json(_require(obj, "chart", what), what)
@@ -187,9 +190,7 @@ def commutator_to_json(comm: forms.Commutator1) -> dict:
 
 def pde_from_json(obj: dict, what: str = "pde") -> charpde.FirstOrderPDE:
     check_version(obj, what)
-    n = _require(obj, "n", what)
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError(f"{what}: \"n\" must be a positive integer")
+    n = doc_number(_require(obj, "n", what), f'{what}: "n"', count=True)
     text = _require(obj, "F", what)
     if not isinstance(text, str):
         raise SchemaError(f"{what}: \"F\" must be an expression string")
@@ -201,9 +202,7 @@ def pde_from_json(obj: dict, what: str = "pde") -> charpde.FirstOrderPDE:
 
 def hj_from_json(obj: dict, what: str = "hj") -> tuple[charpde.HJEquation, ScalarExpr]:
     check_version(obj, what)
-    n = _require(obj, "n", what)
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError(f"{what}: \"n\" must be a positive integer")
+    n = doc_number(_require(obj, "n", what), f'{what}: "n"', count=True)
     e_text = _require(obj, "E", what)
     u0_text = _require(obj, "u0", what)
     if not isinstance(e_text, str) or not isinstance(u0_text, str):
@@ -219,18 +218,10 @@ def hj_from_json(obj: dict, what: str = "hj") -> tuple[charpde.HJEquation, Scala
 def grid_from_json(obj, what: str = "grid"):
     import numpy as np
     if isinstance(obj, list):
-        if not obj or not all(isinstance(v, (int, float)) for v in obj):
-            raise SchemaError(f"{what}: grid list must hold numbers")
-        return np.asarray(obj, dtype=float)
+        return np.array(doc_numbers(obj, what))
     if isinstance(obj, dict):
-        try:
-            start = float(obj["start"])
-            stop = float(obj["stop"])
-            count = int(obj["count"])
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(
-                f"{what}: grid object needs start, stop, count") from None
-        if count < 1:
-            raise SchemaError(f"{what}: count must be >= 1")
+        start = doc_number(obj.get("start"), f'{what}: "start"')
+        stop = doc_number(obj.get("stop"), f'{what}: "stop"')
+        count = doc_number(obj.get("count"), f'{what}: "count"', count=True)
         return np.linspace(start, stop, count)
     raise SchemaError(f"{what}: grid must be a list or a start/stop/count object")

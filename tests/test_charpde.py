@@ -549,8 +549,7 @@ class TestCaustics:
         u0 = ex.parse_expr("0 - 0.8*x1^2/2 + 0.3*x1", cp.base_chart(1))
         fans = []
         for m in (8, 64, 512):
-            sol = cp.solve_hj(hj, u0, np.linspace(-1, 1, m), 1.5, 200,
-                              detect_crossings=False)
+            sol = cp.solve_hj(hj, u0, np.linspace(-1, 1, m), 1.5, 200)
             fans.append((sol.x0grid, sol.t, sol.x))
             # a random-walk fan: many sign changes at scattered times
             x0 = np.sort(rng.uniform(-1, 1, m))

@@ -123,8 +123,15 @@ class TestSeedPrecedence:
     (("--tol", "nan"), "tolerance must be positive"),
 ])
 def test_common_flags_checked(flags, message, tmp_path, capsys):
-    code, out = run(["form", "d", "--in", str(FIXTURES / "form_curl_input.json")],
-                    tmp_path, extra=flags)
+    # each flag on a subcommand that reads it
+    argv = {
+        "--trials": ["form", "closure", "--in", str(FIXTURES / "form_exact_pair.json")],
+        "--tol": ["form", "closure", "--in", str(FIXTURES / "form_exact_pair.json")],
+        "--quad-order": ["form", "stokes", "--form", str(FIXTURES / "form_unclosed.json"),
+                         "--cell", str(FIXTURES / "cell_unit_square.json")],
+        "--steps": ["pde", "hj", "--in", str(FIXTURES / "hj_free_particle.json")],
+    }[flags[0]]
+    code, out = run(argv, tmp_path, extra=flags)
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -381,11 +388,17 @@ class TestDocumentNumbers:
         ("hj", "hj_free_particle.json", "steps", True),
         ("caustics", "hj_focusing.json", "steps", "10"),
         ("caustics", "hj_focusing.json", "t_end", None),
+        ("caustics", "hj_free_particle.json", "t_end", float("nan")),
+        ("hj", "hj_free_particle.json", "t_end", float("inf")),
         ("charpit", "pde_eikonal.json", "steps", 0),
         ("charpit", "pde_eikonal.json", "s_end", "x"),
         ("classify", "classify_field.json", "tol", "x"),
         ("classify", "classify_field.json", "tol", -1),
         ("classify", "classify_field.json", "tol", 0),
+        ("classify", "classify_field.json", "tol", float("nan")),
+        ("caustics", "hj_focusing.json", "n", True),
+        ("charpit", "pde_eikonal.json", "n", 0),
+        ("bracket", "bracket_self.json", "n", True),
     ])
     def test_bad_number_is_schema_error(self, cmd, fixture, field, value,
                                         tmp_path, capsys):
@@ -408,3 +421,62 @@ class TestDocumentNumbers:
         assert code == 0
         last = (out / "charpit_strip.csv").read_text().splitlines()[-1]
         assert last.startswith("1.0,1.0,")
+
+    @pytest.mark.parametrize("cmd, fixture, edit, message", [
+        ("hj", "hj_free_particle.json", {"grid": [True, 0.5, 0.0]}, "hj.grid[0]"),
+        ("caustics", "hj_focusing.json", {"grid": [0.0, "0.5", 1.0]},
+         "caustics.grid[1]"),
+        ("hj", "hj_free_particle.json",
+         {"grid": {"start": -1, "stop": 1, "count": 2.7}}, 'hj.grid: "count"'),
+        ("hj", "hj_free_particle.json",
+         {"grid": {"start": -1, "stop": float("nan"), "count": 3}}, 'hj.grid: "stop"'),
+        ("hj", "hj_free_particle.json",
+         {"grid": {"start": "-1", "stop": 1, "count": 3}}, 'hj.grid: "start"'),
+        ("charpit", "pde_eikonal.json", {"initial": {"x": [True, 0.0], "u": 0.0,
+                                                     "p": [1.0, 0.0]}},
+         'charpit: "initial.x"[0]'),
+        ("charpit", "pde_eikonal.json", {"initial": {"x": [0.0], "u": 0.0,
+                                                     "p": [1.0, 0.0]}},
+         'charpit: "initial.x" must be a list of 2 numbers'),
+        ("charpit", "pde_eikonal.json", {"initial": {"x": [0.0, 0.0], "u": float("nan"),
+                                                     "p": [1.0, 0.0]}},
+         'charpit: "initial.u"'),
+        ("classify", "classify_field.json", {"spacing": [True, 0.125]},
+         'classify: "spacing"[0]'),
+    ])
+    def test_bad_number_in_a_list_or_object(self, cmd, fixture, edit, message,
+                                            tmp_path, capsys):
+        doc = json.loads((FIXTURES / fixture).read_text())
+        doc.update(edit)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["pde", cmd, "--in", str(path)], tmp_path)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("point", [[float("nan"), float("nan")], [True, 0.5],
+                                       [0.5], "0.5,0.5"])
+    def test_bistructure_point(self, point, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "bistructure_event.json").read_text())
+        doc["point"] = point
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["geom", "bistructure", "--in", str(path)], tmp_path)
+        assert code == 2
+        assert 'bistructure: "point"' in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_grid_and_point_accepted(self, tmp_path):
+        doc = json.loads((FIXTURES / "hj_free_particle.json").read_text())
+        doc["grid"] = [-1, 0, 1]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["pde", "hj", "--in", str(path)], tmp_path)
+        assert code == 0 and read(out, "hj_summary.json")["strips"] == 3
+        doc = json.loads((FIXTURES / "bistructure_event.json").read_text())
+        doc["point"] = [1, 0]
+        path.write_text(json.dumps(doc))
+        code, out = run(["geom", "bistructure", "--in", str(path)], tmp_path / "b")
+        assert code == 0
+        assert json.loads((out / "events.jsonl").read_text())["point"] == [1.0, 0.0]
