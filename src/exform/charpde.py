@@ -287,12 +287,13 @@ def _audit(audit_tape: tape.Tape, states: np.ndarray, what: str) -> np.ndarray:
 def _fan_strips(s: np.ndarray, states: np.ndarray, drift: np.ndarray,
                 h: float) -> list[CharacteristicStrip]:
     """The strips of one fan as read-only views s, x[:, k], u[:, k], p[:, k]
-    and drift[:, k] of its (samples, m, 2n+1) states and (samples, m) drift."""
+    and drift[:, k] of its (samples, m, 2n+1) states and (samples, m) drift,
+    taken by iterating strip-major transposed views."""
     s.flags.writeable = drift.flags.writeable = False
     n = states.shape[2] // 2
     x, u, p = states[:, :, :n], states[:, :, n], states[:, :, n + 1:]
-    return [CharacteristicStrip(s, x[:, k], u[:, k], p[:, k], drift[:, k], h)
-            for k in range(states.shape[1])]
+    return [CharacteristicStrip(s, xk, uk, pk, dk, h) for xk, uk, pk, dk in
+            zip(x.transpose(1, 0, 2), u.T, p.transpose(1, 0, 2), drift.T)]
 
 
 def integrate_strip(pde: FirstOrderPDE, initial, s_end: float,

@@ -124,6 +124,8 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise SchemaError(f"bad point {text!r}: need comma-separated numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise SchemaError(f"bad point {text!r}: need finite numbers")
     if len(values) != dim:
         raise SchemaError(f"point {text!r} has {len(values)} components, need {dim}")
     return values
@@ -327,8 +329,7 @@ def pde_charpit(args) -> None:
             schemas.doc_number(initial.get("u"), 'charpit: "initial.u"'),
             schemas.doc_numbers(initial.get("p"), 'charpit: "initial.p"', pde.n))
     s_end = schemas.doc_number(doc.get("s_end", 1.0), 'charpit: "s_end"')
-    steps = schemas.doc_number(doc.get("steps", args.steps), 'charpit: "steps"',
-                               count=True)
+    steps = schemas.doc_integer(doc.get("steps", args.steps), 'charpit: "steps"', 1)
     try:
         strip = charpde.integrate_strip(pde, init, s_end, steps)
     except charpde.OffSurfaceError as err:
@@ -346,8 +347,7 @@ def _solve_fan(args, cmd: str):
     hj, u0 = schemas.hj_from_json(doc, cmd)
     grid = schemas.grid_from_json(doc.get("grid"), f"{cmd}.grid")
     t_end = schemas.doc_number(doc.get("t_end", 1.0), f'{cmd}: "t_end"')
-    steps = schemas.doc_number(doc.get("steps", args.steps), f'{cmd}: "steps"',
-                               count=True)
+    steps = schemas.doc_integer(doc.get("steps", args.steps), f'{cmd}: "steps"', 1)
     solution = charpde.solve_hj(hj, u0, grid, t_end, steps)
     events = [{"t_star": e.t_star, "x0": e.x0, "x_star": e.x_star,
                "strip_index": e.strip_index} for e in solution.events]
@@ -387,15 +387,20 @@ def pde_caustics(args) -> None:
         print("caustics: no events")
 
 
+def _doc_grid(rows, what: str) -> np.ndarray:
+    """A 2-D array of finite numbers: a non-empty JSON list of equal rows."""
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError(f"{what} must be a 2-D array: a list of rows of numbers")
+    width = len(rows[0]) if isinstance(rows[0], list) else None
+    return np.array([schemas.doc_numbers(row, f"{what}[{i}]", width)
+                     for i, row in enumerate(rows)])
+
+
 def pde_classify(args) -> None:
     doc = schemas.load_json_file(args.input)
     schemas.check_version(doc, "classify")
-    try:
-        p1 = np.asarray(doc["p1"], dtype=float)
-        p2 = np.asarray(doc["p2"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError("classify: need p1 and p2 (2-D arrays)") from None
-    if p1.ndim != 2 or p1.shape != p2.shape:
+    p1, p2 = (_doc_grid(doc.get(key), f'classify: "{key}"') for key in ("p1", "p2"))
+    if p1.shape != p2.shape:
         raise SchemaError("classify: p1 and p2 must be equal-shape 2-D arrays")
     spacing = schemas.doc_numbers(doc.get("spacing"), 'classify: "spacing"', 2)
     tol = schemas.doc_number(doc["tol"], 'classify: "tol"') if "tol" in doc else args.tol
@@ -416,7 +421,7 @@ def pde_classify(args) -> None:
 def pde_bracket(args) -> None:
     doc = schemas.load_json_file(args.input)
     schemas.check_version(doc, "bracket")
-    n = schemas.doc_number(doc.get("n"), 'bracket: "n"', count=True)
+    n = schemas.doc_integer(doc.get("n"), 'bracket: "n"', 1)
     chart = charpde.hj_chart(n)
     bracket = charpde.poisson_bracket(
         schemas.coeff_from_json(doc.get("E"), chart, "bracket.E"),

@@ -41,18 +41,22 @@ def check_version(obj: dict, what: str) -> None:
             f"{what}: expected \"schema\": \"{SCHEMA_VERSION}\", got {version!r}")
 
 
-def doc_number(value, what: str, count: bool = False):
+def doc_number(value, what: str) -> float:
     """A number read from a document: a finite JSON number, returned as a
-    float, or with `count` a JSON integer >= 1.  A boolean is not a number.
-    `what` names the value in the error, e.g. 'hj: "t_end"'."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if count:
-        if not (number and isinstance(value, int) and value >= 1):
-            raise SchemaError(f"{what} must be an integer >= 1, got {value!r}")
-        return value
-    if not (number and math.isfinite(value)):
+    float.  A boolean is not a number.  `what` names the value in the error,
+    e.g. 'hj: "t_end"'."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)):
         raise SchemaError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def doc_integer(value, what: str, low: int = 0) -> int:
+    """An integer read from a document: a JSON integer >= `low`.  A boolean,
+    a float (2.0 included) and a string are not integers."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+        raise SchemaError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def doc_numbers(values, what: str, dim: int | None = None) -> list[float]:
@@ -91,10 +95,8 @@ def coeff_from_json(text, chart: CoordinateChart, what: str) -> ScalarExpr:
 def form_from_json(obj: dict, what: str = "form") -> forms.DifferentialForm:
     check_version(obj, what)
     chart = chart_from_json(_require(obj, "chart", what), what)
-    degree = _require(obj, "degree", what)
+    degree = doc_integer(_require(obj, "degree", what), f'{what}: "degree"')
     terms = _require(obj, "terms", what)
-    if not isinstance(degree, int) or degree < 0:
-        raise SchemaError(f"{what}: \"degree\" must be a non-negative integer")
     if not isinstance(terms, list):
         raise SchemaError(f"{what}: \"terms\" must be a list")
     coeffs: dict[tuple[int, ...], ScalarExpr] = {}
@@ -103,10 +105,10 @@ def form_from_json(obj: dict, what: str = "form") -> forms.DifferentialForm:
         if not isinstance(term, dict):
             raise SchemaError(f"{where}: must be an object")
         index = _require(term, "index", where)
-        if not isinstance(index, list) or not all(isinstance(i, int) for i in index):
+        if not isinstance(index, list):
             raise SchemaError(f"{where}: \"index\" must be a list of integers")
+        key = tuple(doc_integer(i, f'{where}: "index"[{j}]') for j, i in enumerate(index))
         coeff = coeff_from_json(_require(term, "coeff", where), chart, where)
-        key = tuple(index)
         if key in coeffs:
             raise SchemaError(f"{where}: duplicate index {index}")
         coeffs[key] = coeff
@@ -129,11 +131,9 @@ def form_to_json(form: forms.DifferentialForm) -> dict:
 def cell_from_json(obj: dict, chart: CoordinateChart,
                    what: str = "cell") -> forms.Cell:
     check_version(obj, what)
-    k = _require(obj, "k", what)
+    k = doc_integer(_require(obj, "k", what), f'{what}: "k"')
     maps = _require(obj, "maps", what)
     orientation = obj.get("orientation", 1)
-    if not isinstance(k, int) or k < 0:
-        raise SchemaError(f"{what}: \"k\" must be a non-negative integer")
     if not isinstance(maps, list) or not all(isinstance(m, str) for m in maps):
         raise SchemaError(f"{what}: \"maps\" must be a list of expression strings")
     if orientation not in (1, -1):
@@ -158,12 +158,8 @@ def connection_from_json(obj: dict, what: str = "connection") -> evolution.Conne
         where = f"{what}.gamma[{k}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: must be an object")
-        try:
-            key = (int(_require(entry, "rho", where)),
-                   int(_require(entry, "mu", where)),
-                   int(_require(entry, "nu", where)))
-        except (TypeError, ValueError):
-            raise SchemaError(f"{where}: rho/mu/nu must be integers") from None
+        key = tuple(doc_integer(_require(entry, name, where), f'{where}: "{name}"')
+                    for name in ("rho", "mu", "nu"))
         if key in gamma:
             raise SchemaError(f"{where}: duplicate entry {key}")
         gamma[key] = coeff_from_json(_require(entry, "coeff", where), chart, where)
@@ -190,7 +186,7 @@ def commutator_to_json(comm: forms.Commutator1) -> dict:
 
 def pde_from_json(obj: dict, what: str = "pde") -> charpde.FirstOrderPDE:
     check_version(obj, what)
-    n = doc_number(_require(obj, "n", what), f'{what}: "n"', count=True)
+    n = doc_integer(_require(obj, "n", what), f'{what}: "n"', 1)
     text = _require(obj, "F", what)
     if not isinstance(text, str):
         raise SchemaError(f"{what}: \"F\" must be an expression string")
@@ -202,7 +198,7 @@ def pde_from_json(obj: dict, what: str = "pde") -> charpde.FirstOrderPDE:
 
 def hj_from_json(obj: dict, what: str = "hj") -> tuple[charpde.HJEquation, ScalarExpr]:
     check_version(obj, what)
-    n = doc_number(_require(obj, "n", what), f'{what}: "n"', count=True)
+    n = doc_integer(_require(obj, "n", what), f'{what}: "n"', 1)
     e_text = _require(obj, "E", what)
     u0_text = _require(obj, "u0", what)
     if not isinstance(e_text, str) or not isinstance(u0_text, str):
@@ -222,6 +218,6 @@ def grid_from_json(obj, what: str = "grid"):
     if isinstance(obj, dict):
         start = doc_number(obj.get("start"), f'{what}: "start"')
         stop = doc_number(obj.get("stop"), f'{what}: "stop"')
-        count = doc_number(obj.get("count"), f'{what}: "count"', count=True)
+        count = doc_integer(obj.get("count"), f'{what}: "count"', 1)
         return np.linspace(start, stop, count)
     raise SchemaError(f"{what}: grid must be a list or a start/stop/count object")

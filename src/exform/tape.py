@@ -19,6 +19,35 @@ keyed on each constant's value and sign, so ``-0.0`` keeps its own slot.  A
 register is reused after the last read of its value; component outputs stay
 live to the end of the program.
 
+Constants are folded at compile time, by four rules that give the IEEE
+result of the tree itself except at the edge below:
+
+* R1: ``x / c`` with ``c = ±2^k`` and ``1/c`` normal is ``x * (1/c)``, which
+  is exact everywhere.
+* R2: a constant times a non-constant ``w`` keeps its scale ``c``; a constant
+  ``k`` times that is ``(k·c) * w``, one operation, when ``k`` or ``c`` is a
+  power of two and ``k·c`` is normal.  ``k * round(c·w)`` then equals
+  ``round(k·c·w)`` unless ``c·w`` overflows or leaves the normal range.
+* R3: ``neg`` flips a scale, ``-w`` being ``-1 * w``: ``-(c * w)`` is
+  ``(-c) * w`` and ``neg(neg(w))`` is ``w``.  A scale of -1 is ``OP_NEG``
+  and a scale of 1 is ``w`` itself, so ``-(p1 * -1)`` and ``1 * p1`` cost
+  nothing.
+* R4: an operation on constants that is correctly rounded (``+ - *``,
+  division by a nonzero constant, ``sqrt`` of a constant >= 0, ``neg``) is
+  done in Python float arithmetic, when its result is finite.  ``sin``,
+  ``cos``, ``exp``, ``ln`` and ``^`` are never folded, nor is ``x / 0``.
+
+The edge is R2's: where the tree's intermediate ``c·w`` overflows, the folded
+tape can stay finite (``(2 * x) * 0.75`` at ``x = 1e308`` is inf in the tree
+and 1.5e308 folded), and where ``c·w`` falls below the normal range, the tree
+rounds it and the folded tape does not.  Nowhere else do the two differ,
+but in the sign of a NaN.
+
+A fold that reads through an operation nothing else has yet takes it back,
+so the quad system's dx/dt ``1.1 * (2 * p1) * 2 / 4 + 0.2`` compiles to the
+two operations of ``1.1 * p1 + 0.2``.  Checks are unchanged: a fold removes
+only operations that cannot fail.
+
 Error rule: component c owns the may-fail operations (division, negative
 power, ln, sqrt) of its expression, listed in ``checks[check_offsets[c]:
 check_offsets[c + 1]]`` in first-occurrence postfix order.  At each point the
@@ -45,6 +74,12 @@ _UNOP = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "ln": OP_LN,
          "sqrt": OP_SQRT, "neg": OP_NEG}
 _MAY_FAIL = {OP_DIV, OP_POW, OP_LN, OP_SQRT}  # OP_POW only with a negative exponent
 _LOW = (1 << 32) - 1  # value numbers are packed into int keys 32 bits apart
+_MIN_NORMAL = 2.0 ** -1022  # the smallest normal float64
+
+
+def _pow2(x: float) -> bool:
+    """Whether x is ±2^k (a subnormal power of two included)."""
+    return math.frexp(x)[0] in (0.5, -0.5)
 
 
 @dataclass(frozen=True)
@@ -76,20 +111,96 @@ def pack_exprs(exprs) -> Tape:
     Const, Coord = expr.Const, expr.Coord
 
     # Value numbers: operation i is i; coordinate a is ~a and constant-pool
-    # entry c is ~(dim + c), so a leaf's slot is nreg + ~v.
+    # entry c is ~(dim + c), so a leaf's slot is nreg + ~v, and v < -dim is a
+    # constant.
     codes, lhs, rhs = [], [], []
     consts: list[float] = []
     pool: dict[float, int] = {}                # value, or ±inf for ±0.0 -> value number
     numbered: dict[int, int] = {}              # int key of an operation -> value number
     seen: dict[int, int] = {}                  # id(operation node) -> value number
+    lo = -dim
+    fresh = -1          # the last operation made, until a memo hit returns it again
 
+    def const(x: float) -> int:
+        k = x or math.copysign(math.inf, x)    # finite constants: ±inf keys ±0.0
+        v = pool.get(k)
+        if v is None:
+            v = pool[k] = ~(dim + len(consts))
+            consts.append(x)
+        return v
+
+    def op(code: int, a: int, b: int) -> int:
+        nonlocal fresh
+        key = (((a << 32) | (b & _LOW)) << 4 | code) if code == OP_MUL else a << 4 | code
+        v = numbered.get(key)
+        if v is None:
+            v = fresh = numbered[key] = len(codes)
+            codes.append(code)
+            lhs.append(a)
+            rhs.append(b)
+        elif v == fresh:
+            fresh = -1
+        return v
+
+    def scale(k: float, v: int, node) -> int:
+        """k * v for a constant k and a non-constant v, an operand of `node`.
+        If v is c * w (a constant times a non-constant, or -w), this is
+        (k·c) * w when that is exact (R2, R3); a scale of -1 is -w, and of 1
+        is w.  If v is fresh, this fold is all that has it, so v is taken
+        back with its memo entries."""
+        nonlocal fresh
+        c, w = 1.0, v
+        if v >= 0:
+            if codes[v] == OP_NEG:
+                c, w = -1.0, lhs[v]
+            elif codes[v] == OP_MUL and lhs[v] < lo <= rhs[v]:
+                c, w = consts[~lhs[v] - dim], rhs[v]
+        if w != v:
+            kc = k * c
+            if (k == -1.0 or c == -1.0
+                    or (_pow2(k) or _pow2(c)) and _MIN_NORMAL <= abs(kc) < math.inf):
+                k = kc
+                if v == fresh:
+                    del numbered[w << 4 | OP_NEG if codes[v] == OP_NEG
+                                 else ((lhs[v] << 32) | (w & _LOW)) << 4 | OP_MUL]
+                    child = (node.arg if type(node) is Unary else node.left
+                             if seen.get(id(node.left)) == v else node.right)
+                    del seen[id(child)]
+                    codes.pop()
+                    lhs.pop()
+                    rhs.pop()
+                    fresh = -1
+            else:
+                w = v
+        if k == 1.0:
+            fresh = -1      # w is returned again, so no longer fresh
+            return w
+        return op(OP_NEG, w, 0) if k == -1.0 else op(OP_MUL, const(k), w)
+
+    def fold(code: int, a: int, b: int, node):
+        """An operation on two constants (R4), or a division by a constant
+        (R1), folded; None where `node` stays an operation."""
+        y = consts[~b - dim]
+        if a < lo:
+            if code == OP_DIV and not y:
+                return None
+            x = consts[~a - dim]
+            r = (x + y if code == OP_ADD else x - y if code == OP_SUB
+                 else x * y if code == OP_MUL else x / y)
+            return const(r) if math.isfinite(r) else None
+        if _pow2(y) and _MIN_NORMAL <= abs(1.0 / y) < math.inf:
+            return scale(1.0 / y, a, node)
+        return None
+
+    # emit() inlines const() and op(): it runs once per node on every compile
     def emit(node) -> int:
+        nonlocal fresh
         kind = type(node)
         if kind is Coord:
             return ~node.axis
         if kind is Const:
             x = node.value
-            k = x or math.copysign(math.inf, x)  # finite constants: ±inf keys ±0.0
+            k = x or math.copysign(math.inf, x)
             v = pool.get(k)
             if v is None:
                 v = pool[k] = ~(dim + len(consts))
@@ -97,14 +208,33 @@ def pack_exprs(exprs) -> Tape:
             return v
         v = seen.get(id(node))
         if v is not None:
+            if v == fresh:
+                fresh = -1
             return v
         if kind is Binary:
             a, b = emit(node.left), emit(node.right)
             code = _BINOP[node.op]
+            if a < lo or b < lo:
+                if code == OP_MUL and b < lo <= a:
+                    a, b = b, a                # the constant factor first
+                if code == OP_MUL and b >= lo:
+                    v = scale(consts[~a - dim], b, node)
+                elif b < lo and (a < lo or code == OP_DIV):
+                    v = fold(code, a, b, node)
+                if v is not None:
+                    seen[id(node)] = v
+                    return v
             key = ((a << 32) | (b & _LOW)) << 4 | code
         elif kind is Unary:
             a, b = emit(node.arg), 0
             code = _UNOP[node.fn]
+            if a < lo and (code == OP_NEG or code == OP_SQRT and consts[~a - dim] >= 0.0):
+                x = consts[~a - dim]
+                v = seen[id(node)] = const(-x if code == OP_NEG else math.sqrt(x))
+                return v
+            if code == OP_NEG:
+                v = seen[id(node)] = scale(-1.0, a, node)
+                return v
             key = a << 4 | code
         elif kind is Power:
             a, b, code = emit(node.base), node.exponent, OP_POW
@@ -113,10 +243,12 @@ def pack_exprs(exprs) -> Tape:
             raise TypeError(f"not a ScalarExpr node: {node!r}")
         v = numbered.get(key)
         if v is None:
-            v = numbered[key] = len(codes)
+            v = fresh = numbered[key] = len(codes)
             codes.append(code)
             lhs.append(a)
             rhs.append(b)
+        elif v == fresh:
+            fresh = -1
         seen[id(node)] = v
         return v
 

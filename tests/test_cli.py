@@ -467,6 +467,77 @@ class TestDocumentNumbers:
         assert 'bistructure: "point"' in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, col, value, message", [
+        (0, 0, True, 'classify: "p1"[0][0]'),
+        (0, 1, "0.5", 'classify: "p1"[0][1]'),
+        (3, 3, float("nan"), 'classify: "p1"[3][3]'),
+        (2, None, [0.0, 1.0], 'classify: "p1"[2] must be a list of 9 numbers'),
+        (None, None, [[0.5] * 9] * 9 + [True], 'classify: "p1"[9]'),
+        (None, None, 2.5, 'classify: "p1" must be a 2-D array'),
+        (None, None, None, 'classify: "p1" must be a 2-D array'),
+    ])
+    def test_classify_field_entries(self, row, col, value, message, tmp_path, capsys):
+        """p1 is read row by row as document numbers: no boolean, numeric
+        string or NaN is coerced, and rows must be equal."""
+        doc = json.loads((FIXTURES / "classify_field.json").read_text())
+        if row is None:
+            doc["p1"] = value
+        elif col is None:
+            doc["p1"][row] = value
+        else:
+            doc["p1"][row][col] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["pde", "classify", "--in", str(path)], tmp_path)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, fixture, edit, message", [
+        (["form", "d", "--in"], "form_exact_pair.json", ("degree", True), 'form: "degree"'),
+        (["form", "d", "--in"], "form_exact_pair.json", ("degree", 1.0), 'form: "degree"'),
+        (["form", "d", "--in"], "form_exact_pair.json", ("degree", "1"), 'form: "degree"'),
+        (["form", "d", "--in"], "form_exact_pair.json", ("terms", 0, "index", 0, True),
+         'form.terms[0]: "index"[0]'),
+        (["form", "d", "--in"], "form_exact_pair.json", ("terms", 1, "index", 0, 1.0),
+         'form.terms[1]: "index"[0]'),
+        (["geom", "torsion", "--in"], "conn_torsion.json", ("gamma", 0, "rho", 0.7),
+         'connection.gamma[0]: "rho"'),
+        (["geom", "torsion", "--in"], "conn_torsion.json", ("gamma", 0, "mu", False),
+         'connection.gamma[0]: "mu"'),
+        (["geom", "torsion", "--in"], "conn_torsion.json", ("gamma", 0, "nu", "1"),
+         'connection.gamma[0]: "nu"'),
+        (["form", "stokes", "--form", str(FIXTURES / "form_exact_pair.json"), "--cell"],
+         "cell_unit_square.json", ("k", True), 'cell: "k"'),
+        (["form", "stokes", "--form", str(FIXTURES / "form_exact_pair.json"), "--cell"],
+         "cell_unit_square.json", ("k", 2.0), 'cell: "k"'),
+    ])
+    def test_integer_fields(self, cmd, fixture, edit, message, tmp_path, capsys):
+        """Integer fields take JSON integers only: not a boolean, a float or
+        a string."""
+        doc = json.loads((FIXTURES / fixture).read_text())
+        *keys, value = edit
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(cmd + [str(path)], tmp_path)
+        assert code == 2
+        assert message + " must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, at", [("nan,0", "0.5,0.4"), ("0,0", "0.5,inf"),
+                                          ("0,-inf", "0.5,0.4"), ("0,0", "x,0")])
+    def test_antiderivative_point_must_be_finite(self, base, at, tmp_path, capsys):
+        code, out = run(["form", "antiderivative",
+                         "--in", str(FIXTURES / "form_exact_pair.json"),
+                         "--base", base, "--at", at], tmp_path)
+        assert code == 2
+        assert "bad point" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_grid_and_point_accepted(self, tmp_path):
         doc = json.loads((FIXTURES / "hj_free_particle.json").read_text())
         doc["grid"] = [-1, 0, 1]

@@ -184,6 +184,88 @@ def test_shared_pack_parity_property(exprs, points):
     check_pack(exprs, np.array(points))
 
 
+# Constant chains: powers of two, -1 and others, through *, / and neg
+_CHAIN_CONSTS = st.sampled_from([2.0, 0.5, -1.0, 4.0, 0.25, -2.0, 1.0, 1.1, 3.0, -0.7,
+                                 0.0, -0.0])
+
+
+def _chains(ch):
+    """Trees whose constant factors chain, mixed with sums, products and
+    quotients of subtrees and with sqrt and ln, so checks fail too.  No exp
+    or power: on the points drawn, nothing nears overflow or the subnormals,
+    where a folded chain may differ from the tree (see exform.tape)."""
+    const = st.builds(ex.Const, st.just(ch), _CHAIN_CONSTS)
+    leaves = st.one_of(st.builds(ex.Coord, st.just(ch), st.integers(0, ch.dim - 1)), const)
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(lambda k, e: ex.Binary(ch, "*", k, e), const, sub),
+            st.builds(lambda e, k: ex.Binary(ch, "*", e, k), sub, const),
+            st.builds(lambda e, k: ex.Binary(ch, "/", e, k), sub, const),
+            st.builds(lambda e: ex.Unary(ch, "neg", e), sub),
+            st.builds(ex.Binary, st.just(ch), st.sampled_from("+-*/"), sub, sub),
+            st.builds(ex.Unary, st.just(ch), st.sampled_from(["sqrt", "ln"]), sub))
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@st.composite
+def _chain_pack(draw):
+    """Chain trees, plus constant multiples of them that share their nodes,
+    so a fold reads through an operation another component still needs."""
+    exprs = draw(st.lists(_chains(CH), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        e = draw(st.sampled_from(exprs))
+        exprs.append(ex.Binary(CH, "*", ex.Const(CH, draw(_CHAIN_CONSTS)), e))
+    return exprs
+
+
+def unread_operations(t):
+    """Operations whose register no later operation reads before it is
+    written again, and that no component outputs."""
+    codes, args = t.codes.tolist(), t.args.tolist()
+    outputs = set(t.outputs.tolist())
+    unread = []
+    for i, (d, _, _) in enumerate(args):
+        for c, (d2, a, b) in zip(codes[i + 1:], args[i + 1:]):
+            if a == d or c <= _kernels.OP_DIV and b == d:
+                break
+            if d2 == d:
+                unread.append(i)
+                break
+        else:
+            if d not in outputs:
+                unread.append(i)
+    return unread
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_chain_pack(),
+       st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=6))
+def test_constant_chain_parity_property(exprs, points):
+    """Folded chains give the tree's bits and error codes, and leave no
+    operation that nothing reads."""
+    check_pack(exprs, np.array(points))
+    check_expr(exprs[-1], np.array(points))
+    assert unread_operations(tape.pack_exprs(exprs)) == []
+
+
+def test_folded_chain_stays_finite_where_the_tree_overflowed():
+    """The one place a folded tape differs: `(2 * x1) * 0.75` is one product
+    `1.5 * x1`, finite at x1 = 1e308 where the tree's `2 * x1` is inf."""
+    x1, _, _ = ex.coords(CH)
+    e = (2.0 * x1) * 0.75
+    t = tape.compile_expr(e)
+    assert t.codes.tolist() == [_kernels.OP_MUL] and t.consts.tolist()[-1] == 1.5
+    pts = np.array([[1e308, 0.0, 0.0], [1.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
+    vals, errs = _kernels.eval_tape(t, pts)
+    r = ref.compile_expr(e)
+    ref_vals, ref_errs = _eval_tape_numpy(r.codes, r.args, r.consts, pts, r.stack_need)
+    assert errs.tolist() == ref_errs.tolist() == [0, 0, 0]
+    assert vals.tolist() == [1.5e308, 1.5, -4.5]
+    assert ref_vals.tolist() == [np.inf, 1.5, -4.5]
+
+
 def test_single_leaves_and_constant_domain_edges(rng):
     x1, x2, x3 = ex.coords(CH)
     zero, one = ex.const(CH, 0.0), ex.const(CH, 1.0)
@@ -209,6 +291,7 @@ def _first_nonfinite(traj):
 
 # (system, initial states, step, steps, outcome of the reference run)
 HJ_OSC = cp.HJEquation.from_text(1, "p1^2/2 + 0.7*x1^2")
+HJ_QUAD = cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1")
 HJ_LN = cp.HJEquation.from_text(1, "-p1 + ln(x1)")
 HJ_BLOWUP = cp.HJEquation.from_text(1, "p1^2/2 - x1^4/4")
 PDE_EIK = cp.FirstOrderPDE.from_text(2, "p1^2 + p2^2 - 1")
@@ -218,6 +301,7 @@ PDE_GROWTH = cp.FirstOrderPDE.from_text(2, "p1 + p2 - u")
 
 RK4_CASES = [
     (HJ_OSC, [[0.0, x, 0.5 * x, -x] for x in np.linspace(-1, 1, 9)], 0.01, 200, "ok"),
+    (HJ_QUAD, [[0.0, x, 0.0, -0.3 * x] for x in np.linspace(-1, 1, 9)], 0.01, 200, "ok"),
     (HJ_LN, [[0.0, 0.5, 0.0, 1.0], [0.0, 2.0, 0.0, 0.5]], 0.1, 100, "domain"),
     (HJ_BLOWUP, [[0.0, 1.0, 0.0, 1.0], [0.0, 0.5, 0.0, 0.2]], 0.01, 400, "nonfinite"),
     (PDE_EIK, [[0.0, 0.0, 0.0, 0.6, 0.8], [1.0, -1.0, 2.0, 1.0, 0.0]], 0.01, 100, "ok"),

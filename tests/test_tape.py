@@ -65,7 +65,7 @@ def test_fan_quad_pack_has_no_repeats_and_free_constant_components():
     although du/dt repeats it, and the constant components dt/dt = 1 and
     dp/dt = -0 cost no operation."""
     rhs, pack, _ = cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))
-    assert pack.codes.size <= 12
+    assert pack.codes.size <= 8
     constant = [c for c, e in enumerate(rhs) if isinstance(e, ex.Const)]
     assert constant == [0, 3]
     assert all(pack.outputs[c] >= pack.nreg + pack.dim for c in constant)
@@ -92,9 +92,126 @@ def test_constant_operands_that_cannot_fail_are_not_checked():
 
 
 def test_fan_quad_pack_has_no_checks():
-    """The quad system's divisions are by the constants 2 and 4."""
-    _, pack, _ = cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))
-    assert _kernels.OP_DIV in pack.codes.tolist() and pack.checks.size == 0
+    """The quad system's divisions are by the constants 2 and 4, so they cannot
+    fail, and they became multiplications by 1/2 and 1/4 (R1)."""
+    rhs, pack, _ = cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))
+    assert ["/ 4" in ex.to_text(e) for e in rhs] == [False, True, True, False]
+    assert _kernels.OP_DIV not in pack.codes.tolist() and pack.checks.size == 0
+
+
+def _fan_pack(kind):
+    if kind == "quad":
+        return cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))[:2]
+    if kind == "osc":
+        return cp._canonical_system(cp.HJEquation.from_text(1, "p1^2/2 + 0.245*x1^2"))[:2]
+    return cp._charpit_system(cp.FirstOrderPDE.from_text(2, "p1 + p2 - u"))[:2]
+
+
+def test_fan_packs_fold_their_constant_chains():
+    """dx/dt of the quad system, `1.1 * (2 * p1) * 2 / 4 + 0.2`, is 1.1 * p1 +
+    0.2; the osc dx/dt `2 * p1 * 2 / 4` is p1 itself; the growth system's
+    `-(p1 * -1)` is p1, so its pack is the one sum p1 + p2."""
+    rhs, pack = _fan_pack("quad")
+    assert ex.to_text(rhs[1]) == "1.1 * (2 * p1) * 2 / 4 + 0.2"
+    dx = tape.compile_expr(rhs[1])
+    assert dx.codes.tolist() == [_kernels.OP_MUL, _kernels.OP_ADD]
+    assert dx.consts[dx.args[0, 1] - dx.nreg - dx.dim] == 1.1
+    rhs, pack = _fan_pack("osc")
+    assert pack.codes.size <= 8
+    assert pack.outputs[1] == pack.nreg + 3            # the coordinate p1
+    rhs, pack = _fan_pack("growth")
+    assert [ex.to_text(e) for e in rhs[3:]] == ["-(p1 * -1)", "-(p2 * -1)"]
+    assert pack.codes.tolist() == [_kernels.OP_ADD]
+    assert pack.outputs[3:].tolist() == [pack.nreg + 3, pack.nreg + 4]
+
+
+def _shape(e):
+    """(opcodes, sorted constants read as first operands) of e's tape."""
+    t = tape.compile_expr(e)
+    return t.codes.tolist(), sorted(t.consts[t.args[:, 1][t.args[:, 1] >= t.nreg + t.dim]
+                                           - t.nreg - t.dim].tolist())
+
+
+def test_constant_folding_rules():
+    M, N, D = _kernels.OP_MUL, _kernels.OP_NEG, _kernels.OP_DIV
+    # R1: division by ±2^k is a multiplication; by 3, 0 or -0 it stays a division
+    assert _shape(A / 4.0) == ([M], [0.25])
+    assert _shape(A / -0.5) == ([M], [-2.0])
+    assert _shape(A / 3.0)[0] == [D]
+    for zero in (0.0, -0.0):
+        t = tape.compile_expr(A / zero)
+        assert t.codes.tolist() == [D] and t.checks.size == 1
+    # R2: scales multiply when one is a power of two and the product is normal
+    assert _shape(3.0 * (A * 2.0))[0] == [M]
+    assert _shape(0.5 * (1.1 * B) / 0.25) == ([M], [2.2])
+    assert _shape(3.0 * (1.1 * A))[0] == [M, M]
+    assert _shape(3.0 * (A * 1.0)) == ([M], [3.0])
+    assert _shape(2.0 ** -1000 * (2.0 ** -100 * A))[0] == [M, M]    # 2^-1100 is subnormal
+    assert _shape(2.0 ** 1000 * (2.0 ** 100 * A))[0] == [M, M]      # 2^1100 overflows
+    # R3: neg flips the scale; a scale of -1 is one negation, of 1 nothing
+    assert _shape(-(-A)) == ([], [])
+    assert _shape(-(A * -1.0)) == ([], [])
+    assert _shape(-(2.0 * A)) == ([M], [-2.0])
+    assert _shape(-(A / 2.0) * -2.0) == ([], [])
+    assert _shape(-A)[0] == _shape((A * 2.0) * -0.5)[0] == _shape(-(A / -4.0) * -4.0)[0] == [N]
+    assert _shape(A * -1.0) == _shape((A * -1.0) * 1.0) == ([N], [])
+    assert _shape(1.0 * A) == ([], [])
+    assert _shape(1.0 * ex.sin(A) - ex.sin(A) * 1.0)[0] == [_kernels.OP_SIN, _kernels.OP_SUB]
+    # R4: correctly rounded operations on constants only
+    two, three = ex.const(CH, 2.0), ex.const(CH, 3.0)
+    assert tape.compile_expr(two / three - ex.sqrt(two) * -three).codes.size == 0
+    assert _shape((two + three) * A) == ([M], [5.0])
+    for e in (ex.sin(two), ex.cos(two), ex.exp(two), ex.ln(two), two ** 2,
+              ex.sqrt(-two), ex.const(CH, 1e300) * 1e300):
+        assert tape.compile_expr(e).codes.size == 1
+
+
+def test_folded_values_match_the_tree():
+    """Each rule's tape gives the tree's bits; the reference evaluates the
+    tree node by node in numpy."""
+    pts = np.array([[1.5, -2.0], [-0.0, 0.0], [3.0e-300, 7.0], [1.0e300, -1.0e-300]])
+
+    def tree(e):
+        if isinstance(e, ex.Coord):
+            return pts[:, e.axis]
+        if isinstance(e, ex.Const):
+            return np.full(len(pts), e.value)
+        if isinstance(e, ex.Unary):
+            return {"neg": np.negative, "sqrt": np.sqrt}[e.fn](tree(e.arg))
+        f = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[e.op]
+        return f(tree(e.left), tree(e.right))
+
+    for e in (A / 4.0, 3.0 * (A * 2.0), 0.5 * (1.1 * B) / 0.25, -(-A), -(A * -1.0),
+              -(A / 2.0) * -2.0, (A * 2.0) * -0.5, -(2.0 * A) + B * 0.125 / -4.0,
+              (2.0 * A) + 3.0 * (2.0 * A), ex.sqrt(ex.const(CH, 2.0)) * A):
+        vals, errs = _kernels.eval_tape(tape.compile_expr(e), pts)
+        assert errs.max() == 0
+        assert vals.tobytes() == tree(e).tobytes(), ex.to_text(e)
+
+
+def test_an_operation_a_fold_reads_through_stays_if_shared():
+    """`2 * a` folds into `6 * a` under `3 *`, yet the sum still reads it; in a
+    pack, a component that is the inner product keeps it too.  Where nothing
+    else has it, the fold takes it back."""
+    inner = 2.0 * A
+    t = tape.compile_expr(inner + 3.0 * inner)
+    assert t.codes.tolist() == [_kernels.OP_MUL, _kernels.OP_MUL, _kernels.OP_ADD]
+    t = tape.pack_exprs([3.0 * inner, inner, -inner])
+    assert t.codes.size == 3
+    vals, _ = _kernels.eval_pack(t, np.array([[1.25, 0.0]]))
+    assert vals[:, 0].tolist() == [7.5, 2.5, -2.5]
+    # `1 * tiny` cannot fold (2^-1030 is subnormal) and hands `tiny` up as
+    # it is: `tiny` is then had twice and stays for the sum
+    tiny = 2.0 ** -1030 * A
+    t = tape.compile_expr(2.0 ** 10 * (1.0 * tiny) + tiny)
+    assert t.codes.size == 3
+    assert _kernels.eval_tape(t, np.array([[1.25, 0.0]]))[0].tolist() == [
+        2.0 ** -1020 * 1.25 + 2.0 ** -1030 * 1.25]
+    # a constant subtree met twice does not share `2 * a`
+    two = ex.const(CH, 1.0) + 1.0
+    t = tape.compile_expr(two + (2.0 * A) * two)
+    assert t.codes.tolist() == [_kernels.OP_MUL, _kernels.OP_ADD]
+    assert _kernels.eval_tape(t, np.array([[1.25, 0.0]]))[0].tolist() == [7.0]
 
 
 def test_pack_needs_one_chart_and_an_expression():
