@@ -29,10 +29,10 @@ from .evolution import (BiStructure, Connection, NonidenticalRelation,
                         degeneracy_indicator, evolutionary_commutator,
                         relation_residual, restrict_relation_to_curve,
                         torsion)
-from .charpde import (CharacteristicStrip, FirstOrderPDE, HJEquation,
+from .charpde import (CharacteristicStrip, Fan, FirstOrderPDE, HJEquation,
                       canonical_rhs, charpit_rhs, classify_derivative_field,
                       commutator_residual_field, detect_caustic,
-                      integrate_strip, integrate_strips, poincare_residual,
-                      poisson_bracket, solve_hj)
+                      integrate_strips, poincare_residual, poisson_bracket,
+                      solve_hj)
 
 __version__ = "0.1.0"

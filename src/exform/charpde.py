@@ -7,13 +7,14 @@ the fan Jacobian, and the function-vs-functional classification of sampled
 derivative fields by their finite-difference commutator.
 
 Strips are integrated with classical fixed-step RK4 through the compiled
-tape kernels, so whole fans advance in one batched call.  A fan stays the
-one trajectory array that call returns: its strips are read-only views.
+tape kernels, so whole fans advance in one batched call.  A `Fan` is that
+call's read-only trajectory, and ``fan[k]`` makes strip k as views of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -254,6 +255,37 @@ class CharacteristicStrip:
         return float(np.max(np.abs((self.u - self.u[0]) - integral)))
 
 
+@dataclass(frozen=True)
+class Fan:
+    """Strips integrated together: the read-only trajectory ``states``
+    (samples, m, 2n+1) laid out as (x, u, p), the shared parameter ``s``,
+    the drift audit (samples, m) and the step.  ``fan[k]`` is strip k as
+    views, made when asked for; a negative int k counts back as on a list.
+    """
+
+    s: np.ndarray
+    states: np.ndarray
+    drift: np.ndarray
+    step: float
+
+    def __post_init__(self):
+        for a in (self.s, self.states, self.drift):
+            a.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.states.shape[2] // 2
+
+    def __len__(self) -> int:
+        return self.states.shape[1]
+
+    def __getitem__(self, k: int) -> CharacteristicStrip:
+        k, n = operator.index(k), self.n
+        state = self.states[:, k]       # IndexError past either end
+        return CharacteristicStrip(self.s, state[:, :n], state[:, n],
+                                   state[:, n + 1:], self.drift[:, k], self.step)
+
+
 def _rk4(pack: tape.Tape, states0: np.ndarray, span: float,
          steps: int) -> tuple[np.ndarray, float]:
     """Batched RK4 over [0, span]: the read-only trajectory (steps+1, m, d)
@@ -284,28 +316,10 @@ def _audit(audit_tape: tape.Tape, states: np.ndarray, what: str) -> np.ndarray:
     return vals.reshape(samples, m)
 
 
-def _fan_strips(s: np.ndarray, states: np.ndarray, drift: np.ndarray,
-                h: float) -> list[CharacteristicStrip]:
-    """The strips of one fan as read-only views s, x[:, k], u[:, k], p[:, k]
-    and drift[:, k] of its (samples, m, 2n+1) states and (samples, m) drift,
-    taken by iterating strip-major transposed views."""
-    s.flags.writeable = drift.flags.writeable = False
-    n = states.shape[2] // 2
-    x, u, p = states[:, :, :n], states[:, :, n], states[:, :, n + 1:]
-    return [CharacteristicStrip(s, xk, uk, pk, dk, h) for xk, uk, pk, dk in
-            zip(x.transpose(1, 0, 2), u.T, p.transpose(1, 0, 2), drift.T)]
-
-
-def integrate_strip(pde: FirstOrderPDE, initial, s_end: float,
-                    steps: int) -> CharacteristicStrip:
-    """Integrate one Charpit strip; the initial state must satisfy |F| <= 1e-10."""
-    return integrate_strips(pde, [initial], s_end, steps)[0]
-
-
 def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
-                     steps: int) -> list[CharacteristicStrip]:
-    """Integrate a fan of Charpit strips in one batched RK4 run; the strips
-    are read-only views of the one fan trajectory."""
+                     steps: int) -> Fan:
+    """Integrate a fan of Charpit strips in one batched RK4 run; each initial
+    state (x, u, p) must satisfy |F| <= 1e-10."""
     states0 = _state_rows(pde.n, initials)
     _, pack, f_tape = _charpit_system(pde)
     f0, errs0 = _kernels.eval_tape(f_tape, states0)
@@ -317,7 +331,7 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
         raise OffSurfaceError(
             f"initial state {k} off the surface: |F| = {abs(f0[k]):.3e} > {ON_SURFACE_TOL}")
     traj, h = _rk4(pack, states0, s_end, steps)
-    return _fan_strips(np.arange(steps + 1) * h, traj, _audit(f_tape, traj, "F"), h)
+    return Fan(np.arange(steps + 1) * h, traj, _audit(f_tape, traj, "F"), h)
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +401,20 @@ def poisson_bracket(E: ScalarExpr, V: ScalarExpr) -> ScalarExpr:
     return ex.simplify(total)
 
 
-def _canonical_fan(hj: HJEquation, initials, t_end: float, steps: int):
-    """One batched RK4 run of canonical strips from t = 0: the fan's times,
-    its read-only (steps+1, m, 2n+1) states (x, u, p), the E drift and h."""
+def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,
+                               steps: int) -> Fan:
+    """Integrate canonical strips (t, x, u, p); initial = (x0, u0, p0) at t=0.
+
+    The fan's s is the time t, and its states drop the t column.  The drift
+    audit records E along each strip minus its initial value (a conserved
+    quantity when E has no explicit time dependence).
+    """
     states0 = np.insert(_state_rows(hj.n, initials), 0, 0.0, axis=1)
     _, pack, e_tape = _canonical_system(hj)
     traj, h = _rk4(pack, states0, t_end, steps)
     e_vals = _audit(e_tape, traj, "E")
     # dt/ds = 1 for every strip, so all strips share one time column
-    return traj[:, 0, 0], traj[:, :, 1:], e_vals - e_vals[0], h
-
-
-def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,
-                               steps: int) -> list[CharacteristicStrip]:
-    """Integrate canonical strips (t, x, u, p); initial = (x0, u0, p0) at t=0.
-
-    The strips are read-only views of the one fan trajectory.  The drift
-    audit records E along each strip minus its initial value (a conserved
-    quantity when E has no explicit time dependence).
-    """
-    return _fan_strips(*_canonical_fan(hj, initials, t_end, steps))
+    return Fan(traj[:, 0, 0], traj[:, :, 1:], e_vals - e_vals[0], h)
 
 
 @dataclass(frozen=True)
@@ -420,18 +428,20 @@ class CausticEvent:
     bistructure: "evolution.BiStructure | None" = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class HJSolution:
-    """Lagrangian solution fan: values ride the moving foot-points x(t; x0)."""
+    """Lagrangian solution fan: values ride the moving foot-points x(t; x0),
+    launched from the nodes x[0]."""
 
     hj: HJEquation
-    x0grid: np.ndarray            # (m,) launch nodes (1-D base)
-    t: np.ndarray                 # (steps+1,)
-    x: np.ndarray                 # (steps+1, m)
-    u: np.ndarray                 # (steps+1, m)
-    p: np.ndarray                 # (steps+1, m)
-    strips: list[CharacteristicStrip]
-    events: list[CausticEvent] = field(default_factory=list)
+    strips: Fan
+    events: list[CausticEvent]
+
+    # read-only views of the fan: t (steps+1,) and x, u, p (steps+1, m)
+    t = property(lambda self: self.strips.s)
+    x = property(lambda self: self.strips.states[:, :, 0])
+    u = property(lambda self: self.strips.states[:, :, 1])
+    p = property(lambda self: self.strips.states[:, :, 2])
 
 
 def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float,
@@ -439,9 +449,8 @@ def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float
     """Solve du/dt + E = 0 by characteristics from initial data u(0, x) = u0.
 
     One strip launches per grid node with the symbolic slope p0 = du0/dx
-    evaluated there.  Output stays Lagrangian; use resample_nearest for a
-    fixed-grid view.  Crossing detection annotates events without aborting.
-    t, x, u, p and every strip are read-only views of one fan trajectory.
+    evaluated there.  Output stays Lagrangian.  Crossing detection annotates
+    events without aborting.
     """
     if hj.n != 1:
         raise ValueError("solution fans are implemented for a 1-D base")
@@ -453,27 +462,9 @@ def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float
     at_nodes = nodes[:, None]
     u_init = ex.evaluate_many(u0, at_nodes)
     p_init = ex.evaluate_many(ex.partial(u0, 0), at_nodes)
-    t, states, drift, h = _canonical_fan(
+    fan = integrate_canonical_strips(
         hj, np.column_stack([nodes, u_init, p_init]), t_end, steps)
-    x, u, p = states.transpose(2, 0, 1)   # read-only views (steps+1, m)
-    solution = HJSolution(hj, nodes, t, x, u, p, _fan_strips(t, states, drift, h))
-    if nodes.size >= 3:
-        solution.events = detect_caustic(solution)
-    return solution
-
-
-def resample_nearest(solution: HJSolution, grid: Sequence[float]):
-    """Nearest-foot-point resampling of u and p onto a fixed x grid."""
-    gx = np.asarray(grid, dtype=np.float64).ravel()
-    nt = solution.t.size
-    u = np.empty((nt, gx.size))
-    p = np.empty((nt, gx.size))
-    for i in range(nt):
-        feet = solution.x[i]
-        idx = np.abs(feet[None, :] - gx[:, None]).argmin(axis=1)
-        u[i] = solution.u[i, idx]
-        p[i] = solution.p[i, idx]
-    return u, p
+    return HJSolution(hj, fan, detect_caustic(fan) if len(fan) >= 3 else [])
 
 
 def poincare_residual(strip: CharacteristicStrip, hj: HJEquation) -> float:
@@ -554,38 +545,26 @@ class BiStructureContext:
     psi: forms.DifferentialForm | None = None
 
 
-def detect_caustic(fan, context: BiStructureContext | None = None) -> list[CausticEvent]:
-    """Scan a strip fan for sign changes of the launch-Jacobian dx/dx0.
+def detect_caustic(fan: Fan, context: BiStructureContext | None = None) -> list[CausticEvent]:
+    """Scan a fan over a 1-D base for sign changes of the launch-Jacobian dx/dx0.
 
-    The Jacobian is estimated by central differences across neighboring
-    strips; each sign change is bracketed in time and refined by bisection
-    on the linear interpolant to within DT_REFINE.
+    The launch nodes are x[0], so the Jacobian is exactly 1 at s = 0.  It is
+    estimated by central differences across neighboring strips; each sign
+    change is bracketed in s and refined by bisection on the linear
+    interpolant to within DT_REFINE.
     """
-    if isinstance(fan, HJSolution):
-        x0 = fan.x0grid
-        t = fan.t
-        x = fan.x
-    else:
-        strips = list(fan)
-        if len(strips) < 3:
-            raise FanError("need at least 3 strips")
-        base = strips[0].s
-        for s in strips[1:]:
-            if s.s.shape != base.shape or not np.array_equal(s.s, base):
-                raise FanError("strips must share a common sampling")
-        if strips[0].n != 1:
-            raise FanError("caustic detection is implemented for a 1-D base")
-        x = np.stack([s.x[:, 0] for s in strips], axis=1)
-        t, x0 = base, x[0]
-    if x0.size < 3:
+    if fan.n != 1:
+        raise FanError("caustic detection is implemented for a 1-D base")
+    if len(fan) < 3:
         raise FanError("need at least 3 strips")
+    t, x = fan.s, fan.states[:, :, 0]
+    x0 = x[0]
     denom = x0[2:] - x0[:-2]
     if np.any(denom == 0.0):
         raise FanError("launch nodes must be distinct")
     jac = (x[:, 2:] - x[:, :-2]) / denom      # (samples, strips - 2)
     a, b = jac[:-1], jac[1:]
     zero = a == 0.0
-    zero[0] = False
     hit = zero | (a * b < 0.0)
     # candidates in strip-major order: (strip - 1, sample interval)
     kk, ii = np.argwhere(hit.T).T

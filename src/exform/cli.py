@@ -331,7 +331,7 @@ def pde_charpit(args) -> None:
     s_end = schemas.doc_number(doc.get("s_end", 1.0), 'charpit: "s_end"')
     steps = schemas.doc_integer(doc.get("steps", args.steps), 'charpit: "steps"', 1)
     try:
-        strip = charpde.integrate_strip(pde, init, s_end, steps)
+        strip = charpde.integrate_strips(pde, [init], s_end, steps)[0]
     except charpde.OffSurfaceError as err:
         raise SchemaError(f"charpit: {err}") from None
     _write_strip(args.out / "charpit_strip", strip, args.format)
@@ -357,7 +357,7 @@ def _solve_fan(args, cmd: str):
 def pde_hj(args) -> None:
     doc, solution, summary = _solve_fan(args, "hj")
     summary["strips"] = len(solution.strips)
-    summary["max_drift"] = max(s.max_drift for s in solution.strips)
+    summary["max_drift"] = float(np.max(np.abs(solution.strips.drift)))
     line = f"hj: {len(solution.strips)} strips, max drift {summary['max_drift']!r}"
     if isinstance(doc.get("oracle_u"), str):
         oracle = schemas.coeff_from_json(doc["oracle_u"],

@@ -214,10 +214,16 @@ def hj_from_json(obj: dict, what: str = "hj") -> tuple[charpde.HJEquation, Scala
 def grid_from_json(obj, what: str = "grid"):
     import numpy as np
     if isinstance(obj, list):
-        return np.array(doc_numbers(obj, what))
-    if isinstance(obj, dict):
+        grid = np.array(doc_numbers(obj, what))
+    elif isinstance(obj, dict):
         start = doc_number(obj.get("start"), f'{what}: "start"')
         stop = doc_number(obj.get("stop"), f'{what}: "stop"')
         count = doc_integer(obj.get("count"), f'{what}: "count"', 1)
-        return np.linspace(start, stop, count)
-    raise SchemaError(f"{what}: grid must be a list or a start/stop/count object")
+        grid = np.linspace(start, stop, count)
+    else:
+        raise SchemaError(f"{what}: grid must be a list or a start/stop/count object")
+    first: dict[float, int] = {}        # -0.0 and 0.0 are one node
+    for k, x in enumerate(grid.tolist()):
+        if first.setdefault(x, k) != k:
+            raise SchemaError(f"{what}[{k}]: node {x!r} repeats {what}[{first[x]}]")
+    return grid

@@ -45,7 +45,8 @@ but in the sign of a NaN.
 
 A fold that reads through an operation nothing else has yet takes it back,
 so the quad system's dx/dt ``1.1 * (2 * p1) * 2 / 4 + 0.2`` compiles to the
-two operations of ``1.1 * p1 + 0.2``.  Checks are unchanged: a fold removes
+two operations of ``1.1 * p1 + 0.2``, and the pool keeps only the constants
+that an operation or a component reads.  Checks are unchanged: a fold removes
 only operations that cannot fail.
 
 Error rule: component c owns the may-fail operations (division, negative
@@ -257,6 +258,17 @@ def pack_exprs(exprs) -> Tape:
         if e.chart.dim != dim:
             raise ValueError("all expressions must share one chart")
         outs.append(emit(e))
+
+    # A fold leaves the constants it read through in the pool: keep only
+    # those an operation or a component reads, renumbered in pool order.
+    kept = sorted({v for v in outs if v < lo} | {v for c, a, b in zip(codes, lhs, rhs)
+                   for v in ((a, b) if c <= OP_DIV else (a,)) if v < lo}, reverse=True)
+    if len(kept) < len(consts):
+        renum = {v: ~(dim + k) for k, v in enumerate(kept)}
+        consts = [consts[~v - dim] for v in kept]
+        lhs = [renum.get(a, a) for a in lhs]
+        rhs = [renum.get(b, b) if c <= OP_DIV else b for c, b in zip(codes, rhs)]
+        outs = [renum.get(v, v) for v in outs]
 
     nops = len(codes)
     # In program order: the last read of each value (outputs are read at the

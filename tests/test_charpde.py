@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def caustic_events_by_loop(x0, t, x, dt_refine=1e-4):
         jac = (x[:, k + 1] - x[:, k - 1]) / denom
         for i in range(len(t) - 1):
             a, b = jac[i], jac[i + 1]
-            if a == 0.0 and i > 0:
+            if a == 0.0:
                 events.append(cp._make_event(t[i], x0[k], k, x[i, k], None))
                 continue
             if a * b < 0.0:
@@ -77,8 +79,9 @@ def charpit_strips_by_copies(pde, initials, s_end, steps):
 
 
 def solve_hj_by_stacking(hj, u0, grid, t_end, steps):
-    """solve_hj as per-strip copies, with E audited over the (t, x, p) chart
-    and the fan arrays stacked back from the strips."""
+    """solve_hj as per-strip copies, with E audited over the (t, x, p) chart,
+    the fan arrays stacked back from the strips, and the caustics found by
+    the loop from the grid itself as launch nodes."""
     n = hj.n
     nodes = np.asarray(grid, dtype=np.float64)
     u_init = ex.evaluate_many(u0, nodes[:, None])
@@ -103,9 +106,15 @@ def solve_hj_by_stacking(hj, u0, grid, t_end, steps):
     x = np.stack([st.x[:, 0] for st in strips], axis=1)
     u = np.stack([st.u for st in strips], axis=1)
     p = np.stack([st.p[:, 0] for st in strips], axis=1)
-    solution = cp.HJSolution(hj, nodes, strips[0].s, x, u, p, strips)
-    solution.events = cp.detect_caustic(solution)
-    return solution
+    t = strips[0].s
+    return SimpleNamespace(strips=strips, t=t, x=x, u=u, p=p,
+                           events=caustic_events_by_loop(nodes, t, x))
+
+
+def synthetic_fan(t, x):
+    """A 1-D fan with foot-points x (samples, m), launched from x[0]."""
+    return cp.Fan(t, np.repeat(x[:, :, None], 3, axis=2), np.zeros_like(x),
+                  float(t[1] - t[0]))
 
 
 def assert_strips_equal(got, ref):
@@ -139,37 +148,37 @@ class TestCharpitRhs:
 class TestStripIntegration:
     def test_eikonal_ray_oracle(self):
         # closed-form ray: x(s) = x0 + 2 p0 s, u = u0 + 2 s, p constant
-        strip = cp.integrate_strip(EIKONAL, ((0.0, 0.0), 0.0, (1.0, 0.0)),
-                                   0.5, 1000)
+        strip = cp.integrate_strips(EIKONAL, [((0.0, 0.0), 0.0, (1.0, 0.0))],
+                                    0.5, 1000)[0]
         assert strip.x[-1] == pytest.approx([1.0, 0.0], abs=1e-12)
         assert strip.u[-1] == pytest.approx(1.0, abs=1e-12)
         assert strip.p[-1] == pytest.approx([1.0, 0.0], abs=1e-14)
 
     def test_linear_analytic(self):
         pde = cp.FirstOrderPDE.from_text(1, "p1 - 1")
-        strip = cp.integrate_strip(pde, ((0.5,), 2.0, (1.0,)), 1.0, 100)
+        strip = cp.integrate_strips(pde, [((0.5,), 2.0, (1.0,))], 1.0, 100)[0]
         assert strip.x[-1, 0] == pytest.approx(1.5, abs=1e-12)
         assert strip.u[-1] == pytest.approx(3.0, abs=1e-12)
 
     def test_first_integral_drift(self):
         pde = cp.FirstOrderPDE.from_text(1, "p1^2 - u")
-        strip = cp.integrate_strip(pde, ((0.0,), 1.0, (1.0,)), 1.0, 1000)
+        strip = cp.integrate_strips(pde, [((0.0,), 1.0, (1.0,))], 1.0, 1000)[0]
         assert strip.max_drift <= 1e-8
 
     def test_off_surface_rejected(self):
         with pytest.raises(cp.OffSurfaceError):
-            cp.integrate_strip(EIKONAL, ((0.0, 0.0), 0.0, (1.0, 1.0)), 0.5, 10)
+            cp.integrate_strips(EIKONAL, [((0.0, 0.0), 0.0, (1.0, 1.0))], 0.5, 10)
 
     def test_domain_failure_reports_sample(self):
         pde = cp.FirstOrderPDE.from_text(1, "p1 - ln(2 - x1)")
         init = ((0.0,), 0.0, (float(np.log(2.0)),))
         with pytest.raises(cp.StripIntegrationError) as err:
-            cp.integrate_strip(pde, init, 4.0, 100)
+            cp.integrate_strips(pde, [init], 4.0, 100)
         assert err.value.step >= 0
 
     def test_strip_condition_defect(self):
-        strip = cp.integrate_strip(EIKONAL, ((0.0, 0.0), 0.0, (0.6, 0.8)),
-                                   0.5, 500)
+        strip = cp.integrate_strips(EIKONAL, [((0.0, 0.0), 0.0, (0.6, 0.8))],
+                                    0.5, 500)[0]
         assert strip.closure_defect() <= 1e-10
 
     def test_blowup_raises_at_first_nonfinite_step(self):
@@ -177,7 +186,7 @@ class TestStripIntegration:
         pde = cp.FirstOrderPDE.from_text(1, "p1 - u^2")
         with pytest.raises(cp.StripIntegrationError,
                            match="non-finite value in strip component 2 at step") as err:
-            cp.integrate_strip(pde, ((0.0,), 1.0, (1.0,)), 2.0, 200)
+            cp.integrate_strips(pde, [((0.0,), 1.0, (1.0,))], 2.0, 200)
         assert 95 <= err.value.step <= 105
 
     def test_canonical_blowup_raises(self):
@@ -194,7 +203,7 @@ class TestStripIntegration:
             cp.integrate_canonical_strips(hj, [((), 0.0, (1.0, 2.0))], 1.0, 10)
         pde = cp.FirstOrderPDE.from_text(1, "p1 - 1")
         with pytest.raises(ValueError, match="state 0 must be"):
-            cp.integrate_strip(pde, ((), 0.0, (5.0, 1.0)), 1.0, 10)
+            cp.integrate_strips(pde, [((), 0.0, (5.0, 1.0))], 1.0, 10)
         with pytest.raises(ValueError, match="state 1 must be"):
             cp.integrate_strips(pde, [((0.0,), 0.0, (1.0,)), ((0.0, 1.0), 0.0, (1.0,))],
                                 1.0, 10)
@@ -229,7 +238,7 @@ class TestStripIntegration:
 
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            cp.integrate_strip(EIKONAL, ((0.0, 0.0), 0.0, (1.0, 0.0)), 0.5, 0)
+            cp.integrate_strips(EIKONAL, [((0.0, 0.0), 0.0, (1.0, 0.0))], 0.5, 0)
         with pytest.raises(ValueError, match="steps must be >= 1"):
             cp.integrate_canonical_strips(FREE, [((0.0,), 0.0, (1.0,))], 1.0, 0)
 
@@ -238,20 +247,35 @@ class TestStripIntegration:
         rows = cp.integrate_canonical_strips(OSCILLATOR, np.array([[0.3, 0.1, 0.7]]),
                                              1.0, 20)
         assert_strips_equal(rows, tuples)
-        flat = cp.integrate_strip(EIKONAL, [0.0, 0.0, 0.0, 0.6, 0.8], 0.5, 20)
-        assert_strips_equal([flat], cp.integrate_strips(
+        flat = cp.integrate_strips(EIKONAL, [[0.0, 0.0, 0.0, 0.6, 0.8]], 0.5, 20)
+        assert_strips_equal(flat, cp.integrate_strips(
             EIKONAL, [((0.0, 0.0), 0.0, (0.6, 0.8))], 0.5, 20))
 
     def test_batch_matches_individual(self):
         inits = [((0.0, 0.0), 0.0, (1.0, 0.0)), ((1.0, -1.0), 2.0, (0.0, 1.0))]
         fan = cp.integrate_strips(EIKONAL, inits, 0.3, 50)
-        solo = cp.integrate_strip(EIKONAL, inits[1], 0.3, 50)
+        solo = cp.integrate_strips(EIKONAL, [inits[1]], 0.3, 50)[0]
         assert np.array_equal(fan[1].x, solo.x)
         assert np.array_equal(fan[1].u, solo.u)
 
 
 class TestFanViews:
     """Strips are read-only views of one fan, bit-equal to per-strip copies."""
+
+    def test_fan_is_a_read_only_sequence_of_strips(self):
+        inits = [((0.1 * k, 0.0), 0.0, (0.6, 0.8)) for k in range(3)]
+        fan = cp.integrate_strips(EIKONAL, inits, 0.3, 20)
+        assert isinstance(fan, cp.Fan) and (len(fan), fan.n) == (3, 2)
+        assert_strips_equal(list(fan), [fan[0], fan[1], fan[2]])
+        assert_strips_equal([fan[-1], fan[-3]], [fan[2], fan[0]])
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                fan[k]
+        with pytest.raises(TypeError):
+            fan[0:2]
+        for name in ("s", "states", "drift"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fan, name)[0] = 1.0
 
     def test_charpit_fans_match_per_strip_copies(self, rng):
         growth = cp.FirstOrderPDE.from_text(2, "p1 + p2 - u")
@@ -275,8 +299,9 @@ class TestFanViews:
                 sol = cp.solve_hj(system, u0, grid, 1.5, 200)
                 ref = solve_hj_by_stacking(system, u0, grid, 1.5, 200)
                 assert_strips_equal(sol.strips, ref.strips)
-                for name in ("x0grid", "t", "x", "u", "p"):
+                for name in ("t", "x", "u", "p"):
                     assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+                assert sol.x[0].tobytes() == grid.tobytes()
                 assert sol.events == ref.events
                 assert sol.events
                 assert cp.detect_caustic(sol.strips) == ref.events
@@ -288,7 +313,8 @@ class TestFanViews:
         assert np.may_share_memory(strips[0].x, strips[1].x)
         assert strips[0].x.base is strips[1].p.base is not None
         u0 = ex.parse_expr("x1^2 / 2", cp.base_chart(1))
-        sol = cp.solve_hj(FREE, u0, np.linspace(-1, 1, 5), 0.5, 20)
+        grid = np.array([-1.0, -0.5, -0.0, 0.5, 1.0])
+        sol = cp.solve_hj(FREE, u0, grid, 0.5, 20)
         assert sol.strips[0].x.base is sol.strips[1].u.base is not None
         assert np.shares_memory(sol.x, sol.strips[2].x)
         assert np.shares_memory(sol.u, sol.strips[2].u)
@@ -299,7 +325,7 @@ class TestFanViews:
         for name in ("t", "x", "u", "p"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(sol, name)[0] = 1.0
-        assert np.all(sol.x[0] == np.linspace(-1, 1, 5))
+        assert sol.x[0].tobytes() == grid.tobytes()    # the launch nodes, -0.0 too
 
 
 class TestCanonical:
@@ -427,15 +453,6 @@ class TestSolveHJ:
         assert np.max(np.abs(sol.u - sol.u[0])) == 0.0
         assert np.max(np.abs(sol.x - sol.x[0])) == 0.0
 
-    def test_resample_nearest(self):
-        u0 = ex.parse_expr("x1^2 / 2", cp.base_chart(1))
-        sol = cp.solve_hj(FREE, u0, np.linspace(-1, 1, 33), 0.5, 100)
-        grid = np.linspace(-0.9, 0.9, 7)
-        u_grid, p_grid = cp.resample_nearest(sol, grid)
-        ref = grid ** 2 / (2.0 * (1.0 + sol.t[-1]))
-        # nearest-foot error is bounded by the local foot spacing
-        assert np.max(np.abs(u_grid[-1] - ref)) <= 0.1
-
 
 class TestPoincareResidual:
     def test_free_particle_exact(self):
@@ -549,45 +566,46 @@ class TestCaustics:
         u0 = ex.parse_expr("0 - 0.8*x1^2/2 + 0.3*x1", cp.base_chart(1))
         fans = []
         for m in (8, 64, 512):
-            sol = cp.solve_hj(hj, u0, np.linspace(-1, 1, m), 1.5, 200)
-            fans.append((sol.x0grid, sol.t, sol.x))
-            # a random-walk fan: many sign changes at scattered times
+            fans.append(cp.solve_hj(hj, u0, np.linspace(-1, 1, m), 1.5, 200).strips)
+            # a random-walk fan from its launch nodes: many sign changes at
+            # scattered times
             x0 = np.sort(rng.uniform(-1, 1, m))
-            t = np.linspace(0.0, 1.5, 60)
-            walk = rng.normal(scale=0.05, size=(60, m)).cumsum(axis=0)
-            fans.append((x0, t, x0 + walk))
-        # integer positions: exact-zero Jacobian entries, at t = 0 and later
-        x0 = np.arange(12.0)
-        fans.append((x0, np.linspace(0.0, 1.0, 30),
-                     rng.integers(-2, 3, size=(30, 12)).astype(float)))
+            walk = rng.normal(scale=0.05, size=(59, m)).cumsum(axis=0)
+            fans.append(synthetic_fan(np.linspace(0.0, 1.5, 60),
+                                      x0 + np.vstack([np.zeros(m), walk])))
+        # integer positions after launch: exact-zero Jacobian entries
+        x = rng.integers(-2, 3, size=(30, 12)).astype(float)
+        x[0] = np.arange(12.0)
+        fans.append(synthetic_fan(np.linspace(0.0, 1.0, 30), x))
         zero_hits = 0
-        for x0, t, x in fans:
-            fan = cp.HJSolution(hj, x0, t, x, x, x, [])
+        for fan in fans:
+            x = fan.states[:, :, 0]
             events = cp.detect_caustic(fan)
-            assert events == caustic_events_by_loop(x0, t, x)
+            assert events == caustic_events_by_loop(x[0], fan.s, x)
             assert events
-            zero_hits += sum(e.t_star in t for e in events)
+            zero_hits += sum(e.t_star in fan.s for e in events)
         assert zero_hits > 0
 
     def test_repeated_launch_nodes_rejected(self):
-        t = np.linspace(0.0, 1.0, 5)
-        x0 = np.array([0.0, 1.0, 0.0, 2.0])
-        fan = cp.HJSolution(FREE, x0, t, np.ones((5, 4)), None, None, [])
+        x = np.ones((5, 4))
+        x[0] = [0.0, 1.0, -0.0, 2.0]
         with pytest.raises(cp.FanError, match="distinct"):
-            cp.detect_caustic(fan)
+            cp.detect_caustic(synthetic_fan(np.linspace(0.0, 1.0, 5), x))
 
     def test_single_strip_rejected(self):
-        strip = cp.integrate_canonical_strips(FREE, [((0.0,), 0.0, (1.0,))],
-                                              1.0, 10)
-        with pytest.raises(cp.FanError):
-            cp.detect_caustic(strip)
+        fan = cp.integrate_canonical_strips(FREE, [((0.0,), 0.0, (1.0,))],
+                                            1.0, 10)
+        with pytest.raises(cp.FanError, match="at least 3"):
+            cp.detect_caustic(fan)
 
-    def test_non_common_sampling_rejected(self):
-        a = cp.integrate_canonical_strips(FREE, [((0.0,), 0.0, (1.0,))], 1.0, 10)
-        b = cp.integrate_canonical_strips(FREE, [((0.1,), 0.0, (1.0,))], 1.0, 20)
-        c = cp.integrate_canonical_strips(FREE, [((0.2,), 0.0, (1.0,))], 1.0, 10)
-        with pytest.raises(cp.FanError):
-            cp.detect_caustic([a[0], b[0], c[0]])
+    def test_two_strip_and_two_dimensional_fans_rejected(self):
+        two = cp.integrate_canonical_strips(
+            FREE, [((0.0,), 0.0, (1.0,)), ((0.1,), 0.0, (1.0,))], 1.0, 10)
+        with pytest.raises(cp.FanError, match="at least 3"):
+            cp.detect_caustic(two)
+        inits = [((0.1 * k, 0.0), 0.0, (0.6, 0.8)) for k in range(4)]
+        with pytest.raises(cp.FanError, match="1-D base"):
+            cp.detect_caustic(cp.integrate_strips(EIKONAL, inits, 0.5, 10))
 
     def test_context_attaches_bistructure(self):
         u0 = ex.parse_expr("0 - x1^2 / 2", cp.base_chart(1))
@@ -596,7 +614,7 @@ class TestCaustics:
         tvar, xvar = ex.coords(chart2)
         omega = forms.one_form(chart2, [xvar, tvar])
         context = cp.BiStructureContext(omega=omega)
-        events = cp.detect_caustic(sol, context=context)
+        events = cp.detect_caustic(sol.strips, context=context)
         assert events and events[0].bistructure is not None
         record = events[0].bistructure
         assert record.pseudostructure.kind == "characteristic-family"

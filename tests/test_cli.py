@@ -455,6 +455,26 @@ class TestDocumentNumbers:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, fixture, grid, message", [
+        ("hj", "hj_free_particle.json", [0, 0.5, 0, 1],
+         "hj.grid[2]: node 0.0 repeats hj.grid[0]"),
+        ("caustics", "hj_focusing.json", {"start": 0.3, "stop": 0.3, "count": 4},
+         "caustics.grid[1]: node 0.3 repeats caustics.grid[0]"),
+        ("hj", "hj_free_particle.json", [0.5, -0.0, 0.0],
+         "hj.grid[2]: node 0.0 repeats hj.grid[1]"),
+        ("hj", "hj_free_particle.json", [1.0, 1.0], "hj.grid[1]"),
+    ])
+    def test_repeated_grid_node_is_schema_error(self, cmd, fixture, grid, message,
+                                                tmp_path, capsys):
+        doc = json.loads((FIXTURES / fixture).read_text())
+        doc["grid"] = grid
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["pde", cmd, "--in", str(path)], tmp_path)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("point", [[float("nan"), float("nan")], [True, 0.5],
                                        [0.5], "0.5,0.5"])
     def test_bistructure_point(self, point, tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import rand_expr
 from exform import _kernels, charpde as cp, expr as ex, tape
 
 CH = ex.chart("a", "b")
@@ -123,6 +124,30 @@ def test_fan_packs_fold_their_constant_chains():
     assert [ex.to_text(e) for e in rhs[3:]] == ["-(p1 * -1)", "-(p2 * -1)"]
     assert pack.codes.tolist() == [_kernels.OP_ADD]
     assert pack.outputs[3:].tolist() == [pack.nreg + 3, pack.nreg + 4]
+
+
+def unread_pool_slots(t):
+    """Constant-pool slots that no operation and no component reads."""
+    binary = t.codes <= _kernels.OP_DIV
+    read = set(t.args[:, 1].tolist()) | set(t.args[binary, 2].tolist())
+    read |= set(t.outputs.tolist())
+    pool = range(t.nreg + t.dim, t.nreg + t.dim + t.consts.size)
+    return [slot for slot in pool if slot not in read]
+
+
+def test_every_pool_constant_is_read(rng):
+    """A fold drops the constants it read through: the quad dx/dt reads 1.1
+    and 0.2, not the 2, 2.2, 4.4 and 4 met on the way."""
+    for kind in ("quad", "osc", "growth"):
+        assert unread_pool_slots(_fan_pack(kind)[1]) == [], kind
+    eik = cp._charpit_system(cp.FirstOrderPDE.from_text(2, "p1^2 + p2^2 - 0.81"))[1]
+    assert unread_pool_slots(eik) == []
+    dx = tape.compile_expr(_fan_pack("quad")[0][1])
+    assert sorted(dx.consts.tolist()) == [0.2, 1.1]
+    for _ in range(200):
+        exprs = [rand_expr(rng, CH, depth=4) for _ in range(3)]
+        exprs += [2.0 * (e * 1.1) / 4.0 - (-(e / 0.5)) for e in exprs]
+        assert unread_pool_slots(tape.pack_exprs(exprs)) == []
 
 
 def _shape(e):

@@ -1,13 +1,15 @@
-"""The benchmark's tracing hooks resolve on the package.
+"""The benchmark's tracing hooks and workload API resolve on the package.
 
 `perfbench/tracer.py` wraps every (module, attribute) in its BOUNDARIES and
-fails on a missing one, and `perfbench/worker.py` reads
-`expr._tape_for.cache_info`.  A rename that would crash a traced benchmark
-run fails here first.  The tracer module is loaded by path and only read.
+fails on a missing one, `perfbench/worker.py` reads
+`expr._tape_for.cache_info`, and the `fan` workload reads what `charpde`
+returns.  A rename or a return type that would crash a benchmark run fails
+here first.  The perfbench modules are loaded by path and only read.
 """
 
 import importlib
 import importlib.util
+import itertools
 import pathlib
 
 import numpy as np
@@ -15,14 +17,18 @@ import pytest
 
 from exform import _kernels, expr as ex, tape
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_module():
-    spec = importlib.util.spec_from_file_location("exform_bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load("exform_bench_tracer", PERFBENCH / "tracer.py")
 
 
 def _boundaries():
@@ -69,3 +75,19 @@ def test_compile_counter_counts_a_repeated_subexpression_once():
     exprs = [e + e, ex.sin(x1) * x2, e]
     tracer._count_pack_exprs((exprs,), tape.pack_exprs(exprs))
     assert tracer.counts["tape.compile.instructions"] == 3
+
+
+@pytest.mark.parametrize("kind", ["quad", "osc", "eik", "growth"])
+def test_fan_workload_reads_what_charpde_returns(kind, monkeypatch):
+    """One 8-strip operation of each timed `fan` kind runs and passes the
+    workload's own closed-form checks."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))     # the workload imports gen
+    fan = _load("exform_bench_fan", PERFBENCH / "workloads" / "fan.py")
+    i = next(i for i in itertools.count()
+             if fan.KINDS[i % len(fan.KINDS)] == kind
+             and fan.STRIP_COUNTS[i % len(fan.STRIP_COUNTS)] == 8)
+    spec = fan.make_op(101, i)
+    runner = fan.Runner(101)
+    digest = runner.digest(spec, runner.run(spec))
+    assert (spec["kind"], spec["strips"]) == (kind, 8)
+    assert digest["problems"] == []
