@@ -285,22 +285,21 @@ class _Tokenizer:
             if c.isspace():
                 i += 1
                 continue
-            if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-                m = _TOKEN_NUM.match(text, i)
+            if c in "+-*/^()":
+                self.tokens.append((c, c, i))
+                i += 1
+                continue
+            # ASCII only: str.isdigit and str.isalpha accept '²' and 'é' too
+            if c in "0123456789." and (m := _TOKEN_NUM.match(text, i)):
                 end = m.end()
                 if end < n and (text[end].isalnum() or text[end] in "._"):
                     raise ParseError("malformed number", text, i)
                 self.tokens.append(("num", float(m.group()), i))
                 i = end
                 continue
-            if c.isalpha() or c == "_":
-                m = _IDENT_RE.match(text, i)
+            if m := _IDENT_RE.match(text, i):
                 self.tokens.append(("ident", m.group(), i))
                 i = m.end()
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, i))
-                i += 1
                 continue
             raise ParseError(f"unexpected character {c!r}", text, i)
         self.tokens.append(("end", None, n))
@@ -733,12 +732,17 @@ def evaluate_many(e: ScalarExpr, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != e.chart.dim:
         raise ValueError(f"expected (m, {e.chart.dim}) points, got {pts.shape}")
     vals, errs = _kernels.eval_tape(_tape_for(e), pts)
+    raise_first_domain_error(errs, pts)
+    return vals
+
+
+def raise_first_domain_error(errs: np.ndarray, points: np.ndarray) -> None:
+    """Raise a DomainError at the first point whose kernel error code is not 0."""
     bad = np.nonzero(errs)[0]
     if bad.size:
         k = int(bad[0])
         raise DomainError(
-            f"{_kernels.ERR_MESSAGES[int(errs[k])]} at point {tuple(pts[k].tolist())}")
-    return vals
+            f"{_kernels.ERR_MESSAGES[int(errs[k])]} at point {tuple(points[k].tolist())}")
 
 
 def evaluate_masked(e: ScalarExpr, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

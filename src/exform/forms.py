@@ -9,12 +9,14 @@ coefficients are never stored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels, tape
 from . import expr as ex
 from .expr import (ChartMismatchError, Const, CoordinateChart, DomainError,
                    ExformError, ScalarExpr)
@@ -317,9 +319,14 @@ def closure_residual(theta: DifferentialForm, trials: int = ex.DEFAULT_TRIALS,
 # homotopy (cone) antiderivative on a star-shaped domain
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per order
+    and shared read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -503,50 +510,66 @@ def _jacobian_minor(cell: Cell, index: Index) -> ScalarExpr:
     return ex.simplify(total)
 
 
-def pullback_integrand(theta: DifferentialForm, cell: Cell) -> ScalarExpr:
-    """Pull theta back through the cell parametrization; a scalar over s1..sk."""
-    pchart = param_chart(cell.k)
-    total: ScalarExpr | None = None
-    for index, coeff in theta.coeffs.items():
-        composed = ex.compose(coeff, pchart, list(cell.maps))
-        minor = _jacobian_minor(cell, index)
-        term = ex.Binary(pchart, "*", composed, minor)
-        total = term if total is None else ex.Binary(pchart, "+", total, term)
-    if total is None:
-        return Const(pchart, 0.0)
-    return ex.simplify(total)
+def _integrals(theta: DifferentialForm, cells: Sequence[Cell],
+               quadrature_order: int) -> list[float]:
+    """Integrals of theta over cells of one degree k (tensor Gauss-Legendre).
+
+    For k >= 1 theta is pulled back numerically: every cell's maps and
+    nonzero Jacobian minors are one pack evaluated at the nodes, and theta's
+    coefficients one pack evaluated once at all the cells' mapped nodes.  A
+    term counts where its minor is not identically zero; a domain error in
+    what a cell's terms read raises at the first such node.
+    """
+    k = cells[0].k
+    if theta.chart != cells[0].chart:
+        raise ChartMismatchError("form and cell charts differ")
+    if theta.degree != k:
+        raise DegreeError(f"degree mismatch: form {theta.degree}, cell {k}")
+    if quadrature_order < 1:
+        raise ValueError("quadrature order must be >= 1")
+    if k == 0:
+        return [cell.orientation * ex.evaluate(theta.coeff(()), cell.at(()))
+                for cell in cells]
+    nodes, weights = _gauss01(quadrature_order)
+    s = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * k, indexing="ij")], axis=1)
+    w = functools.reduce(np.multiply.outer, [weights] * k).ravel()
+    m, n = len(s), theta.chart.dim
+    # terms[c]: (index, minor) for each coefficient that counts on cell c
+    terms = [[(i, minor) for i in theta.coeffs
+              if not ex.is_zero_const(minor := _jacobian_minor(cell, i))] for cell in cells]
+    rows = {i: r for r, i in enumerate(dict.fromkeys(i for t in terms for i, _ in t))}
+    if not rows:
+        return [0.0] * len(cells)
+    mapped, mapped_errs = _kernels.eval_pack(tape.pack_exprs(
+        [e for cell, t in zip(cells, terms) for e in (*cell.maps, *(mi for _, mi in t))]), s)
+    starts = np.cumsum([0] + [n + len(t) for t in terms])
+    x = np.concatenate([mapped[a:a + n] for a in starts[:-1]], axis=1).T
+    coeffs, coeff_errs = _kernels.eval_pack(
+        tape.pack_exprs([theta.coeffs[i] for i in rows]), x)
+    out = []
+    for c, (cell, t) in enumerate(zip(cells, terms)):
+        a, at = starts[c], slice(c * m, (c + 1) * m)
+        used = sorted(set().union(*(ex.free_axes(theta.coeffs[i]) for i, _ in t)))
+        errs = np.concatenate([mapped_errs[a + np.array(used, int)],
+                               coeff_errs[[rows[i] for i, _ in t], at],
+                               mapped_errs[a + n:a + n + len(t)]])
+        ex.raise_first_domain_error(errs.max(axis=0, initial=0), s)
+        products = [coeffs[rows[i], at] * mapped[a + n + r] for r, (i, _) in enumerate(t)]
+        out.append(cell.orientation * float(np.dot(w, sum(products[1:], products[0])))
+                   if t else 0.0)
+    return out
 
 
 def integrate_form(theta: DifferentialForm, cell: Cell,
                    quadrature_order: int = DEFAULT_QUAD_ORDER) -> float:
     """Integrate a degree-k form over a degree-k cell (tensor Gauss-Legendre)."""
-    if theta.chart != cell.chart:
-        raise ChartMismatchError("form and cell charts differ")
-    if theta.degree != cell.k:
-        raise DegreeError(
-            f"degree mismatch: form {theta.degree}, cell {cell.k}")
-    if quadrature_order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    if cell.k == 0:
-        point = cell.at(())
-        return cell.orientation * ex.evaluate(theta.coeff(()), point)
-    integrand = pullback_integrand(theta, cell)
-    if ex.is_zero_const(integrand):
-        return 0.0
-    nodes, weights = _gauss01(quadrature_order)
-    grids = np.meshgrid(*([nodes] * cell.k), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    w = weights
-    for _ in range(cell.k - 1):
-        w = np.multiply.outer(w, weights)
-    values = ex.evaluate_many(integrand, points)
-    return cell.orientation * float(np.dot(w.ravel(), values))
+    return _integrals(theta, [cell], quadrature_order)[0]
 
 
 def boundary_integral(theta: DifferentialForm, cell: Cell,
                       quadrature_order: int = DEFAULT_QUAD_ORDER) -> float:
-    return sum(integrate_form(theta, face, quadrature_order)
-               for face in boundary(cell))
+    """Integral of theta over the boundary faces, all faces evaluated at once."""
+    return sum(_integrals(theta, boundary(cell), quadrature_order))
 
 
 def stokes_residual(theta: DifferentialForm, cell: Cell,

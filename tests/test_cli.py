@@ -68,6 +68,16 @@ class TestExitCodes:
         code, _ = run(["form", "d", "--in", str(doc)], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("coeff", ["x1 * é", "x1 * $"])
+    def test_unexpected_character_is_input_error(self, coeff, tmp_path, capsys):
+        doc = tmp_path / "badchar.json"
+        doc.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1"], "degree": 0,
+            "terms": [{"index": [], "coeff": coeff}]}))
+        code, _ = run(["form", "d", "--in", str(doc)], tmp_path)
+        assert code == 2
+        assert f"unexpected character {coeff[-1]!r} at position 5" in capsys.readouterr().err
+
     def test_math_domain_error(self, tmp_path):
         # pullback hits ln(0) on the s1 = 0 face of the unit square
         doc = tmp_path / "logform.json"

@@ -72,6 +72,13 @@ class TestParse:
         with pytest.raises(ex.ParseError, match="malformed number"):
             ex.parse_expr("1e + x1", CH2)
 
+    @pytest.mark.parametrize("text, char, pos", [("x1 + ²", "²", 5), ("é*x1", "é", 0)])
+    def test_non_ascii_character_positioned(self, text, char, pos):
+        # str.isdigit and str.isalpha accept these, yet no token starts with them
+        with pytest.raises(ex.ParseError, match=f"unexpected character {char!r}") as err:
+            ex.parse_expr(text, CH2)
+        assert err.value.pos == pos
+
     def test_precedence_pow_over_unary_minus(self):
         assert ex.parse_expr("-x1^2", CH2) == Unary(CH2, "neg", Power(CH2, X1, 2))
 

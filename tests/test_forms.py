@@ -7,6 +7,7 @@ from exform import expr as ex
 from exform import forms
 from exform.expr import Binary, Unary
 
+import pullback_reference as reference
 from conftest import rand_expr, rand_form
 
 CH2 = ex.chart("x1", "x2")
@@ -325,3 +326,155 @@ class TestCellsAndIntegration:
         with pytest.raises(ValueError):
             forms.integrate_form(
                 forms.DifferentialForm(CH2, 2, {(0, 1): A1}), self.square(), 0)
+
+    def test_zero_minor_drops_an_undefined_coefficient(self):
+        # x1 is constant on the segment, so the dx1 term never counts
+        theta = forms.one_form(CH2, [ex.parse_expr("sqrt(x1 - 5)", CH2), A2])
+        segment = forms.Cell.from_text(CH2, 1, ["0", "s1"])
+        assert forms.integrate_form(theta, segment) == 0.5
+
+    def test_domain_error_names_the_parameter_point(self):
+        theta = forms.one_form(CH2, [ex.parse_expr("sqrt(x1 - 5)", CH2), A2])
+        diagonal = forms.Cell.from_text(CH2, 1, ["s1", "s1"])
+        first = float(forms._gauss01(forms.DEFAULT_QUAD_ORDER)[0][0])
+        with pytest.raises(ex.DomainError) as err:
+            forms.integrate_form(theta, diagonal)
+        assert str(err.value) == f"sqrt of negative argument at point {(first,)}"
+
+    def test_coefficient_undefined_on_a_face_raises(self):
+        # x1 / x1 is undefined on the x1 = 0 face; composing and simplifying
+        # it there gave 0 / 0 -> 0, and the face integrated to 0.0
+        theta = forms.DifferentialForm(CH2, 1, {(1,): A1 / A1})
+        face = forms.boundary(self.square())[0]
+        with pytest.raises(ex.DomainError, match="division by zero"):
+            forms.integrate_form(theta, face)
+
+
+class TestGaussNodes:
+    def test_repeated_order_shares_read_only_arrays(self):
+        nodes, weights = forms._gauss01(7)
+        again = forms._gauss01(7)
+        assert again[0] is nodes and again[1] is weights
+        for a in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_one_leggauss_call_per_distinct_order(self, monkeypatch):
+        orders = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(order):
+            orders.append(order)
+            return leggauss(order)
+
+        forms._gauss01.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        theta = forms.one_form(CH2, [A2, A1])
+        forms.antiderivative(theta, (0.0, 0.0)).coefficients_at((0.3, 0.4))
+        forms.stokes_residual(theta, forms.Cell.from_text(CH2, 2, ["s1", "s2"]))
+        assert sorted(orders) == sorted({forms.HOMOTOPY_ORDER, 2 * forms.HOMOTOPY_ORDER,
+                                         forms.DEFAULT_QUAD_ORDER})
+
+
+def _poly_cell(rng, chart, k):
+    """A random cell with no coordinate constant on any face: each map is
+    c0 + sum c_a s_a (+ c s1 s2), every c_a nonzero."""
+    s = ex.coords(forms.param_chart(k))
+    maps = []
+    for _ in range(chart.dim):
+        e = ex.const(s[0].chart, round(float(rng.uniform(-0.5, 0.5)), 3))
+        for a in range(k):
+            e = e + round(float(rng.uniform(0.3, 1.0)), 3) * s[a]
+        if k > 1:
+            e = e + round(float(rng.uniform(-0.3, 0.3)), 3) * s[0] * s[1]
+        maps.append(e)
+    return forms.Cell(chart, k, tuple(maps), int(rng.choice([1, -1])))
+
+
+def _rand_form(rng, chart, degree, trig):
+    """rand_form, sometimes with exp(c * coefficient) for a transcendental case."""
+    form = rand_form(rng, chart, degree, depth=2, trig=trig)
+    if not trig:
+        return form
+    return forms.DifferentialForm(chart, degree, {
+        i: ex.exp(float(rng.uniform(-1, 1)) * c) if rng.random() < 0.3 else c
+        for i, c in form.coeffs.items()})
+
+
+def _three_integrals(module, omega, theta, cell, order):
+    return (module.integrate_form(omega, cell, order),
+            module.boundary_integral(theta, cell, order),
+            module.stokes_residual(theta, cell, order))
+
+
+TAU = 2.0 * np.pi
+# The disk's s2 = 1 face has the constants cos(TAU) and sin(TAU): the reference
+# folds them with math.cos and math.sin, the numeric path with numpy, and the
+# two agree on them (numpy 2.4, x86-64).
+NAMED_CELLS = {
+    "segment": forms.Cell.from_text(CH2, 1, ["s1", "1 - s1"], orientation=-1),
+    "square": forms.Cell.from_text(CH2, 2, ["s1", "s2"]),
+    "disk": forms.Cell.from_text(CH2, 2, [f"s1 * cos({TAU} * s2)", f"s1 * sin({TAU} * s2)"]),
+    "cube": forms.Cell.from_text(CH3, 3, ["s1", "s2", "s3"]),
+}
+
+
+class TestPullbackParity:
+    """The numeric pullback equals the symbolic one in tests/pullback_reference.py
+    bit for bit: the same IEEE operations on the same operands."""
+
+    @pytest.mark.parametrize("order", [1, 16, 24])
+    @pytest.mark.parametrize("k, chart", [(1, CH2), (1, CH3), (2, CH2), (2, CH3), (3, CH3)])
+    def test_random_forms_on_random_cells(self, k, chart, order):
+        rng = np.random.default_rng(1000 * k + 10 * chart.dim + order)
+        for trial in range(6):
+            cell = _poly_cell(rng, chart, k)
+            trig = trial % 2 == 1
+            omega = _rand_form(rng, chart, k, trig)
+            theta = _rand_form(rng, chart, k - 1, trig)
+            new = _three_integrals(forms, omega, theta, cell, order)
+            old = _three_integrals(reference, omega, theta, cell, order)
+            assert [v.hex() for v in new] == [v.hex() for v in old], (omega, theta, cell)
+
+    @pytest.mark.parametrize("order", [1, 16, 24])
+    @pytest.mark.parametrize("name", list(NAMED_CELLS))
+    def test_polynomial_forms_on_named_cells(self, name, order):
+        # these cells have faces on which a coordinate is a constant 0 or 1
+        cell = NAMED_CELLS[name]
+        rng = np.random.default_rng(order)
+        for _ in range(6):
+            omega = rand_form(rng, cell.chart, cell.k, depth=2, trig=False)
+            theta = rand_form(rng, cell.chart, cell.k - 1, depth=2, trig=False)
+            new = _three_integrals(forms, omega, theta, cell, order)
+            old = _three_integrals(reference, omega, theta, cell, order)
+            assert [v.hex() for v in new] == [v.hex() for v in old], (omega, theta)
+
+    @pytest.mark.parametrize("order", [1, 16, 24])
+    def test_rotation_on_disk_and_cube_form(self, order):
+        rotation = forms.one_form(CH2, [-A2, A1])
+        cube_form = forms.DifferentialForm(
+            CH3, 2, {(0, 1): B3 ** 2, (1, 2): B1 * B2, (0, 2): B2 * B3})
+        for theta, cell in [(rotation, NAMED_CELLS["disk"]), (cube_form, NAMED_CELLS["cube"])]:
+            omega = forms.exterior_derivative(theta)
+            new = _three_integrals(forms, omega, theta, cell, order)
+            old = _three_integrals(reference, omega, theta, cell, order)
+            assert [v.hex() for v in new] == [v.hex() for v in old]
+
+    def test_constant_face_is_evaluated_not_folded(self):
+        # On the x2 = 1 face of the cube, exp(c * x2) is a constant.  The
+        # symbolic path folded it with math.exp; the numeric path evaluates it
+        # as evaluate_many does.  With numpy 2.4 on x86-64 the two exps differ
+        # by an ulp here, and so do the integrals at orders 1 and 24.
+        coeff = ex.exp(0.8288987938076231 * B2)
+        omega = forms.DifferentialForm(CH3, 2, {(0, 2): coeff})
+        face = forms.boundary(NAMED_CELLS["cube"])[3]
+        assert face.maps[1] == ex.const(face.maps[1].chart, 1.0)
+        for order in (1, 24):
+            nodes, weights = forms._gauss01(order)
+            s1, s2 = (g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
+            values = ex.evaluate_many(coeff, np.stack([s1, np.ones_like(s1), s2], axis=1))
+            expected = face.orientation * float(
+                np.dot(np.multiply.outer(weights, weights).ravel(), values))
+            assert forms.integrate_form(omega, face, order) == expected
+            assert reference.integrate_form(omega, face, order) == pytest.approx(
+                expected, rel=1e-15)

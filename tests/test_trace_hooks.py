@@ -2,8 +2,9 @@
 
 `perfbench/tracer.py` wraps every (module, attribute) in its BOUNDARIES and
 fails on a missing one, `perfbench/worker.py` reads
-`expr._tape_for.cache_info`, and the `fan` workload reads what `charpde`
-returns.  A rename or a return type that would crash a benchmark run fails
+`expr._tape_for.cache_info`, the `fan` workload reads what `charpde`
+returns, and the `verdicts` workload what `forms`, `dual` and `evolution`
+return.  A rename or a return type that would crash a benchmark run fails
 here first.  The perfbench modules are loaded by path and only read.
 """
 
@@ -91,3 +92,16 @@ def test_fan_workload_reads_what_charpde_returns(kind, monkeypatch):
     digest = runner.digest(spec, runner.run(spec))
     assert (spec["kind"], spec["strips"]) == (kind, 8)
     assert digest["problems"] == []
+
+
+def test_verdicts_workload_reads_what_forms_returns(monkeypatch):
+    """One operation of each `verdicts` category runs and passes the
+    workload's own check against its known answer."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))     # the workload imports gen
+    verdicts = _load("exform_bench_verdicts", PERFBENCH / "workloads" / "verdicts.py")
+    runner = verdicts.Runner(101)
+    for i, cat in enumerate(verdicts.CATEGORIES):
+        spec = verdicts.make_op(101, i)
+        assert spec["cat"] == cat
+        digest = runner.digest(spec, runner.run(spec))
+        assert verdicts.check(spec, digest) is None, cat
