@@ -732,17 +732,12 @@ def evaluate_many(e: ScalarExpr, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != e.chart.dim:
         raise ValueError(f"expected (m, {e.chart.dim}) points, got {pts.shape}")
     vals, errs = _kernels.eval_tape(_tape_for(e), pts)
-    raise_first_domain_error(errs, pts)
-    return vals
-
-
-def raise_first_domain_error(errs: np.ndarray, points: np.ndarray) -> None:
-    """Raise a DomainError at the first point whose kernel error code is not 0."""
     bad = np.nonzero(errs)[0]
     if bad.size:
         k = int(bad[0])
         raise DomainError(
-            f"{_kernels.ERR_MESSAGES[int(errs[k])]} at point {tuple(points[k].tolist())}")
+            f"{_kernels.ERR_MESSAGES[int(errs[k])]} at point {tuple(pts[k].tolist())}")
+    return vals
 
 
 def evaluate_masked(e: ScalarExpr, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -321,8 +321,7 @@ def closure_residual(theta: DifferentialForm, trials: int = ex.DEFAULT_TRIALS,
 
 @functools.lru_cache(maxsize=32)
 def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], computed once per order
-    and shared read-only."""
+    """Gauss-Legendre nodes and weights on [0, 1], cached read-only per order."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
     nodes.flags.writeable = weights.flags.writeable = False
@@ -511,14 +510,13 @@ def _jacobian_minor(cell: Cell, index: Index) -> ScalarExpr:
 
 
 def _integrals(theta: DifferentialForm, cells: Sequence[Cell],
-               quadrature_order: int) -> list[float]:
+               quadrature_order: int) -> Iterator[float]:
     """Integrals of theta over cells of one degree k (tensor Gauss-Legendre).
 
-    For k >= 1 theta is pulled back numerically: every cell's maps and
-    nonzero Jacobian minors are one pack evaluated at the nodes, and theta's
-    coefficients one pack evaluated once at all the cells' mapped nodes.  A
-    term counts where its minor is not identically zero; a domain error in
-    what a cell's terms read raises at the first such node.
+    theta is pulled back numerically: a cell's maps and its nonzero Jacobian
+    minors are one pack evaluated at the nodes, and theta's coefficients,
+    compiled once, are evaluated at the mapped nodes.  A cell whose integral
+    is not finite (a domain error reads NaN) is integrated symbolically.
     """
     k = cells[0].k
     if theta.chart != cells[0].chart:
@@ -528,47 +526,54 @@ def _integrals(theta: DifferentialForm, cells: Sequence[Cell],
     if quadrature_order < 1:
         raise ValueError("quadrature order must be >= 1")
     if k == 0:
-        return [cell.orientation * ex.evaluate(theta.coeff(()), cell.at(()))
-                for cell in cells]
+        yield from (cell.orientation * ex.evaluate(theta.coeff(()), cell.at(()))
+                    for cell in cells)
+        return
+    if not theta.coeffs:
+        yield from [0.0] * len(cells)
+        return
     nodes, weights = _gauss01(quadrature_order)
     s = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * k, indexing="ij")], axis=1)
     w = functools.reduce(np.multiply.outer, [weights] * k).ravel()
-    m, n = len(s), theta.chart.dim
-    # terms[c]: (index, minor) for each coefficient that counts on cell c
-    terms = [[(i, minor) for i in theta.coeffs
-              if not ex.is_zero_const(minor := _jacobian_minor(cell, i))] for cell in cells]
-    rows = {i: r for r, i in enumerate(dict.fromkeys(i for t in terms for i, _ in t))}
-    if not rows:
-        return [0.0] * len(cells)
-    mapped, mapped_errs = _kernels.eval_pack(tape.pack_exprs(
-        [e for cell, t in zip(cells, terms) for e in (*cell.maps, *(mi for _, mi in t))]), s)
-    starts = np.cumsum([0] + [n + len(t) for t in terms])
-    x = np.concatenate([mapped[a:a + n] for a in starts[:-1]], axis=1).T
-    coeffs, coeff_errs = _kernels.eval_pack(
-        tape.pack_exprs([theta.coeffs[i] for i in rows]), x)
-    out = []
-    for c, (cell, t) in enumerate(zip(cells, terms)):
-        a, at = starts[c], slice(c * m, (c + 1) * m)
-        used = sorted(set().union(*(ex.free_axes(theta.coeffs[i]) for i, _ in t)))
-        errs = np.concatenate([mapped_errs[a + np.array(used, int)],
-                               coeff_errs[[rows[i] for i, _ in t], at],
-                               mapped_errs[a + n:a + n + len(t)]])
-        ex.raise_first_domain_error(errs.max(axis=0, initial=0), s)
-        products = [coeffs[rows[i], at] * mapped[a + n + r] for r, (i, _) in enumerate(t)]
-        out.append(cell.orientation * float(np.dot(w, sum(products[1:], products[0])))
-                   if t else 0.0)
-    return out
+    n = theta.chart.dim
+    coeffs = tape.pack_exprs(list(theta.coeffs.values()))
+    for cell in cells:
+        terms = [(r, minor) for r, i in enumerate(theta.coeffs)
+                 if not ex.is_zero_const(minor := _jacobian_minor(cell, i))]
+        if not terms:
+            yield 0.0
+            continue
+        mapped, _ = _kernels.eval_pack(
+            tape.pack_exprs([*cell.maps, *(minor for _, minor in terms)]), s)
+        values, _ = _kernels.eval_pack(coeffs, mapped[:n].T)
+        products = [values[r] * mapped[n + j] for j, (r, _) in enumerate(terms)]
+        total = cell.orientation * float(np.dot(w, sum(products[1:], products[0])))
+        yield total if np.isfinite(total) else _symbolic_integral(theta, cell, s, w)
+
+
+def _symbolic_integral(theta: DifferentialForm, cell: Cell, s: np.ndarray,
+                       w: np.ndarray) -> float:
+    """Compose theta into the maps and simplify: 0 * r, l - l and 0 / r drop
+    what cancels (x1 ln(x1) dx2 is 0 on the x1 = 0 face); the rest may raise."""
+    pchart = param_chart(cell.k)
+    terms = [ex.Binary(pchart, "*", ex.compose(c, pchart, list(cell.maps)),
+                       _jacobian_minor(cell, i)) for i, c in theta.coeffs.items()]
+    integrand = ex.simplify(
+        functools.reduce(lambda a, b: ex.Binary(pchart, "+", a, b), terms))
+    if ex.is_zero_const(integrand):
+        return 0.0
+    return cell.orientation * float(np.dot(w, ex.evaluate_many(integrand, s)))
 
 
 def integrate_form(theta: DifferentialForm, cell: Cell,
                    quadrature_order: int = DEFAULT_QUAD_ORDER) -> float:
     """Integrate a degree-k form over a degree-k cell (tensor Gauss-Legendre)."""
-    return _integrals(theta, [cell], quadrature_order)[0]
+    return next(_integrals(theta, [cell], quadrature_order))
 
 
 def boundary_integral(theta: DifferentialForm, cell: Cell,
                       quadrature_order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Integral of theta over the boundary faces, all faces evaluated at once."""
+    """Integral of theta over the boundary faces, summed in boundary order."""
     return sum(_integrals(theta, boundary(cell), quadrature_order))
 
 

@@ -3,7 +3,9 @@
 Each face or cell composes theta's coefficients into the cell maps, multiplies
 by the Jacobian minors, simplifies the summed tree and evaluates it through
 one compiled tape at the tensor Gauss-Legendre nodes.  `exform.forms` pulls
-back numerically instead; its integrals must equal these bit for bit.
+back numerically instead; its integrals must equal these bit for bit.  It
+keeps this path only for a cell whose numeric integral is not finite; the
+copy here is separate so the reference does not change with that code.
 """
 
 import numpy as np
