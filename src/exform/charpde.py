@@ -149,11 +149,7 @@ def _charpit_system(pde: FirstOrderPDE):
     f_u = ex.partial(F, n)
     p_coord = [ex.Coord(chart, n + 1 + i) for i in range(n)]
     dx = list(f_p)
-    du: ScalarExpr | None = None
-    for i in range(n):
-        term = ex.Binary(chart, "*", p_coord[i], f_p[i])
-        du = term if du is None else ex.Binary(chart, "+", du, term)
-    du = ex.simplify(du)
+    du = ex.sum_of(ex.Binary(chart, "*", p_coord[i], f_p[i]) for i in range(n))
     dp = [ex.simplify(ex.Unary(chart, "neg",
                                ex.Binary(chart, "+", f_x[i],
                                          ex.Binary(chart, "*", p_coord[i], f_u))))
@@ -355,11 +351,9 @@ def _canonical_system(hj: HJEquation):
     e_p = [ex.partial(hj.E, 1 + n + j) for j in range(n)]
     e_x = [ex.partial(hj.E, 1 + j) for j in range(n)]
     dx = [lift(e) for e in e_p]
-    du: ScalarExpr | None = None
-    for j in range(n):
-        term = ex.Binary(dst, "*", ex.Coord(dst, n + 2 + j), dx[j])
-        du = term if du is None else ex.Binary(dst, "+", du, term)
-    du = ex.simplify(ex.Binary(dst, "-", du, lift(hj.E)))
+    du = ex.simplify(ex.Binary(dst, "-", ex.sum_of(
+        ex.Binary(dst, "*", ex.Coord(dst, n + 2 + j), dx[j]) for j in range(n)),
+        lift(hj.E)))
     dp = [ex.simplify(ex.Unary(dst, "neg", lift(e))) for e in e_x]
     rhs = [ex.Const(dst, 1.0)] + dx + [du] + dp
     return rhs, tape.pack_exprs(rhs), tape.compile_expr(lift(hj.E))
@@ -390,15 +384,11 @@ def poisson_bracket(E: ScalarExpr, V: ScalarExpr) -> ScalarExpr:
     if chart.dim < 3 or chart.dim % 2 == 0:
         raise ValueError("bracket needs a (t, x1..xn, p1..pn) chart")
     n = (chart.dim - 1) // 2
-    total: ScalarExpr | None = None
-    for j in range(n):
-        term = ex.Binary(chart, "-",
-                         ex.Binary(chart, "*", ex.partial(E, 1 + n + j),
-                                   ex.partial(V, 1 + j)),
-                         ex.Binary(chart, "*", ex.partial(E, 1 + j),
-                                   ex.partial(V, 1 + n + j)))
-        total = term if total is None else ex.Binary(chart, "+", total, term)
-    return ex.simplify(total)
+    return ex.sum_of(
+        ex.Binary(chart, "-",
+                  ex.Binary(chart, "*", ex.partial(E, 1 + n + j), ex.partial(V, 1 + j)),
+                  ex.Binary(chart, "*", ex.partial(E, 1 + j), ex.partial(V, 1 + n + j)))
+        for j in range(n))
 
 
 def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,

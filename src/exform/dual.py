@@ -100,12 +100,8 @@ def cauchy_riemann_residuals(u: ScalarExpr, v: ScalarExpr) -> tuple[ScalarExpr, 
 
 def harmonic_residual(f: ScalarExpr) -> ScalarExpr:
     """Sum of the pure second partials (Laplacian), simplified."""
-    chart = f.chart
-    total: ScalarExpr | None = None
-    for axis in range(chart.dim):
-        second = ex.partial(ex.partial(f, axis), axis)
-        total = second if total is None else ex.Binary(chart, "+", total, second)
-    return ex.simplify(total)
+    return ex.sum_of(ex.partial(ex.partial(f, axis), axis)
+                     for axis in range(f.chart.dim))
 
 
 @dataclass(frozen=True)

@@ -77,10 +77,9 @@ def curvature(conn: Connection):
     nonzero = conn.gamma.keys()
 
     def entry(mu, nu, rho, sigma):
-        total: ScalarExpr = ex.Binary(
-            chart, "-",
-            ex.partial(conn.coeff(mu, nu, sigma), rho),
-            ex.partial(conn.coeff(mu, nu, rho), sigma))
+        terms = [ex.Binary(chart, "-",
+                           ex.partial(conn.coeff(mu, nu, sigma), rho),
+                           ex.partial(conn.coeff(mu, nu, rho), sigma))]
         for lam in range(n):
             # a term with a zero factor in each product simplifies to 0 - 0,
             # and t + 0 to t: skipping it leaves the simplified tree as it is
@@ -88,12 +87,11 @@ def curvature(conn: Connection):
                     and ((mu, lam, sigma) not in nonzero
                          or (lam, nu, rho) not in nonzero)):
                 continue
-            quad = ex.Binary(
+            terms.append(ex.Binary(
                 chart, "-",
                 ex.Binary(chart, "*", conn.coeff(mu, lam, rho), conn.coeff(lam, nu, sigma)),
-                ex.Binary(chart, "*", conn.coeff(mu, lam, sigma), conn.coeff(lam, nu, rho)))
-            total = ex.Binary(chart, "+", total, quad)
-        return ex.simplify(total)
+                ex.Binary(chart, "*", conn.coeff(mu, lam, sigma), conn.coeff(lam, nu, rho))))
+        return ex.sum_of(terms)
 
     return tuple(
         tuple(
@@ -146,22 +144,16 @@ def evolutionary_commutator(omega: DifferentialForm, conn: Connection) -> Evolut
     chart = omega.chart
     n = chart.dim
     flat = forms.commutator_1form(omega)
+    a = [omega.coeff((s,)) for s in range(n)]
     basis_entries: dict[tuple[int, int], ScalarExpr] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            acc: ScalarExpr | None = None
-            for s in range(n):
-                a_s = omega.coeff((s,))
-                if ex.is_zero_const(a_s):
-                    continue
-                torsion_piece = ex.Binary(chart, "-",
-                                          conn.coeff(s, j, i), conn.coeff(s, i, j))
-                term = ex.Binary(chart, "*", torsion_piece, a_s)
-                acc = term if acc is None else ex.Binary(chart, "+", acc, term)
-            if acc is not None:
-                entry = ex.simplify(acc)
-                if not ex.is_zero_const(entry):
-                    basis_entries[(i, j)] = entry
+            terms = [ex.Binary(chart, "*",
+                               ex.Binary(chart, "-", conn.coeff(s, j, i), conn.coeff(s, i, j)),
+                               a_s)
+                     for s, a_s in enumerate(a) if not ex.is_zero_const(a_s)]
+            if terms and not ex.is_zero_const(entry := ex.sum_of(terms)):
+                basis_entries[(i, j)] = entry
     return EvolutionaryCommutator(flat, Commutator1(chart, basis_entries))
 
 
@@ -232,23 +224,19 @@ def restrict_relation_to_curve(rel: NonidenticalRelation, curve: "forms.Cell",
     pchart = forms.param_chart(1)
     residual = rel.residual_form()
     velocity = [ex.partial(m, 0) for m in curve.maps]
-    integrand: ScalarExpr | None = None
-    speed2: ScalarExpr | None = None
-    for axis in range(curve.chart.dim):
-        coeff = residual.coeff((axis,))
-        pulled = ex.compose(coeff, pchart, list(curve.maps))
-        term = ex.Binary(pchart, "*", pulled, velocity[axis])
-        integrand = term if integrand is None else ex.Binary(pchart, "+", integrand, term)
-        v2 = ex.Binary(pchart, "*", velocity[axis], velocity[axis])
-        speed2 = v2 if speed2 is None else ex.Binary(pchart, "+", speed2, v2)
+    axes = range(curve.chart.dim)
     ts = np.linspace(0.0, 1.0, samples)
     pts = ts.reshape(-1, 1)
-    speeds = np.sqrt(ex.evaluate_many(ex.simplify(speed2), pts))
+    speed2 = ex.sum_of(ex.Binary(pchart, "*", velocity[a], velocity[a]) for a in axes)
+    speeds = np.sqrt(ex.evaluate_many(speed2, pts))
     if np.any(speeds < 1e-12):
         bad = int(np.argmin(speeds))
         raise DegenerateCurveError(
             f"curve tangent vanishes at t={ts[bad]:.6g} (|gamma'|={speeds[bad]:.3g})")
-    values = ex.evaluate_many(ex.simplify(integrand), pts)
+    integrand = ex.sum_of(
+        ex.Binary(pchart, "*", ex.compose(residual.coeff((a,)), pchart, list(curve.maps)),
+                  velocity[a]) for a in axes)
+    values = ex.evaluate_many(integrand, pts)
     return ts, values
 
 

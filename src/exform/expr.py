@@ -10,7 +10,8 @@ dataclass fields, so they never take part in `==`, `hash` or `repr`:
 
 * `simplify` marks every node it returns as a fixpoint and returns a marked
   node unchanged; a node whose children simplify to themselves is kept, not
-  rebuilt, so a simplified tree may share nodes with its input;
+  rebuilt, so a simplified tree may share nodes with its input.  `partial`
+  and `sum_of` build their trees simplified and marked, node by node;
 * `partial` keeps a dict from axis to derivative on the differentiated node.
 
 Numeric evaluation is routed through the compiled tape kernels in
@@ -294,7 +295,9 @@ class _Tokenizer:
                 end = m.end()
                 if end < n and (text[end].isalnum() or text[end] in "._"):
                     raise ParseError("malformed number", text, i)
-                self.tokens.append(("num", float(m.group()), i))
+                if not math.isfinite(value := float(m.group())):
+                    raise ParseError("number out of range", text, i)
+                self.tokens.append(("num", value, i))
                 i = end
                 continue
             if m := _IDENT_RE.match(text, i):
@@ -387,6 +390,8 @@ class _Parser:
         value = tok[1]
         if value != int(value):
             raise ParseError("exponent must be a constant integer", self.text, tok[2])
+        if value > 2**31:
+            raise ParseError("exponent out of range", self.text, tok[2])
         return -int(value) if neg else int(value)
 
     def atom(self) -> ScalarExpr:
@@ -549,7 +554,7 @@ def _rewrite(e: ScalarExpr) -> ScalarExpr:
                 if _is_const(r, 1.0):
                     return l
             else:  # /
-                if _is_const(l, 0.0):
+                if _is_const(l, 0.0) and not _is_const(r, 0.0):
                     return Const(ch, 0.0)
                 if _is_const(r, 1.0):
                     return l
@@ -560,7 +565,10 @@ def _rewrite(e: ScalarExpr) -> ScalarExpr:
             if k == 1:
                 return b
             if isinstance(b, Const) and not (b.value == 0.0 and k < 0):
-                v = b.value**k
+                try:
+                    v = b.value**k
+                except OverflowError:
+                    return e
                 if math.isfinite(v):
                     return Const(ch, v)
             return e
@@ -583,14 +591,28 @@ def _rewrite(e: ScalarExpr) -> ScalarExpr:
             return e
 
 
+def _settle(node: ScalarExpr) -> ScalarExpr:
+    """Rewrite a node whose children are simplified until `_rewrite` returns
+    it unchanged, and mark it.  The mark is sound because every subtree of a
+    result is a result: `_rewrite` builds new nodes only at the top."""
+    # getattr and object.__setattr__, never __dict__: reading __dict__ makes
+    # CPython build a separate dict object for every node it touches
+    while not getattr(node, "_simple", False):
+        rewritten = _rewrite(node)
+        if rewritten is node:
+            object.__setattr__(node, "_simple", True)
+        node = rewritten
+    return node
+
+
+def _bin(ch: CoordinateChart, op: str, l: ScalarExpr, r: ScalarExpr) -> ScalarExpr:
+    return _settle(Binary(ch, op, l, r))
+
+
 def simplify(e: ScalarExpr) -> ScalarExpr:
     """Constant folding, 0/1 identities, double negation; idempotent.
 
-    The mark is sound because every subtree of a result is itself a result:
-    `_rewrite` builds new nodes only at the top, from simplified subtrees.
-    """
-    # getattr and object.__setattr__, never __dict__: reading __dict__ makes
-    # CPython build a separate dict object for every node it touches
+    A node whose children simplify to themselves is kept, not rebuilt."""
     if getattr(e, "_simple", False):
         return e
     match e:
@@ -607,13 +629,17 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
             node = e if sa is a else Unary(e.chart, fn, sa)
         case _:
             raise TypeError(f"not a ScalarExpr node: {e!r}")
-    while True:
-        rewritten = _rewrite(node)
-        if rewritten is node or rewritten == node:
-            break
-        node = rewritten
-    object.__setattr__(node, "_simple", True)
-    return node
+    return _settle(node)
+
+
+def sum_of(terms: Iterable[ScalarExpr]) -> ScalarExpr:
+    """The simplified left-associated sum of one or more terms: `simplify` of
+    ((t0 + t1) + t2) + ..., built one settled node per term."""
+    first, *rest = terms
+    total = simplify(first)
+    for t in rest:
+        total = _bin(total.chart, "+", total, simplify(t))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -630,50 +656,47 @@ def partial(e: ScalarExpr, axis: int) -> ScalarExpr:
         memo = {}
         object.__setattr__(e, "_partials", memo)
     if axis not in memo:
-        memo[axis] = simplify(_diff(e, axis))
+        memo[axis] = _diff(e, axis)
     return memo[axis]
 
 
 def _diff(e: ScalarExpr, axis: int) -> ScalarExpr:
+    """`simplify` of the derivative tree, each node settled as it is built;
+    operands copied from `e` go through `simplify` (at once if `e` is)."""
     ch = e.chart
-    zero = Const(ch, 0.0)
     match e:
-        case Const():
-            return zero
+        case Const() | Power(exponent=0):
+            return _settle(Const(ch, 0.0))
         case Coord(axis=a):
-            return Const(ch, 1.0) if a == axis else zero
-        case Binary(op="+", left=l, right=r):
-            return Binary(ch, "+", _diff(l, axis), _diff(r, axis))
-        case Binary(op="-", left=l, right=r):
-            return Binary(ch, "-", _diff(l, axis), _diff(r, axis))
+            return _settle(Const(ch, 1.0 if a == axis else 0.0))
+        case Binary(op="+" | "-" as op, left=l, right=r):
+            return _bin(ch, op, _diff(l, axis), _diff(r, axis))
         case Binary(op="*", left=l, right=r):
-            return Binary(ch, "+",
-                          Binary(ch, "*", _diff(l, axis), r),
-                          Binary(ch, "*", l, _diff(r, axis)))
+            return _bin(ch, "+", _bin(ch, "*", _diff(l, axis), simplify(r)),
+                        _bin(ch, "*", simplify(l), _diff(r, axis)))
         case Binary(op="/", left=l, right=r):
-            num = Binary(ch, "-",
-                         Binary(ch, "*", _diff(l, axis), r),
-                         Binary(ch, "*", l, _diff(r, axis)))
-            return Binary(ch, "/", num, Power(ch, r, 2))
+            sr = simplify(r)
+            num = _bin(ch, "-", _bin(ch, "*", _diff(l, axis), sr),
+                       _bin(ch, "*", simplify(l), _diff(r, axis)))
+            return _bin(ch, "/", num, _settle(Power(ch, sr, 2)))
         case Power(base=b, exponent=k):
-            if k == 0:
-                return zero
-            scaled = Binary(ch, "*", Const(ch, float(k)), Power(ch, b, k - 1))
-            return Binary(ch, "*", scaled, _diff(b, axis))
+            scaled = _bin(ch, "*", _settle(Const(ch, float(k))),
+                          _settle(Power(ch, simplify(b), k - 1)))
+            return _bin(ch, "*", scaled, _diff(b, axis))
         case Unary(fn="neg", arg=a):
-            return Unary(ch, "neg", _diff(a, axis))
+            return _settle(Unary(ch, "neg", _diff(a, axis)))
         case Unary(fn="sin", arg=a):
-            return Binary(ch, "*", Unary(ch, "cos", a), _diff(a, axis))
+            return _bin(ch, "*", _settle(Unary(ch, "cos", simplify(a))), _diff(a, axis))
         case Unary(fn="cos", arg=a):
-            return Unary(ch, "neg",
-                         Binary(ch, "*", Unary(ch, "sin", a), _diff(a, axis)))
+            return _settle(Unary(ch, "neg", _bin(
+                ch, "*", _settle(Unary(ch, "sin", simplify(a))), _diff(a, axis))))
         case Unary(fn="exp", arg=a):
-            return Binary(ch, "*", Unary(ch, "exp", a), _diff(a, axis))
+            return _bin(ch, "*", simplify(e), _diff(a, axis))
         case Unary(fn="ln", arg=a):
-            return Binary(ch, "/", _diff(a, axis), a)
+            return _bin(ch, "/", _diff(a, axis), simplify(a))
         case Unary(fn="sqrt", arg=a):
-            denom = Binary(ch, "*", Const(ch, 2.0), Unary(ch, "sqrt", a))
-            return Binary(ch, "/", _diff(a, axis), denom)
+            denom = _bin(ch, "*", _settle(Const(ch, 2.0)), simplify(e))
+            return _bin(ch, "/", _diff(a, axis), denom)
     raise TypeError(f"not a ScalarExpr node: {e!r}")
 
 

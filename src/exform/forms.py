@@ -495,18 +495,14 @@ def _jacobian_minor(cell: Cell, index: Index) -> ScalarExpr:
     k = cell.k
     pchart = param_chart(k)
     partials = [[ex.partial(cell.maps[i], c) for c in range(k)] for i in index]
-    total: ScalarExpr | None = None
+    products = []
     for perm in itertools.permutations(range(k)):
         inversions = sum(1 for a in range(k) for b in range(a + 1, k)
                          if perm[a] > perm[b])
-        prod: ScalarExpr | None = None
-        for row, col in enumerate(perm):
-            factor = partials[row][col]
-            prod = factor if prod is None else ex.Binary(pchart, "*", prod, factor)
-        if inversions % 2:
-            prod = ex.Unary(pchart, "neg", prod)
-        total = prod if total is None else ex.Binary(pchart, "+", total, prod)
-    return ex.simplify(total)
+        prod = functools.reduce(lambda a, b: ex.Binary(pchart, "*", a, b),
+                                (partials[row][col] for row, col in enumerate(perm)))
+        products.append(ex.Unary(pchart, "neg", prod) if inversions % 2 else prod)
+    return ex.sum_of(products)
 
 
 def _integrals(theta: DifferentialForm, cells: Sequence[Cell],
@@ -558,8 +554,7 @@ def _symbolic_integral(theta: DifferentialForm, cell: Cell, s: np.ndarray,
     pchart = param_chart(cell.k)
     terms = [ex.Binary(pchart, "*", ex.compose(c, pchart, list(cell.maps)),
                        _jacobian_minor(cell, i)) for i, c in theta.coeffs.items()]
-    integrand = ex.simplify(
-        functools.reduce(lambda a, b: ex.Binary(pchart, "+", a, b), terms))
+    integrand = ex.sum_of(terms)
     if ex.is_zero_const(integrand):
         return 0.0
     return cell.orientation * float(np.dot(w, ex.evaluate_many(integrand, s)))

@@ -78,7 +78,7 @@ def _rewrite(e: ScalarExpr) -> ScalarExpr:
                 if _is_const(r, 1.0):
                     return l
             else:  # /
-                if _is_const(l, 0.0):
+                if _is_const(l, 0.0) and not _is_const(r, 0.0):
                     return Const(ch, 0.0)
                 if _is_const(r, 1.0):
                     return l

@@ -70,6 +70,29 @@ class TestExitCodes:
         assert code == 2
         assert f"unexpected character {coeff[-1]!r} at position 5" in capsys.readouterr().err
 
+    def test_overflowing_constant_power_is_kept_unfolded(self, tmp_path):
+        doc = tmp_path / "bigpower.json"
+        doc.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1", "x2"], "degree": 1,
+            "terms": [{"index": [0], "coeff": "x2 * 10^400"}]}))
+        code, out = run(["form", "d", "--in", str(doc)], tmp_path)
+        assert code == 0
+        assert read(out, "form_d.json")["terms"] == [{"index": [0, 1], "coeff": "-10^400"}]
+
+    @pytest.mark.parametrize("coeff, message", [
+        ("x2 * 1e400", "number out of range at position 5"),
+        ("x1^99999999999", "exponent out of range at position 3"),
+    ])
+    def test_out_of_range_literal_is_an_input_error(self, coeff, message, tmp_path, capsys):
+        doc = tmp_path / "bigliteral.json"
+        doc.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1", "x2"], "degree": 1,
+            "terms": [{"index": [0], "coeff": coeff}]}))
+        code, out = run(["form", "d", "--in", str(doc)], tmp_path)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_math_domain_error(self, tmp_path):
         # pullback hits ln(0) on the s1 = 0 face of the unit square
         doc = tmp_path / "logform.json"

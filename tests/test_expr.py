@@ -1,12 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
+from exform import charpde as cp
 from exform import expr as ex
+from exform import forms
 from exform.expr import Binary, Const, Coord, Power, Unary
 
+import simplify_reference as ref
 from conftest import rand_expr
 
 CH2 = ex.chart("x1", "x2")
@@ -30,6 +34,27 @@ def grammar_trees(ch):
                 lambda a: Unary(ch, "neg", a)))
 
     return st.recursive(leaves, extend, max_leaves=12)
+
+
+def smooth_trees(ch):
+    """Polynomial and trig trees with small integer coefficients, whose
+    derivatives stay O(1) on the sampling box."""
+    leaves = st.one_of(st.builds(Const, st.just(ch), st.integers(-3, 3).map(float)),
+                       st.builds(Coord, st.just(ch), st.integers(0, ch.dim - 1)))
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(Binary, st.just(ch), st.sampled_from("+-*"), sub, sub),
+            st.builds(Power, st.just(ch), sub, st.integers(2, 3)),
+            st.builds(Unary, st.just(ch), st.sampled_from(["sin", "cos"]), sub))
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def assert_same(got, want):
+    assert ex.to_text(got) == ex.to_text(want)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 class TestChart:
@@ -110,6 +135,20 @@ class TestParse:
     def test_scientific_notation(self):
         e = ex.parse_expr("1.5e-3", CH2)
         assert e == Const(CH2, 1.5e-3)
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("1e400", "number out of range", 0),
+        ("x2 * -1e400", "number out of range", 6),
+        ("x1^99999999999", "exponent out of range", 3),
+        ("x1^(-99999999999)", "exponent out of range", 5),
+    ])
+    def test_out_of_range_literal_is_a_parse_error(self, text, message, pos):
+        with pytest.raises(ex.ParseError, match=message) as err:
+            ex.parse_expr(text, CH2)
+        assert err.value.pos == pos
+
+    def test_largest_exponent_parses(self):
+        assert ex.parse_expr("x1^(-2147483648)", CH2) == Power(CH2, X1, -2**31)
 
 
 class TestEvaluate:
@@ -264,6 +303,22 @@ class TestSimplify:
         e = ex.Binary(CH2, "+", Unary(CH2, "neg", X1), X2)
         assert ex.simplify(e) == Binary(CH2, "-", X2, X1)
 
+    @pytest.mark.parametrize("text", ["10^400", "(0-2)^1025", "0.5^(-2000)"])
+    def test_overflowing_constant_power_stays_unfolded(self, text):
+        s = ex.simplify(ex.parse_expr(text, CH2))
+        assert isinstance(s, Power) and isinstance(s.base, Const)
+        assert ex.simplify(s) is s
+        assert ex.to_text(ex.simplify(X2 * s)) == f"x2 * {ex.to_text(s)}"
+
+    def test_zero_over_zero_is_not_folded(self):
+        s = ex.simplify(ex.parse_expr("0/0", CH2))
+        assert ex.to_text(s) == "0 / 0"
+        assert ex.to_text(ex.simplify(ex.const(CH2, 0.0) / ex.const(CH2, -0.0))) == "0 / -0"
+        with pytest.raises(ex.DomainError, match="division by zero"):
+            ex.evaluate(s, (1.0, 1.0))
+        # 0 / r with r not a zero constant still folds
+        assert ex.simplify(ex.parse_expr("0/x1", CH2)) == ex.const(CH2, 0.0)
+
     def test_idempotent_on_corpus(self, rng):
         for _ in range(60):
             e = rand_expr(rng, CH2, depth=4)
@@ -407,3 +462,68 @@ class TestChartSafety:
     def test_free_axes(self):
         e = ex.parse_expr("sin(x2) + 3", CH2)
         assert ex.free_axes(e) == {1}
+
+
+# every rule of `partial` that copies an operand, over operands that simplify
+RAW_OPERANDS = ("(x2 + 0) * x1 + x1 * sin(x2 * 1) + x1 / (x2 - 0) + sin(x1 + 0) / (x2 - 0)"
+                " + (x1 * (0 + x2))^2 + cos(x1 * --x2) + exp(x1 * (x2^1))"
+                " + ln(x1 * (x2 / 1)) + sqrt(x1 * (1 * x2))")
+
+
+class TestBuildTimeSimplification:
+    """`partial` and `sum_of` build their trees simplified node by node; they
+    must equal the reference's `simplify` of the unsimplified trees."""
+
+    @staticmethod
+    def _reference(fn, *args):
+        # the reference folds a constant power without an overflow guard
+        try:
+            return fn(*args)
+        except OverflowError:
+            reject()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(grammar_trees(CH2), st.integers(0, 1), st.booleans())
+    @example(ex.parse_expr(RAW_OPERANDS, CH2), 0, False)
+    @example(ex.parse_expr(RAW_OPERANDS, CH2), 1, False)
+    def test_partial_matches_reference(self, e, axis, simplified):
+        if simplified:
+            e = ex.simplify(e)
+        want = self._reference(ref.partial, e, axis)
+        assert_same(ex.partial(e, axis), want)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.tuples(grammar_trees(CH2), st.booleans()), min_size=1, max_size=4))
+    @example([(ex.parse_expr("sin(x1 * 1)", CH2), False), (ex.parse_expr("0 - x2", CH2), False),
+              (ex.parse_expr("x2", CH2), True)])
+    def test_sum_of_matches_reference_simplify_of_the_raw_sum(self, drawn):
+        terms = [t for t, _ in drawn]
+        want = self._reference(
+            ref.simplify, functools.reduce(lambda a, b: Binary(CH2, "+", a, b), terms))
+        assert_same(ex.sum_of(ex.simplify(t) if s else t for t, s in drawn), want)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(grammar_trees(CH2), st.integers(0, 1))
+    def test_partial_returns_a_simplified_tree(self, e, axis):
+        d = ex.partial(e, axis)
+        assert ex.simplify(d) is d
+
+    def test_sum_of_needs_a_term(self):
+        with pytest.raises(ValueError):
+            ex.sum_of([])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(smooth_trees(ex.chart("x1", "x2", "x3")), min_size=3, max_size=3),
+           st.integers(0, 1))
+    def test_d_of_d_is_zero(self, coeffs, degree):
+        ch = coeffs[0].chart
+        omega = (forms.scalar_form(coeffs[0]) if degree == 0
+                 else forms.one_form(ch, coeffs))
+        dd = forms.exterior_derivative(forms.exterior_derivative(omega))
+        assert forms.form_probably_zero(dd)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(smooth_trees(cp.hj_chart(2)), smooth_trees(cp.hj_chart(2)))
+    def test_poisson_bracket_is_antisymmetric(self, e, v):
+        both = ex.Binary(e.chart, "+", cp.poisson_bracket(e, v), cp.poisson_bracket(v, e))
+        assert ex.probably_zero(both)

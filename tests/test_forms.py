@@ -294,6 +294,14 @@ class TestCellsAndIntegration:
         df = forms.exterior_derivative(forms.scalar_form(A1 ** 3 * A2 + A2 ** 2))
         assert forms.boundary_integral(df, self.square()) == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_over_zero_face_is_a_domain_error(self):
+        # x1/x1 composes to 0/0 on the x1 = 0 face, which no longer folds to 0
+        theta = forms.DifferentialForm(CH2, 1, {(1,): A1 / A1})
+        first = float(forms._gauss01(forms.DEFAULT_QUAD_ORDER)[0][0])
+        with pytest.raises(ex.DomainError) as err:
+            forms.boundary_integral(theta, self.square())
+        assert str(err.value) == f"division by zero at point {(first,)}"
+
     def test_stokes_unit_square(self):
         xdy = forms.DifferentialForm(CH2, 1, {(1,): A1})
         assert forms.stokes_residual(xdy, self.square()) <= 1e-10

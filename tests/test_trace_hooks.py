@@ -105,3 +105,17 @@ def test_verdicts_workload_reads_what_forms_returns(monkeypatch):
         assert spec["cat"] == cat
         digest = runner.digest(spec, runner.run(spec))
         assert verdicts.check(spec, digest) is None, cat
+
+
+def test_symbolic_workload_reads_what_evolution_returns(monkeypatch):
+    """One operation of each `symbolic` task runs and passes the workload's
+    own check against its reference values."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))     # the workload imports gen
+    symbolic = _load("exform_bench_symbolic", PERFBENCH / "workloads" / "symbolic.py")
+    runner = symbolic.Runner(101)
+    for task in ("curvature", "commutator", "partial"):
+        i = symbolic.TASKS.index(task)
+        spec = symbolic.make_op(101, i)
+        assert spec["task"] == task
+        digest = runner.digest(spec, runner.run(spec))
+        assert symbolic.check(spec, digest) is None, task
