@@ -158,19 +158,10 @@ def _charpit_system(pde: FirstOrderPDE):
     return rhs, tape.pack_exprs(rhs), tape.compile_expr(F)
 
 
-def _pack_at(pack: tape.Tape, flat: np.ndarray) -> np.ndarray:
-    """Every component of a derivative pack at one state; domain errors raise."""
-    vals, errs = _kernels.eval_pack(pack, flat.reshape(1, -1))
-    if errs.any():
-        comp = int(np.argwhere(errs != 0)[0][0])
-        raise ex.DomainError(f"strip derivative component {comp} undefined at state")
-    return vals[:, 0]
-
-
 def charpit_rhs(pde: FirstOrderPDE, state: Sequence[float]):
     """Strip derivatives (dx/ds, du/ds, dp/ds) at a state (x, u, p)."""
     n = pde.n
-    v = _pack_at(_charpit_system(pde)[1], _state_rows(n, [state])[0])
+    v = ex.evaluate_pack(_charpit_system(pde)[0], _state_rows(n, [state]))[:, 0]
     return v[:n].copy(), float(v[n]), v[n + 1:].copy()
 
 
@@ -367,7 +358,7 @@ def canonical_rhs(hj: HJEquation, state: Sequence[float]):
     if flat.shape != (2 * n + 1,):
         raise ValueError(f"state must be (t, x1..xn, p1..pn) of length {2 * n + 1}")
     # the lifted system never reads u, so any value stands in for it
-    v = _pack_at(_canonical_system(hj)[1], np.insert(flat, 1 + n, 0.0))
+    v = ex.evaluate_pack(_canonical_system(hj)[0], [np.insert(flat, 1 + n, 0.0)])[:, 0]
     return v[1:1 + n].copy(), v[n + 2:].copy(), float(v[1 + n])
 
 
@@ -449,9 +440,7 @@ def solve_hj(hj: HJEquation, u0: ScalarExpr, grid: Sequence[float], t_end: float
     nodes = np.asarray(grid, dtype=np.float64).ravel()
     if nodes.size < 1:
         raise ValueError("grid must contain at least one node")
-    at_nodes = nodes[:, None]
-    u_init = ex.evaluate_many(u0, at_nodes)
-    p_init = ex.evaluate_many(ex.partial(u0, 0), at_nodes)
+    u_init, p_init = ex.evaluate_pack((u0, ex.partial(u0, 0)), nodes[:, None])
     fan = integrate_canonical_strips(
         hj, np.column_stack([nodes, u_init, p_init]), t_end, steps)
     return HJSolution(hj, fan, detect_caustic(fan) if len(fan) >= 3 else [])
@@ -471,9 +460,9 @@ def poincare_residual(strip: CharacteristicStrip, hj: HJEquation) -> float:
     if strip.samples < 3:
         raise ValueError("need at least 3 samples")
     states = np.concatenate([strip.s[:, None], strip.x, strip.p], axis=1)
-    e_vals = ex.evaluate_many(hj.E, states)
-    xdot = np.stack([ex.evaluate_many(ex.partial(hj.E, 1 + n + j), states)
-                     for j in range(n)], axis=1)
+    vals = ex.evaluate_pack([hj.E] + [ex.partial(hj.E, 1 + n + j) for j in range(n)], states)
+    # xdot in C order, as stacking made it: einsum's sum order follows the layout
+    e_vals, xdot = vals[0], np.ascontiguousarray(vals[1:].T)
     w = -e_vals + np.einsum("ki,ki->k", strip.p, xdot)
     h = strip.step
     pair = (h / 3.0) * (w[0:-2:2] + 4.0 * w[1:-1:2] + w[2::2])

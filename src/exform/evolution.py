@@ -201,8 +201,7 @@ def relation_residual(rel: NonidenticalRelation, point: Sequence[float]) -> np.n
     """Coefficient vector of d(psi) - omega at the point, ordered over all
     increasing multi-indices of the omega degree."""
     residual = rel.residual_form()
-    return np.array([ex.evaluate(residual.coeff(i), point)
-                     for i in relation_indices(rel)])
+    return ex.evaluate_pack([residual.coeff(i) for i in relation_indices(rel)], [point])[:, 0]
 
 
 def restrict_relation_to_curve(rel: NonidenticalRelation, curve: "forms.Cell",
@@ -353,10 +352,10 @@ def capture_bistructure(event: DegeneracyEvent, omega: DifferentialForm,
         discrete = deformation = 0.0
     value: float | None = None
     if psi is not None:
+        values = ex.evaluate_pack(psi.coeffs.values(), [event.point])[:, 0].tolist()
         if psi.degree == 0:
-            value = ex.evaluate(psi.coeff(()), event.point)
+            value = values[0] if values else 0.0
         else:
-            coeffs = [abs(ex.evaluate(c, event.point)) for c in psi.coeffs.values()]
-            value = max(coeffs) if coeffs else 0.0
+            value = max(map(abs, values), default=0.0)
     return BiStructure(pseudostructure, event.point, best, value,
                        discrete, deformation)

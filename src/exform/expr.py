@@ -14,8 +14,11 @@ dataclass fields, so they never take part in `==`, `hash` or `repr`:
   and `sum_of` build their trees simplified and marked, node by node;
 * `partial` keeps a dict from axis to derivative on the differentiated node.
 
-Numeric evaluation is routed through the compiled tape kernels in
-`_kernels`, so scalar and batched evaluation share one arithmetic path.
+Numeric evaluation goes through `evaluate_pack`: expressions over one chart
+run as one tape, cached per tuple, in one kernel call, and `evaluate_many`
+and `evaluate` are its one-expression cases.  Error rule: the first
+expression that fails, at its first failing point, raises DomainError;
+`evaluate_masked` returns the in-domain mask instead.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ class Power(ScalarExpr):
 
     def __post_init__(self):
         if abs(self.exponent) > 2**31:
-            raise ValueError("exponent out of range")
+            raise ExformError(f"exponent {self.exponent} out of range: |exponent| > 2^31")
 
 
 @dataclass(frozen=True)
@@ -736,8 +739,8 @@ def _compose(e, new_chart, repl):
 
 
 @lru_cache(maxsize=4096)
-def _tape_for(e: ScalarExpr) -> tape.Tape:
-    return tape.compile_expr(e)
+def _tape_for(exprs: tuple[ScalarExpr, ...]) -> tape.Tape:
+    return tape.pack_exprs(exprs)
 
 
 def evaluate(e: ScalarExpr, point: Sequence[float]) -> float:
@@ -749,25 +752,32 @@ def evaluate(e: ScalarExpr, point: Sequence[float]) -> float:
     return float(evaluate_many(e, pts)[0])
 
 
+def evaluate_pack(exprs: Sequence[ScalarExpr], points) -> np.ndarray:
+    """Evaluate expressions over one chart at an (m, dim) array of points as
+    one compiled pack: values (len(exprs), m), and (0, m) for none.  The first
+    expression that fails, at its first failing point, raises DomainError
+    with the message `evaluate_many` gives for that expression alone."""
+    exprs = tuple(exprs)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if not exprs:
+        return np.empty((0, len(pts)))
+    vals, errs = _kernels.eval_pack(_tape_for(exprs), pts)
+    if errs.any():
+        c, k = np.argwhere(errs)[0].tolist()
+        raise DomainError(
+            f"{_kernels.ERR_MESSAGES[int(errs[c, k])]} at point {tuple(pts[k].tolist())}")
+    return vals
+
+
 def evaluate_many(e: ScalarExpr, points: np.ndarray) -> np.ndarray:
     """Evaluate at an (m, dim) array of points; any domain violation raises."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != e.chart.dim:
-        raise ValueError(f"expected (m, {e.chart.dim}) points, got {pts.shape}")
-    vals, errs = _kernels.eval_tape(_tape_for(e), pts)
-    bad = np.nonzero(errs)[0]
-    if bad.size:
-        k = int(bad[0])
-        raise DomainError(
-            f"{_kernels.ERR_MESSAGES[int(errs[k])]} at point {tuple(pts[k].tolist())}")
-    return vals
+    return evaluate_pack((e,), points)[0]
 
 
 def evaluate_masked(e: ScalarExpr, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate at points, returning (values, ok_mask) instead of raising."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    vals, errs = _kernels.eval_tape(_tape_for(e), pts)
-    return vals, errs == 0
+    vals, errs = _kernels.eval_pack(_tape_for((e,)), points)
+    return vals[0], errs[0] == 0
 
 
 def _in_domain_values(e: ScalarExpr, trials: int, seed: int):

@@ -272,7 +272,8 @@ class Commutator1:
         return DifferentialForm(self.chart, 2, dict(self.entries))
 
     def values_at(self, point: Sequence[float]) -> dict[tuple[int, int], float]:
-        return {ij: ex.evaluate(e, point) for ij, e in self.entries.items()}
+        values = ex.evaluate_pack(self.entries.values(), [point])[:, 0].tolist()
+        return dict(zip(self.entries, values))
 
 
 def commutator_1form(theta: DifferentialForm) -> Commutator1:
@@ -335,7 +336,8 @@ class HomotopyField:
     Coefficients at x are 1-D quadratures along the segment from the base
     point to x, so the construction is valid on domains star-shaped about
     the base.  For p = 1 the single coefficient is the potential, gauge
-    fixed to vanish at the base.
+    fixed to vanish at the base.  The source coefficients are one pack,
+    evaluated once per quadrature order (HOMOTOPY_ORDER and twice it).
     """
 
     source: DifferentialForm
@@ -356,15 +358,20 @@ class HomotopyField:
     def coefficient(self, index: Index, point: Sequence[float]) -> float:
         index = tuple(index)
         _check_index(index, self.degree, self.chart.dim)
-        value = self._coefficient(index, point, HOMOTOPY_ORDER)
-        check = self._coefficient(index, point, 2 * HOMOTOPY_ORDER)
-        if abs(value - check) > 1e-9 * max(1.0, abs(check)):
-            raise QuadratureError(
-                f"quadrature for coefficient {index} did not converge "
-                f"(order {HOMOTOPY_ORDER}: {value}, doubled: {check})")
+        return self.coefficients_at(point)[index]
+
+    def coefficients_at(self, point: Sequence[float]) -> dict[Index, float]:
+        value = self._quadratures(point, HOMOTOPY_ORDER)
+        check = self._quadratures(point, 2 * HOMOTOPY_ORDER)
+        for index, c in check.items():
+            if abs(value[index] - c) > 1e-9 * max(1.0, abs(c)):
+                raise QuadratureError(
+                    f"quadrature for coefficient {index} did not converge "
+                    f"(order {HOMOTOPY_ORDER}: {value[index]}, doubled: {c})")
         return check
 
-    def _coefficient(self, index: Index, point, order: int) -> float:
+    def _quadratures(self, point, order: int) -> dict[Index, float]:
+        """Each coefficient at one order, summing sources in source order."""
         p = self.source.degree
         x = np.asarray(point, dtype=np.float64)
         base = np.asarray(self.base, dtype=np.float64)
@@ -372,19 +379,13 @@ class HomotopyField:
         t, w = _gauss01(order)
         segment = base[None, :] + t[:, None] * v[None, :]
         weight = w * t ** (p - 1)
-        total = 0.0
-        for src_index, coeff in self.source.coeffs.items():
+        totals = dict.fromkeys(self.indices(), 0.0)
+        samples = ex.evaluate_pack(self.source.coeffs.values(), segment)
+        for src_index, row in zip(self.source.coeffs, samples):
+            integral = float(np.dot(weight, row))
             for q, axis in enumerate(src_index):
-                remainder = src_index[:q] + src_index[q + 1:]
-                if remainder != index:
-                    continue
-                samples = ex.evaluate_many(coeff, segment)
-                integral = float(np.dot(weight, samples))
-                total += (-1) ** q * integral * v[axis]
-        return total
-
-    def coefficients_at(self, point: Sequence[float]) -> dict[Index, float]:
-        return {index: self.coefficient(index, point) for index in self.indices()}
+                totals[src_index[:q] + src_index[q + 1:]] += (-1) ** q * integral * v[axis]
+        return totals
 
     def __call__(self, point: Sequence[float]) -> float:
         if self.degree != 0:
@@ -462,7 +463,7 @@ class Cell:
 
     def at(self, params: Sequence[float]) -> np.ndarray:
         pt = (0.0,) if self.k == 0 else tuple(params)
-        return np.array([ex.evaluate(m, pt) for m in self.maps])
+        return ex.evaluate_pack(self.maps, [pt])[:, 0]
 
 
 def boundary(cell: Cell) -> list[Cell]:

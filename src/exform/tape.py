@@ -255,7 +255,7 @@ def pack_exprs(exprs) -> Tape:
 
     outs = []
     for e in exprs:
-        if e.chart.dim != dim:
+        if e.chart != exprs[0].chart:
             raise ValueError("all expressions must share one chart")
         outs.append(emit(e))
 

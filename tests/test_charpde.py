@@ -111,6 +111,21 @@ def solve_hj_by_stacking(hj, u0, grid, t_end, steps):
                            events=caustic_events_by_loop(nodes, t, x))
 
 
+def poincare_residual_by_stacking(strip, hj):
+    """poincare_residual with E and each dE/dp_j evaluated one at a time and
+    the partials stacked into (samples, n)."""
+    n = hj.n
+    states = np.concatenate([strip.s[:, None], strip.x, strip.p], axis=1)
+    e_vals = ex.evaluate_many(hj.E, states)
+    xdot = np.stack([ex.evaluate_many(ex.partial(hj.E, 1 + n + j), states)
+                     for j in range(n)], axis=1)
+    w = -e_vals + np.einsum("ki,ki->k", strip.p, xdot)
+    h = strip.step
+    pair = (h / 3.0) * (w[0:-2:2] + 4.0 * w[1:-1:2] + w[2::2])
+    du = strip.u[2::2][:pair.size] - strip.u[0]
+    return float(np.max(np.abs(du - np.cumsum(pair))))
+
+
 def synthetic_fan(t, x):
     """A 1-D fan with foot-points x (samples, m), launched from x[0]."""
     return cp.Fan(t, np.repeat(x[:, :, None], 3, axis=2), np.zeros_like(x),
@@ -474,6 +489,21 @@ class TestPoincareResidual:
         bad = cp.CharacteristicStrip(strip.s, strip.x, u_bad, strip.p,
                                      strip.drift, strip.step)
         assert cp.poincare_residual(bad, OSCILLATOR) > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_equals_the_stacked_evaluation_bit_for_bit(self, n):
+        E = " + ".join(f"p{j}^2 / 2 + sin(x{j}) * p{j % n + 1} * t" for j in range(1, n + 1))
+        hj = cp.HJEquation.from_text(n, E)
+        rng = np.random.default_rng(n)
+        initials = [(rng.uniform(-1, 1, n), 0.1, rng.uniform(-1, 1, n)) for _ in range(3)]
+        fan = cp.integrate_canonical_strips(hj, initials, 1.0, 64)
+        for k in range(len(fan)):
+            s = fan[k]
+            # a fan's strips are strided views; a copied p is C-ordered
+            for strip in (s, cp.CharacteristicStrip(s.s, s.x, s.u, s.p.copy(), s.drift, s.step)):
+                got = cp.poincare_residual(strip, hj)
+                assert np.float64(got).tobytes() == np.float64(
+                    poincare_residual_by_stacking(strip, hj)).tobytes()
 
     def test_fourth_order_richardson(self):
         # analytic oscillator oracle

@@ -93,6 +93,17 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exponent_past_the_range_is_a_math_error(self, tmp_path, capsys):
+        # x1^(-2^31) parses; its derivative would need the exponent -2^31 - 1
+        doc = tmp_path / "lowpower.json"
+        doc.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1", "x2"], "degree": 0,
+            "terms": [{"index": [], "coeff": "x1^(-2147483648)"}]}))
+        code, out = run(["form", "d", "--in", str(doc)], tmp_path)
+        assert code == 3
+        assert "math error: exponent -2147483649 out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_math_domain_error(self, tmp_path):
         # pullback hits ln(0) on the s1 = 0 face of the unit square
         doc = tmp_path / "logform.json"

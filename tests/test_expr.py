@@ -150,6 +150,12 @@ class TestParse:
     def test_largest_exponent_parses(self):
         assert ex.parse_expr("x1^(-2147483648)", CH2) == Power(CH2, X1, -2**31)
 
+    def test_exponent_past_the_range_is_a_math_error(self):
+        # the derivative of x1^(-2^31) needs the exponent -2^31 - 1
+        e = ex.parse_expr("x1^(-2147483648)", CH2)
+        with pytest.raises(ex.ExformError, match=r"exponent -2147483649 out of range"):
+            ex.partial(e, 0)
+
 
 class TestEvaluate:
     def test_arith(self):
@@ -217,6 +223,59 @@ class TestEvaluate:
         batch = ex.evaluate_many(e, pts)
         for k, row in enumerate(pts):
             assert batch[k] == ex.evaluate(e, row)
+
+
+def assert_bits(got, want):
+    """Identical bits, NaN matching NaN."""
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestEvaluatePack:
+    def test_rows_are_evaluate_many_bit_for_bit(self, rng):
+        """Seeded packs whose components share subtrees, by identity and by
+        structure; exp(exp(.)) overflows, so inf - inf puts NaN in some rows."""
+        saw_nan = False
+        for _ in range(40):
+            parts = [rand_expr(rng, CH2, depth=3) for _ in range(3)]
+            exprs = []
+            for _ in range(int(rng.integers(2, 6))):
+                a, b = (parts[int(i)] for i in rng.integers(len(parts), size=2))
+                big = ex.exp(ex.exp(a))
+                e = (a * b, ex.sin(a) + b, big - big * b, big * 0.0 + b)[int(rng.integers(4))]
+                exprs.append(e)
+                parts.append(e)
+            exprs.append(ex.parse_expr(ex.to_text(exprs[0]), CH2))
+            pts = rng.uniform(-4.0, 4.0, size=(32, 2))
+            vals = ex.evaluate_pack(exprs, pts)
+            assert vals.shape == (len(exprs), 32)
+            for row, e in zip(vals, exprs):
+                assert_bits(row, ex.evaluate_many(e, pts))
+            saw_nan |= bool(np.isnan(vals).any())
+        assert saw_nan
+
+    def test_no_expressions_give_no_rows(self):
+        assert ex.evaluate_pack([], np.zeros((5, 2))).shape == (0, 5)
+
+    def test_first_failing_expression_raises_at_its_first_bad_point(self):
+        # 1 / x2 fails at an earlier point, but ln(x1) comes first in the pack
+        pts = np.array([[1.0, 1.0], [2.0, 0.0], [-1.0, 1.0], [0.0, 0.0]])
+        exprs = [X1 + 1, ex.ln(X1), 1 / X2]
+        with pytest.raises(ex.DomainError,
+                           match=r"^ln of non-positive argument at point \(-1\.0, 1\.0\)$"):
+            ex.evaluate_pack(exprs, pts)
+        with pytest.raises(ex.DomainError, match=r"^division by zero at point \(2\.0, 0\.0\)$"):
+            ex.evaluate_pack(exprs[::2], pts)
+
+    def test_one_point_raises_what_a_loop_of_evaluate_raises(self):
+        exprs = [X1 + 1, ex.sqrt(X2), ex.ln(X1)]
+        point = (0.0, -1.0)
+        with pytest.raises(ex.DomainError) as loop:
+            [ex.evaluate(e, point) for e in exprs]
+        with pytest.raises(ex.DomainError) as pack:
+            ex.evaluate_pack(exprs, [point])
+        assert str(pack.value) == str(loop.value)
 
 
 class TestPartial:

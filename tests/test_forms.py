@@ -7,6 +7,7 @@ from exform import expr as ex
 from exform import forms
 from exform.expr import Binary, Unary
 
+import homotopy_reference
 import pullback_reference as reference
 from conftest import rand_expr, rand_form
 
@@ -263,6 +264,56 @@ class TestAntiderivative:
                 fd = (field((hi[0], hi[1])) - field((lo[0], lo[1]))) / (2 * h)
                 assert fd == pytest.approx(
                     ex.evaluate(theta.coeff((axis,)), pt), abs=1e-6)
+
+
+def _outcome(read):
+    """Coefficients as (index, bits) pairs, or the error's type and text."""
+    try:
+        coeffs = read()
+    except ex.ExformError as err:
+        return type(err), str(err)
+    return [(i, np.float64(v).tobytes()) for i, v in coeffs.items()]
+
+
+class TestHomotopyPack:
+    def test_coefficients_equal_the_per_pair_loop_bit_for_bit(self, rng):
+        """Seeded exact (so closed) forms of degree 1-3 in 2-4 dimensions."""
+        for n in (2, 3, 4):
+            ch = ex.chart(*(f"x{i + 1}" for i in range(n)))
+            for p in range(1, min(n, 3) + 1):
+                for _ in range(3):
+                    theta = forms.exterior_derivative(rand_form(rng, ch, p - 1))
+                    field = forms.HomotopyField(theta, tuple(rng.uniform(-0.5, 0.5, n)))
+                    for pt in rng.uniform(-1.0, 1.0, size=(3, n)):
+                        got = _outcome(lambda: field.coefficients_at(pt))
+                        assert got == _outcome(
+                            lambda: homotopy_reference.coefficients_at(field, pt))
+                        index = field.indices()[-1]
+                        assert (np.float64(field.coefficient(index, pt)).tobytes()
+                                == dict(got)[index])
+
+    def test_one_pack_per_order(self, monkeypatch):
+        """d(x2 x3 dx1 + x1^2 x3 dx2 + sin(x1) x2 dx3) has 3 coefficients, each
+        feeding 2 indices: 2 kernel calls, where the per-pair loop makes 12."""
+        theta = forms.exterior_derivative(forms.one_form(
+            CH3, [B2 * B3, B1 ** 2 * B3, ex.sin(B1) * B2]))
+        assert len(theta.coeffs) == 3
+        field = forms.antiderivative(theta, (0.0, 0.0, 0.0))
+        calls = []
+
+        def counting(orig):
+            def wrapper(*args):
+                calls.append(orig.__name__)
+                return orig(*args)
+            return wrapper
+
+        monkeypatch.setattr(forms._kernels, "eval_pack", counting(forms._kernels.eval_pack))
+        monkeypatch.setattr(ex, "evaluate_many", counting(ex.evaluate_many))
+        field.coefficients_at((0.3, -0.7, 0.9))
+        assert calls == ["eval_pack", "eval_pack"]
+        calls.clear()
+        homotopy_reference.coefficients_at(field, (0.3, -0.7, 0.9))
+        assert calls.count("evaluate_many") == 12
 
 
 class TestCellsAndIntegration:

@@ -246,6 +246,16 @@ def test_pack_needs_one_chart_and_an_expression():
         tape.pack_exprs([A, ex.coords(ex.chart("x"))[0]])
 
 
+def test_pack_compares_charts_not_only_dimensions():
+    """y2 over (y1, y2) is not the second coordinate of (x1, x2)."""
+    x1 = ex.coords(ex.chart("x1", "x2"))[0]
+    y2 = ex.coords(ex.chart("y1", "y2"))[1]
+    with pytest.raises(ValueError, match="one chart"):
+        tape.pack_exprs([x1 + 1, y2])
+    with pytest.raises(ValueError, match="one chart"):
+        ex.evaluate_pack([x1 + 1, y2], np.ones((1, 2)))
+
+
 def test_eval_tape_is_row_zero_of_eval_pack():
     t = tape.compile_expr(ex.ln(A) + B)
     pts = np.array([[1.0, 2.0], [0.0, 1.0], [2.5, -1.0]])
