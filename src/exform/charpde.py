@@ -139,8 +139,8 @@ class HJEquation:
 
 @lru_cache(maxsize=64)
 def _charpit_system(pde: FirstOrderPDE):
-    """Symbolic strip derivatives over the extended chart, plus the packed
-    tapes: dx_i = F_{p_i}, du = sum p_i F_{p_i}, dp_i = -(F_{x_i} + p_i F_u)."""
+    """Symbolic strip derivatives over the extended chart, their packed tape
+    and F: dx_i = F_{p_i}, du = sum p_i F_{p_i}, dp_i = -(F_{x_i} + p_i F_u)."""
     n = pde.n
     chart = pde.chart
     F = pde.F
@@ -154,8 +154,8 @@ def _charpit_system(pde: FirstOrderPDE):
                                ex.Binary(chart, "+", f_x[i],
                                          ex.Binary(chart, "*", p_coord[i], f_u))))
           for i in range(n)]
-    rhs = dx + [du] + dp
-    return rhs, tape.pack_exprs(rhs), tape.compile_expr(F)
+    rhs = tuple(dx + [du] + dp)
+    return rhs, ex._tape_for(rhs), F
 
 
 def charpit_rhs(pde: FirstOrderPDE, state: Sequence[float]):
@@ -290,15 +290,15 @@ def _rk4(pack: tape.Tape, states0: np.ndarray, span: float,
     return traj, h
 
 
-def _audit(audit_tape: tape.Tape, states: np.ndarray, what: str) -> np.ndarray:
+def _audit(audit: ScalarExpr, states: np.ndarray, what: str) -> np.ndarray:
     """The audit quantity (F or E) at every state of a fan (samples, m, d),
     as (samples, m); an undefined value raises naming its sample."""
     samples, m, d = states.shape
     # one copy into (d, samples*m) coordinate rows; their .T is the batch
     rows = states.transpose(2, 0, 1).reshape(d, -1)
-    vals, errs = _kernels.eval_tape(audit_tape, rows.T)
-    if errs.any():
-        k = int(np.argwhere(errs != 0)[0][0]) // m
+    vals, ok = ex.evaluate_masked(audit, rows.T)
+    if not ok.all():
+        k = int(np.argmin(ok)) // m
         raise StripIntegrationError(f"{what} undefined at sample {k}", k)
     return vals.reshape(samples, m)
 
@@ -308,9 +308,9 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
     """Integrate a fan of Charpit strips in one batched RK4 run; each initial
     state (x, u, p) must satisfy |F| <= 1e-10."""
     states0 = _state_rows(pde.n, initials)
-    _, pack, f_tape = _charpit_system(pde)
-    f0, errs0 = _kernels.eval_tape(f_tape, states0)
-    if errs0.any():
+    _, pack, F = _charpit_system(pde)
+    f0, ok = ex.evaluate_masked(F, states0)
+    if not ok.all():
         raise ex.DomainError("F undefined at an initial state")
     bad = np.abs(f0) > ON_SURFACE_TOL
     if bad.any():
@@ -318,7 +318,7 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
         raise OffSurfaceError(
             f"initial state {k} off the surface: |F| = {abs(f0[k]):.3e} > {ON_SURFACE_TOL}")
     traj, h = _rk4(pack, states0, s_end, steps)
-    return Fan(np.arange(steps + 1) * h, traj, _audit(f_tape, traj, "F"), h)
+    return Fan(np.arange(steps + 1) * h, traj, _audit(F, traj, "F"), h)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
 def _canonical_system(hj: HJEquation):
     """Lifted state derivatives over (t, x.., u, p..):
     dt = 1, dx_j = E_{p_j}, du = sum p_j E_{p_j} - E, dp_j = -E_{x_j}.
-    Returns them, their packed tapes and the tape of E, all over that chart."""
+    Returns them, their packed tape and E, all over that chart."""
     n = hj.n
     dst = lifted_chart(n)
     repl = [ex.Coord(dst, 0)]
@@ -346,8 +346,8 @@ def _canonical_system(hj: HJEquation):
         ex.Binary(dst, "*", ex.Coord(dst, n + 2 + j), dx[j]) for j in range(n)),
         lift(hj.E)))
     dp = [ex.simplify(ex.Unary(dst, "neg", lift(e))) for e in e_x]
-    rhs = [ex.Const(dst, 1.0)] + dx + [du] + dp
-    return rhs, tape.pack_exprs(rhs), tape.compile_expr(lift(hj.E))
+    rhs = (ex.Const(dst, 1.0), *dx, du, *dp)
+    return rhs, ex._tape_for(rhs), lift(hj.E)
 
 
 def canonical_rhs(hj: HJEquation, state: Sequence[float]):
@@ -391,9 +391,9 @@ def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,
     quantity when E has no explicit time dependence).
     """
     states0 = np.insert(_state_rows(hj.n, initials), 0, 0.0, axis=1)
-    _, pack, e_tape = _canonical_system(hj)
+    _, pack, E = _canonical_system(hj)
     traj, h = _rk4(pack, states0, t_end, steps)
-    e_vals = _audit(e_tape, traj, "E")
+    e_vals = _audit(E, traj, "E")
     # dt/ds = 1 for every strip, so all strips share one time column
     return Fan(traj[:, 0, 0], traj[:, :, 1:], e_vals - e_vals[0], h)
 
@@ -551,7 +551,7 @@ def detect_caustic(fan: Fan, context: BiStructureContext | None = None) -> list[
     t0, t1 = t[ii], t[ii + 1]
     # bisection on the linear interpolant, all sign changes at once
     lo, hi, flo = t0.copy(), t1.copy(), a.copy()
-    active = ~zero & (hi - lo > DT_REFINE)
+    active = ~zero & (np.abs(hi - lo) > DT_REFINE)   # hi < lo when time runs back
     while active.any():
         mid = 0.5 * (lo + hi)
         fmid = a + (b - a) * (mid - t0) / (t1 - t0)
@@ -559,7 +559,7 @@ def detect_caustic(fan: Fan, context: BiStructureContext | None = None) -> list[
         hi = np.where(active & left, mid, hi)
         lo = np.where(active & ~left, mid, lo)
         flo = np.where(active & ~left, fmid, flo)
-        active &= hi - lo > DT_REFINE
+        active &= np.abs(hi - lo) > DT_REFINE
     t_star = np.where(zero, t0, 0.5 * (lo + hi))
     frac = (t_star - t0) / (t1 - t0)
     xa, xb = x[ii, kk + 1], x[ii + 1, kk + 1]

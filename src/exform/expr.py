@@ -663,9 +663,14 @@ def partial(e: ScalarExpr, axis: int) -> ScalarExpr:
     return memo[axis]
 
 
+def _copy(e: ScalarExpr) -> ScalarExpr:
+    """An operand copied into a derivative: kept if marked, else simplified."""
+    return e if getattr(e, "_simple", False) else simplify(e)
+
+
 def _diff(e: ScalarExpr, axis: int) -> ScalarExpr:
     """`simplify` of the derivative tree, each node settled as it is built;
-    operands copied from `e` go through `simplify` (at once if `e` is)."""
+    operands copied from `e` go through `_copy`."""
     ch = e.chart
     match e:
         case Const() | Power(exponent=0):
@@ -675,30 +680,30 @@ def _diff(e: ScalarExpr, axis: int) -> ScalarExpr:
         case Binary(op="+" | "-" as op, left=l, right=r):
             return _bin(ch, op, _diff(l, axis), _diff(r, axis))
         case Binary(op="*", left=l, right=r):
-            return _bin(ch, "+", _bin(ch, "*", _diff(l, axis), simplify(r)),
-                        _bin(ch, "*", simplify(l), _diff(r, axis)))
+            return _bin(ch, "+", _bin(ch, "*", _diff(l, axis), _copy(r)),
+                        _bin(ch, "*", _copy(l), _diff(r, axis)))
         case Binary(op="/", left=l, right=r):
-            sr = simplify(r)
+            sr = _copy(r)
             num = _bin(ch, "-", _bin(ch, "*", _diff(l, axis), sr),
-                       _bin(ch, "*", simplify(l), _diff(r, axis)))
+                       _bin(ch, "*", _copy(l), _diff(r, axis)))
             return _bin(ch, "/", num, _settle(Power(ch, sr, 2)))
         case Power(base=b, exponent=k):
             scaled = _bin(ch, "*", _settle(Const(ch, float(k))),
-                          _settle(Power(ch, simplify(b), k - 1)))
+                          _settle(Power(ch, _copy(b), k - 1)))
             return _bin(ch, "*", scaled, _diff(b, axis))
         case Unary(fn="neg", arg=a):
             return _settle(Unary(ch, "neg", _diff(a, axis)))
         case Unary(fn="sin", arg=a):
-            return _bin(ch, "*", _settle(Unary(ch, "cos", simplify(a))), _diff(a, axis))
+            return _bin(ch, "*", _settle(Unary(ch, "cos", _copy(a))), _diff(a, axis))
         case Unary(fn="cos", arg=a):
             return _settle(Unary(ch, "neg", _bin(
-                ch, "*", _settle(Unary(ch, "sin", simplify(a))), _diff(a, axis))))
+                ch, "*", _settle(Unary(ch, "sin", _copy(a))), _diff(a, axis))))
         case Unary(fn="exp", arg=a):
-            return _bin(ch, "*", simplify(e), _diff(a, axis))
+            return _bin(ch, "*", _copy(e), _diff(a, axis))
         case Unary(fn="ln", arg=a):
-            return _bin(ch, "/", _diff(a, axis), simplify(a))
+            return _bin(ch, "/", _diff(a, axis), _copy(a))
         case Unary(fn="sqrt", arg=a):
-            denom = _bin(ch, "*", _settle(Const(ch, 2.0)), simplify(e))
+            denom = _bin(ch, "*", _settle(Const(ch, 2.0)), _copy(e))
             return _bin(ch, "/", _diff(a, axis), denom)
     raise TypeError(f"not a ScalarExpr node: {e!r}")
 

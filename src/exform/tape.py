@@ -43,11 +43,12 @@ and 1.5e308 folded), and where ``c·w`` falls below the normal range, the tree
 rounds it and the folded tape does not.  Nowhere else do the two differ,
 but in the sign of a NaN.
 
-A fold that reads through an operation nothing else has yet takes it back,
-so the quad system's dx/dt ``1.1 * (2 * p1) * 2 / 4 + 0.2`` compiles to the
-two operations of ``1.1 * p1 + 0.2``, and the pool keeps only the constants
-that an operation or a component reads.  Checks are unchanged: a fold removes
-only operations that cannot fail.
+Emission only adds operations and constants, so a fold may leave unread the
+ones it read through; one dead-value pass then walks back from the outputs
+and keeps what a component reads, directly or through a kept operation.  The
+quad system's dx/dt ``1.1 * (2 * p1) * 2 / 4 + 0.2`` is thus the two
+operations of ``1.1 * p1 + 0.2`` over the pool [1.1, 0.2].  Checks are
+unchanged: a fold reads only through products and negations, which cannot fail.
 
 Error rule: component c owns the may-fail operations (division, negative
 power, ln, sqrt) of its expression, listed in ``checks[check_offsets[c]:
@@ -120,7 +121,6 @@ def pack_exprs(exprs) -> Tape:
     numbered: dict[int, int] = {}              # int key of an operation -> value number
     seen: dict[int, int] = {}                  # id(operation node) -> value number
     lo = -dim
-    fresh = -1          # the last operation made, until a memo hit returns it again
 
     def const(x: float) -> int:
         k = x or math.copysign(math.inf, x)    # finite constants: ±inf keys ±0.0
@@ -131,25 +131,19 @@ def pack_exprs(exprs) -> Tape:
         return v
 
     def op(code: int, a: int, b: int) -> int:
-        nonlocal fresh
         key = (((a << 32) | (b & _LOW)) << 4 | code) if code == OP_MUL else a << 4 | code
         v = numbered.get(key)
         if v is None:
-            v = fresh = numbered[key] = len(codes)
+            v = numbered[key] = len(codes)
             codes.append(code)
             lhs.append(a)
             rhs.append(b)
-        elif v == fresh:
-            fresh = -1
         return v
 
-    def scale(k: float, v: int, node) -> int:
-        """k * v for a constant k and a non-constant v, an operand of `node`.
-        If v is c * w (a constant times a non-constant, or -w), this is
-        (k·c) * w when that is exact (R2, R3); a scale of -1 is -w, and of 1
-        is w.  If v is fresh, this fold is all that has it, so v is taken
-        back with its memo entries."""
-        nonlocal fresh
+    def scale(k: float, v: int) -> int:
+        """k * v for a constant k and a non-constant v.  If v is c * w (a
+        constant times a non-constant, or -w), this is (k·c) * w when that
+        is exact (R2, R3); a scale of -1 is -w, and of 1 is w."""
         c, w = 1.0, v
         if v >= 0:
             if codes[v] == OP_NEG:
@@ -161,26 +155,15 @@ def pack_exprs(exprs) -> Tape:
             if (k == -1.0 or c == -1.0
                     or (_pow2(k) or _pow2(c)) and _MIN_NORMAL <= abs(kc) < math.inf):
                 k = kc
-                if v == fresh:
-                    del numbered[w << 4 | OP_NEG if codes[v] == OP_NEG
-                                 else ((lhs[v] << 32) | (w & _LOW)) << 4 | OP_MUL]
-                    child = (node.arg if type(node) is Unary else node.left
-                             if seen.get(id(node.left)) == v else node.right)
-                    del seen[id(child)]
-                    codes.pop()
-                    lhs.pop()
-                    rhs.pop()
-                    fresh = -1
             else:
                 w = v
         if k == 1.0:
-            fresh = -1      # w is returned again, so no longer fresh
             return w
         return op(OP_NEG, w, 0) if k == -1.0 else op(OP_MUL, const(k), w)
 
-    def fold(code: int, a: int, b: int, node):
+    def fold(code: int, a: int, b: int):
         """An operation on two constants (R4), or a division by a constant
-        (R1), folded; None where `node` stays an operation."""
+        (R1), folded; None where it stays an operation."""
         y = consts[~b - dim]
         if a < lo:
             if code == OP_DIV and not y:
@@ -190,12 +173,11 @@ def pack_exprs(exprs) -> Tape:
                  else x * y if code == OP_MUL else x / y)
             return const(r) if math.isfinite(r) else None
         if _pow2(y) and _MIN_NORMAL <= abs(1.0 / y) < math.inf:
-            return scale(1.0 / y, a, node)
+            return scale(1.0 / y, a)
         return None
 
     # emit() inlines const() and op(): it runs once per node on every compile
     def emit(node) -> int:
-        nonlocal fresh
         kind = type(node)
         if kind is Coord:
             return ~node.axis
@@ -209,8 +191,6 @@ def pack_exprs(exprs) -> Tape:
             return v
         v = seen.get(id(node))
         if v is not None:
-            if v == fresh:
-                fresh = -1
             return v
         if kind is Binary:
             a, b = emit(node.left), emit(node.right)
@@ -219,9 +199,9 @@ def pack_exprs(exprs) -> Tape:
                 if code == OP_MUL and b < lo <= a:
                     a, b = b, a                # the constant factor first
                 if code == OP_MUL and b >= lo:
-                    v = scale(consts[~a - dim], b, node)
+                    v = scale(consts[~a - dim], b)
                 elif b < lo and (a < lo or code == OP_DIV):
-                    v = fold(code, a, b, node)
+                    v = fold(code, a, b)
                 if v is not None:
                     seen[id(node)] = v
                     return v
@@ -234,7 +214,7 @@ def pack_exprs(exprs) -> Tape:
                 v = seen[id(node)] = const(-x if code == OP_NEG else math.sqrt(x))
                 return v
             if code == OP_NEG:
-                v = seen[id(node)] = scale(-1.0, a, node)
+                v = seen[id(node)] = scale(-1.0, a)
                 return v
             key = a << 4 | code
         elif kind is Power:
@@ -244,12 +224,10 @@ def pack_exprs(exprs) -> Tape:
             raise TypeError(f"not a ScalarExpr node: {node!r}")
         v = numbered.get(key)
         if v is None:
-            v = fresh = numbered[key] = len(codes)
+            v = numbered[key] = len(codes)
             codes.append(code)
             lhs.append(a)
             rhs.append(b)
-        elif v == fresh:
-            fresh = -1
         seen[id(node)] = v
         return v
 
@@ -259,18 +237,27 @@ def pack_exprs(exprs) -> Tape:
             raise ValueError("all expressions must share one chart")
         outs.append(emit(e))
 
-    # A fold leaves the constants it read through in the pool: keep only
-    # those an operation or a component reads, renumbered in pool order.
-    kept = sorted({v for v in outs if v < lo} | {v for c, a, b in zip(codes, lhs, rhs)
-                   for v in ((a, b) if c <= OP_DIV else (a,)) if v < lo}, reverse=True)
-    if len(kept) < len(consts):
-        renum = {v: ~(dim + k) for k, v in enumerate(kept)}
-        consts = [consts[~v - dim] for v in kept]
-        lhs = [renum.get(a, a) for a in lhs]
-        rhs = [renum.get(b, b) if c <= OP_DIV else b for c, b in zip(codes, rhs)]
+    # Dead values, walking back from the outputs (operands precede readers):
+    # live[base + v] flags each value v a component reads; survivors keep order.
+    nops, base = len(codes), dim + len(consts)
+    live = [False] * (base + nops)
+    for v in outs:
+        live[base + v] = True
+    for i in range(nops - 1, -1, -1):
+        if live[base + i]:
+            live[base + lhs[i]] = True
+            if codes[i] <= OP_DIV:
+                live[base + rhs[i]] = True
+    if False in live[:len(consts)] or False in live[base:]:
+        ops = [i for i in range(nops) if live[base + i]]
+        pooled = [v for v in range(~dim, -base - 1, -1) if live[base + v]]
+        renum = {v: j for j, v in enumerate(ops)} | {v: ~(dim + k) for k, v in enumerate(pooled)}
+        codes, nops = [codes[i] for i in ops], len(ops)
+        consts = [consts[~v - dim] for v in pooled]
+        lhs = [renum.get(lhs[i], lhs[i]) for i in ops]
+        rhs = [renum.get(rhs[i], rhs[i]) if c <= OP_DIV else rhs[i] for c, i in zip(codes, ops)]
         outs = [renum.get(v, v) for v in outs]
 
-    nops = len(codes)
     # In program order: the last read of each value (outputs are read at the
     # end), which operations may fail, and which read a value that may.
     last = [0] * nops

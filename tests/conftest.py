@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exform import _kernels
 from exform import expr as ex
 from exform import forms
 
@@ -23,6 +24,15 @@ def rand_expr(rng, chart, depth=3, trig=True):
     return ex.Binary(chart, op,
                      rand_expr(rng, chart, depth - 1, trig),
                      rand_expr(rng, chart, depth - 1, trig))
+
+
+def unread_pool_slots(t):
+    """Constant-pool slots that no operation and no component reads."""
+    binary = t.codes <= _kernels.OP_DIV
+    read = set(t.args[:, 1].tolist()) | set(t.args[binary, 2].tolist())
+    read |= set(t.outputs.tolist())
+    pool = range(t.nreg + t.dim, t.nreg + t.dim + t.consts.size)
+    return [slot for slot in pool if slot not in read]
 
 
 def rand_form(rng, chart, degree, depth=2, trig=True):

@@ -63,12 +63,12 @@ def charpit_strips_by_copies(pde, initials, s_end, steps):
     states0 = np.stack([np.concatenate([np.atleast_1d(np.asarray(x, float)), [float(u)],
                                         np.atleast_1d(np.asarray(p, float))])
                         for x, u, p in initials])
-    _, pack, f_tape = cp._charpit_system(pde)
+    _, pack, F = cp._charpit_system(pde)
     h = s_end / steps
     traj, err = _kernels.rk4(pack, states0, h, steps)
     assert err is None
     m = states0.shape[0]
-    f_vals, f_errs = _kernels.eval_tape(f_tape, traj.reshape(-1, 2 * n + 1))
+    f_vals, f_errs = _kernels.eval_tape(tape.compile_expr(F), traj.reshape(-1, 2 * n + 1))
     assert not f_errs.any()
     drift = f_vals.reshape(steps + 1, m)
     s = np.arange(steps + 1) * h
@@ -389,6 +389,23 @@ class TestCanonical:
                 for g, r in zip(got, ref):
                     assert np.allclose(g, r, rtol=1e-12, atol=0.0)
 
+    def test_each_strip_system_compiles_once(self, monkeypatch):
+        """A fan and a single-state right-hand side share one compiled pack,
+        and the audit quantity (E or F) is compiled once."""
+        sizes = []
+        pack_exprs = tape.pack_exprs
+        monkeypatch.setattr(tape, "pack_exprs",
+                            lambda exprs: sizes.append(len(exprs)) or pack_exprs(exprs))
+        for cache in (cp._canonical_system, cp._charpit_system, ex._tape_for):
+            cache.cache_clear()
+        cp.integrate_canonical_strips(OSCILLATOR, [((0.5,), 0.0, (0.2,))], 1.0, 10)
+        cp.canonical_rhs(OSCILLATOR, (0.0, 0.5, 0.2))
+        assert sizes == [4, 1]
+        sizes.clear()
+        cp.integrate_strips(EIKONAL, [((0.0, 0.0), 0.0, (0.6, 0.8))], 0.5, 10)
+        cp.charpit_rhs(EIKONAL, ((0.0, 0.0), 0.0, (0.6, 0.8)))
+        assert sizes == [5, 1]
+
     def test_domain_error_raises(self):
         hj = cp.HJEquation.from_text(1, "p1^2/2 + ln(x1)")
         with pytest.raises(ex.DomainError):
@@ -615,6 +632,16 @@ class TestCaustics:
             assert events
             zero_hits += sum(e.t_star in fan.s for e in events)
         assert zero_hits > 0
+
+    def test_backward_time_fan_is_refined(self):
+        """A fan run back in time brackets each sign change with t0 > t1 and
+        is refined as its forward mirror is: both focus at |t| = 1."""
+        grid = np.linspace(-1, 1, 5)
+        for text, t_end in (("x1^2 / 2", -2.5), ("0 - x1^2 / 2", 2.5)):
+            sol = cp.solve_hj(FREE, ex.parse_expr(text, cp.base_chart(1)), grid, t_end, 7)
+            assert sol.events
+            for event in sol.events:
+                assert abs(event.t_star - np.sign(t_end)) <= cp.DT_REFINE
 
     def test_repeated_launch_nodes_rejected(self):
         x = np.ones((5, 4))

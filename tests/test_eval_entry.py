@@ -3,10 +3,10 @@
 Each module of the package is read with `ast`.  The kernel evaluators
 `_kernels.eval_pack` and `_kernels.eval_tape` may be named only in `expr`,
 which builds `evaluate_pack` and its one-expression cases on them, and in
-the few functions that need the kernels' raw (values, error codes) instead
-of a raise: the strip audits of `charpde` and `forms._integrals`, which
-reads a failed cell integral as NaN.  Any other numeric read goes through
-`ex.evaluate_pack`, so it follows one error rule.
+the one function that needs the kernels' raw (values, error codes) instead
+of a raise: `forms._integrals`, which reads a failed cell integral as NaN.
+Any other numeric read goes through `ex.evaluate_pack` or its masked form
+`ex.evaluate_masked`, so it follows one error rule.
 """
 
 import ast
@@ -20,7 +20,6 @@ EVALUATORS = {"eval_pack", "eval_tape"}
 # module -> the top-level functions that may name an evaluator; None: any
 ALLOWED = {
     "expr": None,
-    "charpde": {"_audit", "integrate_strips"},
     "forms": {"_integrals"},
 }
 PACKAGE = pathlib.Path(exform.__file__).resolve().parent

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import kernels_reference as ref
 from exform import _kernels, charpde as cp, expr as ex, tape
 
-from conftest import rand_expr
+from conftest import rand_expr, unread_pool_slots
 from kernels_reference import _eval_pack_numpy, _eval_tape_numpy, _rk4_numpy
 
 CH = ex.chart("x1", "x2", "x3")
@@ -244,10 +244,25 @@ def unread_operations(t):
        st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=6))
 def test_constant_chain_parity_property(exprs, points):
     """Folded chains give the tree's bits and error codes, and leave no
-    operation that nothing reads."""
+    operation and no pool constant that nothing reads."""
     check_pack(exprs, np.array(points))
     check_expr(exprs[-1], np.array(points))
-    assert unread_operations(tape.pack_exprs(exprs)) == []
+    t = tape.pack_exprs(exprs)
+    assert unread_operations(t) == [] and unread_pool_slots(t) == []
+
+
+def test_a_product_the_fold_read_through_is_kept_where_read_again():
+    """`(2 * x1) * 3 + 2 * x1`, its two `2 * x1` built apart: the fold makes
+    6 * x1 after 2 * x1, the sum reads both, and the tape keeps three
+    operations in that order and gives the tree's bits."""
+    x1, _, _ = ex.coords(CH)
+    e = (2.0 * x1) * 3.0 + 2.0 * x1
+    t = tape.compile_expr(e)
+    M = _kernels.OP_MUL
+    assert t.codes.tolist() == [M, M, _kernels.OP_ADD]
+    assert t.consts[t.args[:2, 1] - t.nreg - t.dim].tolist() == [2.0, 6.0]
+    assert unread_operations(t) == [] and unread_pool_slots(t) == []
+    check_expr(e, np.array([[1.25, 0.0, 0.0], [-3.0, 1.0, 2.0], [1e300, 0.0, 0.0]]))
 
 
 def test_folded_chain_stays_finite_where_the_tree_overflowed():

@@ -129,6 +129,19 @@ def test_partial_is_memoised_per_axis():
         ex.partial(e, 3)
 
 
+def test_partial_copies_marked_operands_without_simplify(monkeypatch):
+    """An operand copied from a simplified tree into its derivative is kept
+    as it is: with a counting wrapper in place of `ex.simplify`, as the
+    benchmark's tracer installs, `partial` makes no call."""
+    e = ex.simplify(ex.sin(X1 * X2) * ex.exp(X1) + X1 ** 3 / X2)
+    calls = []
+    simplify = ex.simplify
+    monkeypatch.setattr(ex, "simplify", lambda t: calls.append(t) or simplify(t))
+    d = ex.partial(e, 0)
+    assert calls == []
+    assert ex.to_text(d) == ex.to_text(ref.partial(e, 0))
+
+
 def test_memos_stay_out_of_eq_hash_and_repr(corpus):
     for e in corpus[:80]:
         s = ex.simplify(e)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_expr
+from conftest import rand_expr, unread_pool_slots
 from exform import _kernels, charpde as cp, expr as ex, tape
 
 CH = ex.chart("a", "b")
@@ -124,15 +124,6 @@ def test_fan_packs_fold_their_constant_chains():
     assert [ex.to_text(e) for e in rhs[3:]] == ["-(p1 * -1)", "-(p2 * -1)"]
     assert pack.codes.tolist() == [_kernels.OP_ADD]
     assert pack.outputs[3:].tolist() == [pack.nreg + 3, pack.nreg + 4]
-
-
-def unread_pool_slots(t):
-    """Constant-pool slots that no operation and no component reads."""
-    binary = t.codes <= _kernels.OP_DIV
-    read = set(t.args[:, 1].tolist()) | set(t.args[binary, 2].tolist())
-    read |= set(t.outputs.tolist())
-    pool = range(t.nreg + t.dim, t.nreg + t.dim + t.consts.size)
-    return [slot for slot in pool if slot not in read]
 
 
 def test_every_pool_constant_is_read(rng):
