@@ -97,13 +97,12 @@ def _write_json(path: Path, obj: dict) -> None:
     _write_text(path, _json_text({"schema": SCHEMA_VERSION, **obj}, indent=2) + "\n")
 
 
-def _write_strip(path: Path, strip: charpde.CharacteristicStrip, fmt: str) -> None:
-    """One row per sample: s, t (= s), x1..xn, u, p1..pn, F_drift."""
-    n = strip.n
+def _write_strip(path: Path, fan: charpde.Fan, k: int, fmt: str) -> None:
+    """Strip k of the fan, one row per sample: s, t (= s), x1..xn, u, p1..pn, F_drift."""
+    n = fan.n
     columns = (["s", "t"] + [f"x{i + 1}" for i in range(n)] + ["u"]
                + [f"p{i + 1}" for i in range(n)] + ["F_drift"])
-    rows = np.column_stack([strip.s, strip.s, strip.x, strip.u, strip.p,
-                            strip.drift]).tolist()
+    rows = np.column_stack([fan.s, fan.s, fan.states[:, k], fan.drift[:, k]]).tolist()
     if fmt == "csv":
         lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
         _write_text(path.with_suffix(".csv"), "\n".join(lines) + "\n")
@@ -158,8 +157,7 @@ def form_commutator(args) -> None:
 
 def form_closure(args) -> None:
     residual = forms.closure_residual(_load_form(args.input), args.trials, args.seed)
-    # is_closed's verdict: a non-finite value is never zero, even at tol = inf
-    closed = math.isfinite(residual) and residual <= args.tol
+    closed = ex.is_zero_residual(residual, args.tol)
     _write_json(args.out / "form_closure.json", {
         "closed": closed, "max_residual": residual, "trials": args.trials,
         "tol": args.tol, "seed": args.seed,
@@ -281,10 +279,8 @@ def geom_relation(args) -> None:
     omega = _load_form(args.omega, "omega")
     conn = _load_connection(args.gamma, "gamma") if args.gamma else None
     rel = evolution.NonidenticalRelation(psi, omega, conn)
-    worst = max((ex.sampled_abs_max(coeff, args.trials, args.seed)
-                 for coeff in rel.residual_form().coeffs.values()), default=0.0)
-    # is_identical's verdict: a non-finite value is never zero
-    identical = math.isfinite(worst) and worst <= args.tol
+    worst = forms.form_residual(rel.residual_form(), args.trials, args.seed)
+    identical = ex.is_zero_residual(worst, args.tol)
     _write_json(args.out / "geom_relation.json", {
         "identical": identical, "max_residual": worst, "points": args.trials,
     })
@@ -331,11 +327,11 @@ def pde_charpit(args) -> None:
     s_end = schemas.doc_number(doc.get("s_end", 1.0), 'charpit: "s_end"')
     steps = schemas.doc_integer(doc.get("steps", args.steps), 'charpit: "steps"', 1)
     try:
-        strip = charpde.integrate_strips(pde, [init], s_end, steps)[0]
+        fan = charpde.integrate_strips(pde, [init], s_end, steps)
     except charpde.OffSurfaceError as err:
         raise SchemaError(f"charpit: {err}") from None
-    _write_strip(args.out / "charpit_strip", strip, args.format)
-    print(f"charpit: {strip.samples} samples, max |F| drift {strip.max_drift!r}")
+    _write_strip(args.out / "charpit_strip", fan, 0, args.format)
+    print(f"charpit: {len(fan.s)} samples, max |F| drift {fan[0].max_drift!r}")
 
 
 def _solve_fan(args, cmd: str):
@@ -369,8 +365,8 @@ def pde_hj(args) -> None:
         worst = float(np.max(np.abs(solution.u.T.ravel() - ref)))
         summary["max_error_vs_oracle"] = worst
         line += f", max error vs oracle {worst!r}"
-    for k, strip in enumerate(solution.strips):
-        _write_strip(args.out / f"hj_strip_{k:03d}", strip, args.format)
+    for k in range(len(solution.strips)):
+        _write_strip(args.out / f"hj_strip_{k:03d}", solution.strips, k, args.format)
     _write_json(args.out / "hj_summary.json", summary)
     if solution.events:
         _write_json(args.out / "hj_events.json", {"events": summary["events"]})

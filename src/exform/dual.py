@@ -21,13 +21,6 @@ class SingularDirectionError(ExformError):
     """implicit direction evaluated where its denominator vanishes."""
 
 
-def _complement_sign(index: tuple[int, ...], comp: tuple[int, ...]) -> int:
-    perm = index + comp
-    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                     if perm[a] > perm[b])
-    return (-1) ** inversions
-
-
 def hodge_star(theta: DifferentialForm) -> DifferentialForm:
     """Euclidean star: each basis index maps to its complement with the
     Levi-Civita permutation sign."""
@@ -38,8 +31,7 @@ def hodge_star(theta: DifferentialForm) -> DifferentialForm:
     coeffs: dict[tuple[int, ...], ScalarExpr] = {}
     for index, coeff in theta.coeffs.items():
         comp = tuple(i for i in range(n) if i not in index)
-        sign = _complement_sign(index, comp)
-        coeffs[comp] = coeff if sign > 0 else ex.Unary(chart, "neg", coeff)
+        coeffs[comp] = coeff if forms.parity(index + comp) > 0 else ex.Unary(chart, "neg", coeff)
     return DifferentialForm(chart, n - theta.degree, coeffs)
 
 

@@ -3,7 +3,13 @@
 The expression grammar is deliberately small and closed under exact
 partial differentiation: constants, coordinates, + - * /, integer powers,
 and sin/cos/exp/ln/sqrt.  Identity checking is done by seeded numeric
-sampling (`probably_zero`), not by canonical-form rewriting.
+sampling, not by canonical-form rewriting.  The one sampler, `sampled_abs_max`,
+is max |e| over `trials` in-domain points of a seeded uniform cloud in
+[-2, 2]^n (inf if a value is not finite); undefined points are redrawn, and
+past RESAMPLE_CAP_FACTOR * trials draws it raises ResampleExhaustedError.
+The one rule, `is_zero_residual(r, tol)`: r is zero iff it is finite and
+r <= tol, so a non-finite value is never zero, even at tol = inf.
+`probably_zero` is that rule on that sampler.
 
 Trees are immutable.  Two caches live on the nodes themselves, outside the
 dataclass fields, so they never take part in `==`, `hash` or `repr`:
@@ -36,7 +42,7 @@ from . import _kernels, tape
 DEFAULT_TRIALS = 64
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 42
-SAMPLE_BOX = 2.0          # probably_zero samples uniform in [-2, 2]^n
+SAMPLE_BOX = 2.0          # the sampler draws uniform in [-2, 2]^n
 RESAMPLE_CAP_FACTOR = 50  # max total draws = factor * trials
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "ln", "sqrt")
@@ -63,7 +69,7 @@ class DomainError(ExformError):
 
 
 class ResampleExhaustedError(ExformError):
-    """probably_zero could not collect enough in-domain sample points."""
+    """sampled_abs_max could not collect enough in-domain sample points."""
 
 
 @dataclass(frozen=True)
@@ -786,12 +792,7 @@ def evaluate_masked(e: ScalarExpr, points: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _in_domain_values(e: ScalarExpr, trials: int, seed: int):
-    """Yield the in-domain values of each batch of the seeded sampling cloud.
-
-    Points are drawn uniformly from [-2, 2]^n; points where the expression
-    is undefined are skipped and redrawn, up to a cap, until `trials`
-    in-domain values have been yielded.
-    """
+    """Yield the in-domain values of each batch of the sampling cloud."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -809,26 +810,25 @@ def _in_domain_values(e: ScalarExpr, trials: int, seed: int):
                 f"could not collect {trials} in-domain points after {drawn} draws")
 
 
-def probably_zero(e: ScalarExpr, trials: int = DEFAULT_TRIALS,
-                  tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> bool:
-    """Seeded randomized zero test: true iff |e| <= tol at `trials` in-domain
-    points; a non-finite value is never zero."""
-    for good in _in_domain_values(e, trials, seed):
-        if not np.all(np.isfinite(good) & (np.abs(good) <= tol)):
-            return False
-    return True
-
-
 def sampled_abs_max(e: ScalarExpr, trials: int = DEFAULT_TRIALS,
                     seed: int = DEFAULT_SEED) -> float:
-    """Max |e| over the probably_zero sampling cloud; inf if any value is not
-    finite."""
+    """Max |e| over the seeded sampling cloud; inf if any value is not finite."""
     worst = 0.0
     for good in _in_domain_values(e, trials, seed):
-        if good.size:
-            m = float(np.max(np.abs(good)))
-            worst = max(worst, math.inf if math.isnan(m) else m)
+        m = float(np.max(np.abs(good), initial=0.0))
+        worst = max(worst, math.inf if math.isnan(m) else m)
     return worst
+
+
+def is_zero_residual(r: float, tol: float) -> bool:
+    """The zero rule: a sampled residual is zero iff it is finite and <= tol."""
+    return math.isfinite(r) and r <= tol
+
+
+def probably_zero(e: ScalarExpr, trials: int = DEFAULT_TRIALS,
+                  tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> bool:
+    """Seeded randomized zero test: the zero rule on `sampled_abs_max`."""
+    return is_zero_residual(sampled_abs_max(e, trials, seed), tol)
 
 
 def is_zero_const(e: ScalarExpr) -> bool:

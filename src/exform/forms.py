@@ -49,21 +49,17 @@ def _check_index(index: Index, degree: int, dim: int) -> None:
         raise ValueError(f"index {index} is not strictly increasing")
 
 
-def merge_indices(a: Index, b: Index) -> tuple[int, Index] | None:
-    """Merge two increasing multi-indices; None if an axis repeats.
+def parity(seq: Sequence[int]) -> int:
+    """Sign of the permutation that sorts distinct `seq`: (-1)^inversions."""
+    inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+    return -1 if inversions % 2 else 1
 
-    Returns (sign, merged) where sign is the parity of the permutation that
-    sorts the concatenation a + b.
-    """
+
+def merge_indices(a: Index, b: Index) -> tuple[int, Index] | None:
+    """(parity of a + b, merged) for increasing a and b; None if an axis repeats."""
     if set(a) & set(b):
         return None
-    inversions = 0
-    for x in a:
-        for y in b:
-            if x > y:
-                inversions += 1
-    merged = tuple(sorted(a + b))
-    return (-1) ** inversions, merged
+    return parity(a + b), tuple(sorted(a + b))
 
 
 def insert_axis(axis: int, index: Index) -> tuple[int, Index] | None:
@@ -186,7 +182,8 @@ def subtract_forms(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm
             merged[index] = ex.Binary(a.chart, "-", merged[index], coeff)
         else:
             merged[index] = ex.Unary(a.chart, "neg", coeff)
-    return DifferentialForm(a.chart, a.degree, merged)
+    return DifferentialForm(a.chart, a.degree, merged,
+                            beyond_top=a.beyond_top and b.beyond_top)
 
 
 def scale_form(factor: ScalarExpr | float, form: DifferentialForm) -> DifferentialForm:
@@ -293,27 +290,30 @@ def commutator_1form(theta: DifferentialForm) -> Commutator1:
     return Commutator1(chart, entries)
 
 
+def form_residual(form: DifferentialForm, trials: int = ex.DEFAULT_TRIALS,
+                  seed: int = ex.DEFAULT_SEED) -> float:
+    """Max of `sampled_abs_max` over the stored coefficients; 0.0 for none."""
+    return max((ex.sampled_abs_max(c, trials, seed) for c in form.coeffs.values()),
+               default=0.0)
+
+
 def form_probably_zero(form: DifferentialForm, trials: int = ex.DEFAULT_TRIALS,
                        tol: float = ex.DEFAULT_TOL,
                        seed: int = ex.DEFAULT_SEED) -> bool:
-    """True iff every stored coefficient passes probably_zero."""
-    return all(ex.probably_zero(c, trials, tol, seed)
-               for c in form.coeffs.values())
+    """The zero rule on `form_residual`."""
+    return ex.is_zero_residual(form_residual(form, trials, seed), tol)
 
 
 def is_closed(theta: DifferentialForm, trials: int = ex.DEFAULT_TRIALS,
               tol: float = ex.DEFAULT_TOL, seed: int = ex.DEFAULT_SEED) -> bool:
-    """True iff every coefficient of d(theta) passes probably_zero."""
-    return form_probably_zero(exterior_derivative(theta), trials, tol, seed)
+    """The zero rule on `closure_residual`."""
+    return ex.is_zero_residual(closure_residual(theta, trials, seed), tol)
 
 
 def closure_residual(theta: DifferentialForm, trials: int = ex.DEFAULT_TRIALS,
                      seed: int = ex.DEFAULT_SEED) -> float:
-    """Max |coefficient of d(theta)| over the sampling cloud."""
-    d = exterior_derivative(theta)
-    if d.is_zero:
-        return 0.0
-    return max(ex.sampled_abs_max(c, trials, seed) for c in d.coeffs.values())
+    """`form_residual` of d(theta)."""
+    return form_residual(exterior_derivative(theta), trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +498,9 @@ def _jacobian_minor(cell: Cell, index: Index) -> ScalarExpr:
     partials = [[ex.partial(cell.maps[i], c) for c in range(k)] for i in index]
     products = []
     for perm in itertools.permutations(range(k)):
-        inversions = sum(1 for a in range(k) for b in range(a + 1, k)
-                         if perm[a] > perm[b])
         prod = functools.reduce(lambda a, b: ex.Binary(pchart, "*", a, b),
                                 (partials[row][col] for row, col in enumerate(perm)))
-        products.append(ex.Unary(pchart, "neg", prod) if inversions % 2 else prod)
+        products.append(prod if parity(perm) > 0 else ex.Unary(pchart, "neg", prod))
     return ex.sum_of(products)
 
 

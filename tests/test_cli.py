@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from exform import cli, expr as ex, forms
+from exform import cli, evolution, expr as ex, forms
 
 from conftest import FIXTURES
 
@@ -278,6 +278,25 @@ class TestFormCommands:
         result = json.loads((out / "geom_relation.json").read_text(),
                             parse_constant=reject_constant)
         assert result["max_residual"] == "inf" and result["identical"] is False
+
+    def test_thin_domain_raises_in_library_and_cli(self, tmp_path, capsys):
+        # sqrt(x1 - 1.95) is defined on 1/80 of the box: the sampler runs out
+        # of draws before it has its points, in every verdict alike
+        doc = tmp_path / "thin.json"
+        doc.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1", "x2"], "degree": 1,
+            "terms": [{"index": [1], "coeff": "sqrt(x1 - 1.95) * x1"}]}))
+        theta = cli._load_form(doc)
+        rel = evolution.NonidenticalRelation(forms.zero_form(theta.chart, 0), theta)
+        for verdict in (forms.is_closed, forms.closure_residual,
+                        lambda _: rel.is_identical()):
+            with pytest.raises(ex.ResampleExhaustedError):
+                verdict(theta)
+        for argv in (["form", "closure", "--in", str(doc)],
+                     ["geom", "relation", "--psi", str(FIXTURES / "form_zero_psi.json"),
+                      "--omega", str(doc)]):
+            assert run(argv, tmp_path)[0] == cli.EXIT_MATH
+            assert "could not collect 64 in-domain points" in capsys.readouterr().err
 
 
 class TestGeomCommands:

@@ -7,6 +7,11 @@ the one function that needs the kernels' raw (values, error codes) instead
 of a raise: `forms._integrals`, which reads a failed cell integral as NaN.
 Any other numeric read goes through `ex.evaluate_pack` or its masked form
 `ex.evaluate_masked`, so it follows one error rule.
+
+Likewise every zero verdict reads one sampled residual: the sampler
+`expr.sampled_abs_max` may be named only in `expr` and in
+`forms.form_residual`, the max over a form's coefficients that the form
+verdicts and the CLI read.
 """
 
 import ast
@@ -22,7 +27,13 @@ ALLOWED = {
     "expr": None,
     "forms": {"_integrals"},
 }
+SAMPLER = "sampled_abs_max"
+SAMPLER_ALLOWED = {
+    "expr": None,
+    "forms": {"form_residual"},
+}
 PACKAGE = pathlib.Path(exform.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _owners(tree):
@@ -51,14 +62,35 @@ def _evaluator_owners(path):
     return owners
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "_kernels"),
+def _sampler_owners(path):
+    """The owners that name the sampler, bare, as an attribute or in an import."""
+    owners = set()
+    for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8"))):
+        for sub in ast.walk(node):
+            if ((isinstance(sub, ast.Attribute) and sub.attr == SAMPLER)
+                    or (isinstance(sub, ast.Name) and sub.id == SAMPLER)
+                    or (isinstance(sub, ast.ImportFrom)
+                        and SAMPLER in {a.name for a in sub.names})):
+                owners.add(owner)
+    return owners
+
+
+def _check_owners(stem, owners, allowed, what, instead):
+    if allowed is None:
+        assert owners, f"{stem} no longer names {what}"
+        return
+    assert owners <= allowed, f"{stem}: {sorted(owners - allowed)} should {instead}"
+    assert owners == allowed, f"{stem}: stale allowance {sorted(allowed - owners)}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "_kernels"],
                          ids=lambda p: p.stem)
 def test_kernel_evaluators_are_named_only_where_allowed(path):
-    allowed = ALLOWED.get(path.stem, set())
-    owners = _evaluator_owners(path)
-    if allowed is None:
-        assert owners, f"{path.stem} no longer names a kernel evaluator"
-        return
-    assert owners <= allowed, (
-        f"{path.stem}: {sorted(owners - allowed)} should read through ex.evaluate_pack")
-    assert owners == allowed, f"{path.stem}: stale allowance {sorted(allowed - owners)}"
+    _check_owners(path.stem, _evaluator_owners(path), ALLOWED.get(path.stem, set()),
+                  "a kernel evaluator", "read through ex.evaluate_pack")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_sampler_is_named_only_where_allowed(path):
+    _check_owners(path.stem, _sampler_owners(path), SAMPLER_ALLOWED.get(path.stem, set()),
+                  "the sampler", "read forms.form_residual or ex.probably_zero")

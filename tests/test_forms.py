@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exform import expr as ex
-from exform import forms
+from exform import dual, forms
 from exform.expr import Binary, Unary
 
 import homotopy_reference
@@ -23,6 +23,7 @@ class TestMultiIndex:
         assert forms.merge_indices((1,), (0,)) == (-1, (0, 1))
         assert forms.merge_indices((0,), (0,)) is None
         assert forms.merge_indices((1,), (0, 2)) == (-1, (0, 1, 2))
+        assert forms.parity((2, 0, 1)) == 1 and forms.parity((0, 2, 1)) == -1
 
     def test_insert_axis(self):
         assert forms.insert_axis(0, (1, 2)) == (1, (0, 1, 2))
@@ -79,6 +80,14 @@ class TestWedge:
         two = forms.DifferentialForm(CH2, 2, {(0, 1): A1})
         w = forms.wedge(two, forms.basis_one_form(CH2, 0))
         assert w.is_zero and w.beyond_top
+
+    @pytest.mark.parametrize("combine", [forms.add_forms, forms.subtract_forms])
+    def test_sum_of_beyond_top_forms_stays_beyond_top(self, combine):
+        bt = forms.zero_form(CH2, 3)
+        total = combine(bt, bt)
+        assert total.beyond_top
+        with pytest.raises(forms.DegreeError):
+            dual.hodge_star(total)
 
     def test_antisymmetry_property(self, rng):
         for _ in range(25):
