@@ -240,9 +240,9 @@ def geom_torsion(args) -> None:
     conn = _load_connection(args.input)
     t = evolution.torsion(conn)
     n = conn.chart.dim
-    entries = [{"rho": r, "mu": m, "nu": nu, "coeff": str(t[r][m][nu])}
+    entries = [{"rho": r, "mu": m, "nu": nu, "coeff": str(c)}
                for r in range(n) for m in range(n) for nu in range(n)
-               if not ex.is_zero_const(t[r][m][nu])]
+               if not ex.is_zero_const(c := t[r].k(m, nu))]
     _write_json(args.out / "geom_torsion.json",
                 {"chart": list(conn.chart.names), "entries": entries})
     print(f"torsion: {len(entries)} nonzero entries")
@@ -251,12 +251,10 @@ def geom_torsion(args) -> None:
 def geom_curvature(args) -> None:
     conn = _load_connection(args.input)
     r = evolution.curvature(conn)
-    n = conn.chart.dim
-    entries = [{"mu": mu, "nu": nu, "rho": rho, "sigma": sg,
-                "coeff": str(r[mu][nu][rho][sg])}
-               for mu in range(n) for nu in range(n)
-               for rho in range(n) for sg in range(n)
-               if not ex.is_zero_const(r[mu][nu][rho][sg])]
+    # each antisymmetric (rho, sigma) pair once, rho < sigma
+    entries = [{"mu": mu, "nu": nu, "rho": rho, "sigma": sg, "coeff": str(c)}
+               for mu, row in enumerate(r) for nu, pairs in enumerate(row)
+               for (rho, sg), c in pairs.entries.items() if not ex.is_zero_const(c)]
     _write_json(args.out / "geom_curvature.json",
                 {"chart": list(conn.chart.names), "entries": entries})
     print(f"curvature: {len(entries)} nonzero entries")

@@ -49,28 +49,27 @@ class Connection:
         return self.gamma.get((rho, mu, nu), Const(self.chart, 0.0))
 
 
-def torsion(conn: Connection):
+def torsion(conn: Connection) -> tuple[Commutator1, ...]:
     """T[rho][mu][nu] = Gamma[rho,mu,nu] - Gamma[rho,nu,mu], simplified;
-    antisymmetric in (mu, nu) by construction."""
-    n = conn.chart.dim
+    T[rho] is antisymmetric in (mu, nu), built for mu < nu only."""
+    chart = conn.chart
+    n = chart.dim
     return tuple(
-        tuple(
-            tuple(ex.simplify(ex.Binary(conn.chart, "-",
-                                        conn.coeff(r, m, nu),
-                                        conn.coeff(r, nu, m)))
-                  for nu in range(n))
-            for m in range(n))
+        Commutator1(chart, {(m, nu): ex.simplify(ex.Binary(chart, "-",
+                                                          conn.coeff(r, m, nu),
+                                                          conn.coeff(r, nu, m)))
+                            for m in range(n) for nu in range(m + 1, n)})
         for r in range(n))
 
 
-def curvature(conn: Connection):
+def curvature(conn: Connection) -> tuple[tuple[Commutator1, ...], ...]:
     """Standard affine curvature array R[mu][nu][rho][sigma]:
 
         d Gamma[mu,nu,sigma]/dx^rho - d Gamma[mu,nu,rho]/dx^sigma
         + sum_lam (Gamma[mu,lam,rho] Gamma[lam,nu,sigma]
                    - Gamma[mu,lam,sigma] Gamma[lam,nu,rho])
 
-    antisymmetric in (rho, sigma).
+    R[mu][nu] is antisymmetric in (rho, sigma), built for rho < sigma only.
     """
     chart = conn.chart
     n = chart.dim
@@ -95,9 +94,8 @@ def curvature(conn: Connection):
 
     return tuple(
         tuple(
-            tuple(
-                tuple(entry(mu, nu, rho, sigma) for sigma in range(n))
-                for rho in range(n))
+            Commutator1(chart, {(rho, sigma): entry(mu, nu, rho, sigma)
+                                for rho in range(n) for sigma in range(rho + 1, n)})
             for nu in range(n))
         for mu in range(n))
 

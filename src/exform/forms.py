@@ -241,10 +241,12 @@ def exterior_derivative(theta: DifferentialForm) -> DifferentialForm:
 
 @dataclass(frozen=True)
 class Commutator1:
-    """Antisymmetric coefficient array of d(theta) for a 1-form theta.
+    """Antisymmetric array A[i][j] = -A[j][i]: the coefficients of d(theta)
+    for a 1-form theta, or the last index pair of torsion and curvature.
 
-    Entries are stored once for i < j; access through k(i, j) applies the
-    antisymmetry sign.
+    Entries are stored once for i < j; k(i, j) applies the antisymmetry
+    sign, and the row c[i] is (c.k(i, j) for each j), so c[i][j] reads like
+    a nested tuple.
     """
 
     chart: CoordinateChart
@@ -264,6 +266,10 @@ class Commutator1:
         if entry is None:
             return Const(self.chart, 0.0)
         return ex.simplify(ex.Unary(self.chart, "neg", entry))
+
+    def __getitem__(self, i: int) -> tuple[ScalarExpr, ...]:
+        i = range(self.chart.dim)[i]    # IndexError past n ends iteration
+        return tuple(self.k(i, j) for j in range(self.chart.dim))
 
     def to_two_form(self) -> DifferentialForm:
         return DifferentialForm(self.chart, 2, dict(self.entries))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from exform import _kernels
 from exform import expr as ex
 from exform import forms
+from exform.expr import Binary, Const, Coord, Power, Unary
 
 FIXTURES = __import__("pathlib").Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -24,6 +26,21 @@ def rand_expr(rng, chart, depth=3, trig=True):
     return ex.Binary(chart, op,
                      rand_expr(rng, chart, depth - 1, trig),
                      rand_expr(rng, chart, depth - 1, trig))
+
+
+def smooth_trees(ch):
+    """Polynomial and trig trees with small integer coefficients, whose
+    derivatives stay O(1) on the sampling box."""
+    leaves = st.one_of(st.builds(Const, st.just(ch), st.integers(-3, 3).map(float)),
+                       st.builds(Coord, st.just(ch), st.integers(0, ch.dim - 1)))
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(Binary, st.just(ch), st.sampled_from("+-*"), sub, sub),
+            st.builds(Power, st.just(ch), sub, st.integers(2, 3)),
+            st.builds(Unary, st.just(ch), st.sampled_from(["sin", "cos"]), sub))
+
+    return st.recursive(leaves, extend, max_leaves=6)
 
 
 def unread_pool_slots(t):

@@ -316,7 +316,11 @@ class TestGeomCommands:
         code, out = run(["geom", "curvature", "--in",
                          str(FIXTURES / "conn_symmetric.json")], tmp_path)
         assert code == 0
-        assert "entries" in read(out, "geom_curvature.json")
+        entries = read(out, "geom_curvature.json")["entries"]
+        # each antisymmetric (rho, sigma) pair is listed once, rho < sigma
+        assert all(e["rho"] < e["sigma"] for e in entries)
+        table = {(e["mu"], e["nu"], e["rho"], e["sigma"]): e["coeff"] for e in entries}
+        assert table == {(0, 1, 0, 1): "-1 - x2 * x2", (1, 0, 0, 1): "x1 * x2 * x2 - x1"}
 
     def test_evcommutator_matches_commutator_byte_for_byte(self, tmp_path):
         _, out1 = run(["geom", "evcommutator",

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exform import dual, expr as ex, forms
 
-from conftest import rand_expr, rand_form
+from conftest import rand_expr, rand_form, smooth_trees
 
 CH2 = ex.chart("x", "y")
 X, Y = ex.coords(CH2)
@@ -38,6 +41,24 @@ class TestHodgeStar:
         theta = rand_form(rng, chart, p)
         defect = dual.DualPair.of(theta).involution_defect()
         assert forms.form_probably_zero(defect)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(n + 1)])
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(data=st.data())
+    def test_star_star_is_the_signed_identity(self, n, k, data):
+        # ** = (-1)^(k(n-k)) on k-forms, bit for bit at seeded points
+        chart = ex.chart(*[f"x{i + 1}" for i in range(n)])
+        picked = data.draw(st.lists(st.sampled_from(
+            list(itertools.combinations(range(n), k))), min_size=1, unique=True))
+        theta = forms.DifferentialForm(
+            chart, k, {index: data.draw(smooth_trees(chart)) for index in picked})
+        twice = dual.hodge_star(dual.hodge_star(theta))
+        signed = forms.scale_form(float((-1) ** (k * (n - k))), theta)
+        assert twice.degree == k and sorted(twice.coeffs) == sorted(signed.coeffs)
+        pts = np.random.default_rng(11).uniform(-ex.SAMPLE_BOX, ex.SAMPLE_BOX, (16, n))
+        got = ex.evaluate_pack([twice.coeffs[i] for i in sorted(signed.coeffs)], pts)
+        want = ex.evaluate_pack([signed.coeffs[i] for i in sorted(signed.coeffs)], pts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_linearity(self, rng):
         for _ in range(10):

@@ -1,13 +1,15 @@
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exform import evolution as ev
 from exform import expr as ex
 from exform import forms
 
 import simplify_reference as ref
-from conftest import rand_expr, rand_form
+from conftest import rand_expr, rand_form, smooth_trees
 
 CH2 = ex.chart("x1", "x2")
 X1, X2 = ex.coords(CH2)
@@ -134,13 +136,34 @@ def signed_coeff(rng, chart):
 
 class TestCurvatureSparseSum:
     def check(self, conn):
+        """Every R[mu][nu][rho][sigma], read through the accessor, against the
+        dense build: stored rho < sigma entries are its trees, rho = sigma
+        entries are 0, and a rho > sigma entry is the exact negation of the
+        stored (sigma, rho) entry and equals the dense entry."""
         r = ev.curvature(conn)
         n = conn.chart.dim
-        got = [r[mu][nu][rho][sg] for mu in range(n) for nu in range(n)
-               for rho in range(n) for sg in range(n)]
-        want = dense_curvature(conn)
-        assert [ex.to_text(e) for e in got] == [ex.to_text(e) for e in want]
-        assert [repr(e) for e in got] == [repr(e) for e in want]
+        want = iter(dense_curvature(conn))
+        mirrored, stored, dense = [], [], []
+        for mu in range(n):
+            for nu in range(n):
+                for rho in range(n):
+                    for sg, got in enumerate(r[mu][nu][rho]):
+                        direct = next(want)
+                        if rho < sg:
+                            assert ex.to_text(got) == ex.to_text(direct)
+                            assert repr(got) == repr(direct)
+                        elif rho == sg:
+                            assert ex.is_zero_const(got)
+                        else:
+                            mirrored.append(got)
+                            stored.append(r[mu][nu].entries[(sg, rho)])
+                            dense.append(direct)
+        pts = np.random.default_rng(7).uniform(-ex.SAMPLE_BOX, ex.SAMPLE_BOX, (16, n))
+        vals = ex.evaluate_pack(mirrored + stored, pts)
+        k = len(mirrored)
+        assert np.array_equal(vals[:k].view(np.uint64), (-vals[k:]).view(np.uint64))
+        for got, direct in zip(mirrored, dense):
+            assert ex.probably_zero(ex.Binary(conn.chart, "-", got, direct))
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_sparse_connections(self, dim):
@@ -175,6 +198,55 @@ class TestCurvatureSparseSum:
         conn = ev.Connection(ch, {k: ex.parse_expr(t, ch) for k, t in texts.items()})
         assert sorted(conn.gamma) == [(2, 0, 0), (2, 2, 1)]
         self.check(conn)
+
+
+@st.composite
+def symmetric_connections(draw, dim):
+    """Gamma[mu, a, b] = Gamma[mu, b, a], a few smooth entries."""
+    ch = ex.chart(*[f"x{k + 1}" for k in range(dim)])
+    slots = [(mu, a, b) for mu in range(dim) for a in range(dim) for b in range(a, dim)]
+    keys = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=2 * dim, unique=True))
+    gamma = {}
+    for mu, a, b in keys:
+        gamma[(mu, a, b)] = gamma[(mu, b, a)] = draw(smooth_trees(ch))
+    return ev.Connection(ch, gamma)
+
+
+class TestFirstBianchi:
+    """R[mu][nu][rho][sigma] + R[mu][rho][sigma][nu] + R[mu][sigma][nu][rho]
+    vanishes for a symmetric connection (Wald 1984, eq. 3.2.14), read through
+    the accessor, so each sum mixes stored and mirrored entries."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def test_cyclic_sum_vanishes(self, dim, data):
+        conn = data.draw(symmetric_connections(dim))
+        n = dim
+        r = ev.curvature(conn)
+        quads = list(itertools.product(range(n), repeat=4))
+        triples = list(itertools.product(range(n), repeat=3))
+        entries = [r[mu][nu][rho][sg] for mu, nu, rho, sg in quads]
+        gamma = [conn.coeff(*t) for t in triples]
+        dgamma = [ex.partial(g, axis) for g in gamma for axis in range(n)]
+        pts = np.random.default_rng(3).uniform(-ex.SAMPLE_BOX, ex.SAMPLE_BOX, (16, n))
+        vals = ex.evaluate_pack(entries + gamma + dgamma, pts)
+        R = vals[:n ** 4].reshape((n,) * 4 + (-1,))
+        G = vals[n ** 4:n ** 4 + n ** 3].reshape((n,) * 3 + (-1,))
+        dG = np.abs(vals[n ** 4 + n ** 3:]).reshape((n,) * 4 + (-1,))  # [mu, a, b, axis]
+
+        def size(mu, nu, rho, sg):
+            """Sum of |summand| over the summands of R[mu][nu][rho][sg]."""
+            return (dG[mu, nu, sg, rho] + dG[mu, nu, rho, sg]
+                    + sum(np.abs(G[mu, lam, rho] * G[lam, nu, sg])
+                          + np.abs(G[mu, lam, sg] * G[lam, nu, rho]) for lam in range(n)))
+
+        eps = np.finfo(np.float64).eps
+        for mu, nu, rho, sg in quads:
+            cycle = [(nu, rho, sg), (rho, sg, nu), (sg, nu, rho)]
+            total = sum(R[(mu,) + c] for c in cycle)
+            bound = 64 * eps * sum(size(mu, *c) for c in cycle)
+            assert np.all(np.abs(total) <= bound), (mu, nu, rho, sg)
 
 
 class TestEvolutionaryCommutator:

@@ -11,7 +11,7 @@ from exform import forms
 from exform.expr import Binary, Const, Coord, Power, Unary
 
 import simplify_reference as ref
-from conftest import rand_expr
+from conftest import rand_expr, smooth_trees
 
 CH2 = ex.chart("x1", "x2")
 X1, X2 = ex.coords(CH2)
@@ -34,21 +34,6 @@ def grammar_trees(ch):
                 lambda a: Unary(ch, "neg", a)))
 
     return st.recursive(leaves, extend, max_leaves=12)
-
-
-def smooth_trees(ch):
-    """Polynomial and trig trees with small integer coefficients, whose
-    derivatives stay O(1) on the sampling box."""
-    leaves = st.one_of(st.builds(Const, st.just(ch), st.integers(-3, 3).map(float)),
-                       st.builds(Coord, st.just(ch), st.integers(0, ch.dim - 1)))
-
-    def extend(sub):
-        return st.one_of(
-            st.builds(Binary, st.just(ch), st.sampled_from("+-*"), sub, sub),
-            st.builds(Power, st.just(ch), sub, st.integers(2, 3)),
-            st.builds(Unary, st.just(ch), st.sampled_from(["sin", "cos"]), sub))
-
-    return st.recursive(leaves, extend, max_leaves=6)
 
 
 def assert_same(got, want):

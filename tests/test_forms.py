@@ -176,6 +176,16 @@ class TestCommutator:
         assert k.k(1, 0) == ex.const(CH2, -2.0)
         assert ex.is_zero_const(k.k(1, 1))
 
+    def test_rows_read_like_nested_tuples(self):
+        k = forms.commutator_1form(forms.one_form(CH3, [-B2, B1, B1 * B3]))
+        rows = list(k)     # iteration stops at the IndexError past n
+        assert rows == [tuple(k.k(i, j) for j in range(3)) for i in range(3)]
+        assert k[-1] == k[2]
+        with pytest.raises(IndexError):
+            k[3]
+        empty = forms.Commutator1(CH3, {})
+        assert bool(empty) and [ex.is_zero_const(e) for row in empty for e in row] == [True] * 9
+
     def test_closure_coefficient_shape(self):
         u = rand_expr(np.random.default_rng(3), CH2, 2)
         v = rand_expr(np.random.default_rng(4), CH2, 2)
