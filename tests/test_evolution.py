@@ -217,12 +217,11 @@ class TestFirstBianchi:
     vanishes for a symmetric connection (Wald 1984, eq. 3.2.14), read through
     the accessor, so each sum mixes stored and mirrored entries."""
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4])
     @settings(max_examples=25, deadline=None, database=None)
     @given(data=st.data())
-    def test_cyclic_sum_vanishes(self, dim, data):
-        conn = data.draw(symmetric_connections(dim))
-        n = dim
+    def test_cyclic_sum_vanishes(self, n, data):
+        conn = data.draw(symmetric_connections(n))
         r = ev.curvature(conn)
         quads = list(itertools.product(range(n), repeat=4))
         triples = list(itertools.product(range(n), repeat=3))
