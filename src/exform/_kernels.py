@@ -19,13 +19,14 @@ components into its stage rows once, before the step loop.  Results are
 bit-reproducible run to run.
 
 Error codes: 0 ok, 1 division by zero, 2 ln of non-positive, 3 sqrt of
-negative, 4 zero base with negative exponent.  Each may-fail operation runs
-once and records the points where it fails; each component then takes, per
-point, the first failure among its own may-fail operations in
-first-occurrence postfix order (``Tape.checks``), which is the first error
-in the instruction order of the component's own tree.  Its value there is
-NaN.  :func:`rk4` also reports 5 for the first step whose new state is not
-finite (overflow or NaN), which covers any non-finite stage value, since it
+negative, 4 zero base with negative exponent.  A may-fail operation is
+checked unless its checked operand is a constant that passes (``x / 4``,
+``ln(2)``; ``x / 0`` fails everywhere).  A value's code at a point is the
+first nonzero code among its operands, left to right; if there is none, it
+is the value's own failure.  That is the first failure in the postfix order
+of a component's own tree, and the component's value there is NaN.
+:func:`rk4` also reports 5 for the first step whose new state is not finite
+(overflow or NaN), which covers any non-finite stage value, since it
 propagates into the new state.  It finds that step with one scan of the
 trajectory after the step loop, not one check per step: a non-finite state
 component stays non-finite (``y + c * acc`` is inf or NaN when ``y`` is), so
@@ -68,8 +69,8 @@ ERR_MESSAGES = {
 _UFUNC = {OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply,
           OP_DIV: np.divide, OP_POW: np.power, OP_SIN: np.sin, OP_COS: np.cos,
           OP_EXP: np.exp, OP_LN: np.log, OP_SQRT: np.sqrt, OP_NEG: np.negative}
-# opcode of a checked operation (see Tape.checks) -> (error code, test that
-# is true where its checked operand fails when compared with zero)
+# opcode of a may-fail operation (OP_POW only with a negative exponent) ->
+# (error code, test that is true where its checked operand fails against zero)
 _CHECK = {OP_DIV: (ERR_DIV, operator.eq), OP_POW: (ERR_POW, operator.eq),
           OP_LN: (ERR_LN, operator.le), OP_SQRT: (ERR_SQRT, operator.lt)}
 _ZERO = np.zeros(())
@@ -102,10 +103,14 @@ def _bind(t, coords, out):
         else:
             copies.append((c, s))
     slots = regs + list(coords) + [np.array(v) for v in t.consts.tolist()]
-    checked = set(t.checks.tolist())
     steps = []
     for i, (code, (d, a, b)) in enumerate(zip(t.codes.tolist(), t.args.tolist())):
         f, res, x = _UFUNC[code], slots[d], slots[a]
+        check = _CHECK.get(code)
+        if check is not None:
+            s = b if code == OP_DIV else a      # the checked operand's slot
+            if code == OP_POW and b >= 0 or s >= first_const and not check[1](slots[s], _ZERO):
+                check = None
         if code <= OP_DIV:
             v = slots[b]
             args = (x, v, res)
@@ -118,7 +123,7 @@ def _bind(t, coords, out):
                 x = res
             v = x
             args = (x, np.array(b, np.float64), res) if code == OP_POW else (x, res)
-        steps.append((f, args, (i, *_CHECK[code], v) if i in checked else None))
+        steps.append((f, args, (i, *check, v) if check else None))
     return steps, [(out[c], slots[s]) for c, s in copies]
 
 
@@ -137,14 +142,25 @@ def _run(steps):
 
 
 def _errors(t, fails, m):
-    """(ncomp, m) error codes: each component's first failed check at each point."""
-    checks, offsets = t.checks.tolist(), t.check_offsets.tolist()
-    errs = np.zeros((len(offsets) - 1, m), np.int8)
-    for c, row in enumerate(errs):
-        for i in checks[offsets[c]:offsets[c + 1]]:
-            if i in fails:
-                code, bad = fails[i]
-                row[bad & (row == 0)] = code
+    """(ncomp, m) error codes by the module docstring's rule, in one walk that
+    keeps the int8 codes of each register's value, if it has any."""
+    rows = {}
+    for i, (code, (d, a, b)) in enumerate(zip(t.codes.tolist(), t.args.tolist())):
+        row = rows.get(a)
+        if code <= OP_DIV and b in rows:
+            row = rows[b] if row is None else np.where(row != 0, row, rows[b])
+        if i in fails:
+            err, bad = fails[i]
+            own = bad * np.int8(err)
+            row = own if row is None else np.where(row != 0, row, own)
+        if row is None:
+            rows.pop(d, None)
+        else:
+            rows[d] = row
+    errs = np.zeros((t.outputs.shape[0], m), np.int8)
+    for c, s in enumerate(t.outputs.tolist()):
+        if s in rows:
+            errs[c] = rows[s]
     return errs
 
 

@@ -245,11 +245,12 @@ def degeneracy_indicator(matrix_field: Sequence[Sequence[ScalarExpr]],
                          point: Sequence[float]) -> float:
     """Determinant of the matrix evaluated at the point (LAPACK LU with
     partial pivoting); a near-zero value flags a degeneracy event."""
-    rows = [[ex.evaluate(entry, point) for entry in row] for row in matrix_field]
-    m = np.asarray(rows, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return float(np.linalg.det(m))
+    n = len(matrix_field)
+    if not n or any(len(row) != n for row in matrix_field):
+        raise ValueError(f"matrix must be square, got row lengths {[len(r) for r in matrix_field]}")
+    entries = [entry for row in matrix_field for entry in row]
+    m = ex.evaluate_pack(entries, np.asarray(point, dtype=np.float64).reshape(1, -1))
+    return float(np.linalg.det(m.reshape(n, n)))
 
 
 @dataclass(frozen=True)

@@ -47,18 +47,9 @@ Emission only adds operations and constants, so a fold may leave unread the
 ones it read through; one dead-value pass then walks back from the outputs
 and keeps what a component reads, directly or through a kept operation.  The
 quad system's dx/dt ``1.1 * (2 * p1) * 2 / 4 + 0.2`` is thus the two
-operations of ``1.1 * p1 + 0.2`` over the pool [1.1, 0.2].  Checks are
-unchanged: a fold reads only through products and negations, which cannot fail.
-
-Error rule: component c owns the may-fail operations (division, negative
-power, ln, sqrt) of its expression, listed in ``checks[check_offsets[c]:
-check_offsets[c + 1]]`` in first-occurrence postfix order.  At each point the
-first of these that fails gives the component's error code, which is the
-first error in the postfix order of the component's own tree.  An operation
-whose checked operand (the divisor, the base of a power, the argument of ln
-or sqrt) is a constant that passes its test cannot fail and is not listed:
-``x / 4`` and ``ln(2)`` have no checks, while ``x / 0`` and ``x / -0`` fail
-everywhere.
+operations of ``1.1 * p1 + 0.2`` over the pool [1.1, 0.2].  A fold reads only
+through products and negations, which cannot fail, so it moves no error
+code (see :mod:`exform._kernels` for the error rule).
 """
 
 from __future__ import annotations
@@ -68,13 +59,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (_CHECK, OP_ADD, OP_COS, OP_DIV, OP_EXP, OP_LN, OP_MUL,
-                       OP_NEG, OP_POW, OP_SIN, OP_SQRT, OP_SUB)
+from ._kernels import (OP_ADD, OP_COS, OP_DIV, OP_EXP, OP_LN, OP_MUL, OP_NEG,
+                       OP_POW, OP_SIN, OP_SQRT, OP_SUB)
 
 _BINOP = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}
 _UNOP = {"sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "ln": OP_LN,
          "sqrt": OP_SQRT, "neg": OP_NEG}
-_MAY_FAIL = {OP_DIV, OP_POW, OP_LN, OP_SQRT}  # OP_POW only with a negative exponent
 _LOW = (1 << 32) - 1  # value numbers are packed into int keys 32 bits apart
 _MIN_NORMAL = 2.0 ** -1022  # the smallest normal float64
 
@@ -90,8 +80,6 @@ class Tape:
     args: np.ndarray           # int64 (nops, 3): destination register, operand slot, operand slot or exponent
     consts: np.ndarray         # float64 constant pool, slots nreg + dim onward
     outputs: np.ndarray        # int64 (ncomp,): slot holding each component's value
-    checks: np.ndarray         # int64: may-fail operation indices, component after component
-    check_offsets: np.ndarray  # int64 (ncomp+1,): component c's checks are [check_offsets[c], check_offsets[c+1])
     nreg: int
     dim: int
 
@@ -258,25 +246,13 @@ def pack_exprs(exprs) -> Tape:
         rhs = [renum.get(rhs[i], rhs[i]) if c <= OP_DIV else rhs[i] for c, i in zip(codes, ops)]
         outs = [renum.get(v, v) for v in outs]
 
-    # In program order: the last read of each value (outputs are read at the
-    # end), which operations may fail, and which read a value that may.
+    # The last read of each value; outputs are read at the end.
     last = [0] * nops
-    fails = [False] * nops
-    risky = [False] * nops
     for i, (c, a, b) in enumerate(zip(codes, lhs, rhs)):
-        r = c in _MAY_FAIL and (c != OP_POW or b < 0)
-        if r:
-            v = b if c == OP_DIV else a           # the checked operand
-            if v < 0 and ~v >= dim:               # a constant fails everywhere or nowhere
-                r = _CHECK[c][1](consts[~v - dim], 0.0)
-        fails[i] = r
         if a >= 0:
             last[a] = i
-            r = r or risky[a]
         if c <= OP_DIV and b >= 0:
             last[b] = i
-            r = r or risky[b]
-        risky[i] = r
     for v in outs:
         if v >= 0:
             last[v] = nops
@@ -305,31 +281,9 @@ def pack_exprs(exprs) -> Tape:
              b if c > OP_DIV else reg[b] if b >= 0 else nreg + ~b)
             for r, c, a, b in zip(reg, codes, lhs, rhs)]
 
-    # Each component's may-fail operations in first-occurrence postfix
-    # order: a depth-first walk that enters only values that may fail.
-    checks, check_offsets = [], [0]
-
-    def walk(i: int) -> None:
-        visited.add(i)
-        a, b = lhs[i], rhs[i]
-        if a >= 0 and risky[a] and a not in visited:
-            walk(a)
-        if codes[i] <= OP_DIV and b >= 0 and risky[b] and b not in visited:
-            walk(b)
-        if fails[i]:
-            checks.append(i)
-
-    for v in outs:
-        visited: set[int] = set()
-        if v >= 0 and risky[v]:
-            walk(v)
-        check_offsets.append(len(checks))
-
     return Tape(codes=np.asarray(codes, np.int64),
                 args=np.asarray(args, np.int64).reshape(nops, 3),
                 consts=np.asarray(consts, np.float64),
                 outputs=np.asarray([slot(v) for v in outs], np.int64),
-                checks=np.asarray(checks, np.int64),
-                check_offsets=np.asarray(check_offsets, np.int64),
                 nreg=nreg,
                 dim=dim)

@@ -12,6 +12,11 @@ Likewise every zero verdict reads one sampled residual: the sampler
 `expr.sampled_abs_max` may be named only in `expr` and in
 `forms.form_residual`, the max over a form's coefficients that the form
 verdicts and the CLI read.
+
+And the error rule has one home: `_kernels._CHECK`, the may-fail operations
+and their tests, is named only in `_kernels`, whose interpreter decides
+which operations to check and carries their codes through the program, so
+the compiler and any program transform need no check lists of their own.
 """
 
 import ast
@@ -32,6 +37,7 @@ SAMPLER_ALLOWED = {
     "expr": None,
     "forms": {"form_residual"},
 }
+ERROR_RULE = "_CHECK"
 PACKAGE = pathlib.Path(exform.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -62,15 +68,15 @@ def _evaluator_owners(path):
     return owners
 
 
-def _sampler_owners(path):
-    """The owners that name the sampler, bare, as an attribute or in an import."""
+def _name_owners(path, name):
+    """The owners that name `name`, bare, as an attribute or in an import."""
     owners = set()
     for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8"))):
         for sub in ast.walk(node):
-            if ((isinstance(sub, ast.Attribute) and sub.attr == SAMPLER)
-                    or (isinstance(sub, ast.Name) and sub.id == SAMPLER)
+            if ((isinstance(sub, ast.Attribute) and sub.attr == name)
+                    or (isinstance(sub, ast.Name) and sub.id == name)
                     or (isinstance(sub, ast.ImportFrom)
-                        and SAMPLER in {a.name for a in sub.names})):
+                        and name in {a.name for a in sub.names})):
                 owners.add(owner)
     return owners
 
@@ -92,5 +98,12 @@ def test_kernel_evaluators_are_named_only_where_allowed(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_sampler_is_named_only_where_allowed(path):
-    _check_owners(path.stem, _sampler_owners(path), SAMPLER_ALLOWED.get(path.stem, set()),
+    _check_owners(path.stem, _name_owners(path, SAMPLER), SAMPLER_ALLOWED.get(path.stem, set()),
                   "the sampler", "read forms.form_residual or ex.probably_zero")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_error_rule_is_named_only_in_kernels(path):
+    _check_owners(path.stem, _name_owners(path, ERROR_RULE),
+                  None if path.stem == "_kernels" else set(),
+                  "the error rule", "leave error codes to the kernels")

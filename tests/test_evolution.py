@@ -399,6 +399,8 @@ class TestDegeneracy:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             ev.degeneracy_indicator([[X1, X2]], (0.0, 0.0))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            ev.degeneracy_indicator([[X1, X2], [X1]], (0.0, 0.0))
 
 
 class TestBiStructure:

@@ -5,6 +5,7 @@ interpreter and RK4 driver on the postfix tape bit for bit (NaN-equal),
 error codes included."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernels_reference as ref
@@ -155,11 +156,27 @@ def _trees(ch):
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+def _partial_trees(ch):
+    """The productions of conftest's smooth_trees (small integer constants,
+    + - *, squares, cubes, sin, cos) plus the partial operations /, ln, sqrt
+    and ^-1, so an error code meets every other operation on its way up."""
+    leaves = st.one_of(st.builds(ex.Const, st.just(ch), st.integers(-3, 3).map(float)),
+                       st.builds(ex.Coord, st.just(ch), st.integers(0, ch.dim - 1)))
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(ex.Binary, st.just(ch), st.sampled_from("+-*/"), sub, sub),
+            st.builds(ex.Power, st.just(ch), sub, st.sampled_from([-1, 2, 3])),
+            st.builds(ex.Unary, st.just(ch), st.sampled_from(["sin", "cos", "ln", "sqrt"]), sub))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
 @st.composite
-def _shared_pack(draw):
+def _shared_pack(draw, trees):
     """Components built over a pool of subtrees, so that they share nodes by
     identity (one pool entry used twice) and by structure (equal draws)."""
-    pool = draw(st.lists(_trees(CH), min_size=1, max_size=4))
+    pool = draw(st.lists(trees(CH), min_size=1, max_size=4))
     pick = st.sampled_from(pool)
     exprs = []
     for _ in range(draw(st.integers(1, 5))):
@@ -177,11 +194,12 @@ def _shared_pack(draw):
 _VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 3.0])
 
 
+@pytest.mark.parametrize("trees", [_trees, _partial_trees], ids=["trees", "partial_trees"])
 @settings(max_examples=150, deadline=None, database=None)
-@given(_shared_pack(),
-       st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=6))
-def test_shared_pack_parity_property(exprs, points):
-    check_pack(exprs, np.array(points))
+@given(data=st.data(),
+       points=st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=6))
+def test_shared_pack_parity_property(trees, data, points):
+    check_pack(data.draw(_shared_pack(trees)), np.array(points))
 
 
 # Constant chains: powers of two, -1 and others, through *, / and neg

@@ -12,16 +12,22 @@ from exform import _kernels, charpde as cp, expr as ex, tape
 
 CH = ex.chart("a", "b")
 A, B = ex.coords(CH)
-FIELDS = ("codes", "args", "consts", "outputs", "checks", "check_offsets")
+FIELDS = ("codes", "args", "consts", "outputs")
+# edge points: zeros of either sign and negatives in both coordinates
+EDGE = np.array([[1.0, 2.0], [0.0, -1.0], [-0.0, 0.0], [-3.0, -0.0], [2.5, 0.5]])
 
 
 def test_compile_expr_is_a_one_component_pack():
     e = ex.sin(A * 2.0) / (B - 2.0)
     one, packed = tape.compile_expr(e), tape.pack_exprs([e])
-    assert one.outputs.shape == (1,) and one.check_offsets.tolist() == [0, 1]
+    assert one.outputs.shape == (1,)
     for field in FIELDS:
         assert getattr(one, field).tobytes() == getattr(packed, field).tobytes()
     assert (one.nreg, one.dim) == (packed.nreg, packed.dim)
+    vals, errs = _kernels.eval_tape(one, EDGE)
+    pack_vals, pack_errs = _kernels.eval_pack(packed, EDGE)
+    assert errs.tolist() == pack_errs[0].tolist() == [_kernels.ERR_DIV] + [0] * 4  # b = 2
+    assert vals.tobytes() == pack_vals[0].tobytes()
 
 
 def test_components_share_one_sign_exact_pool():
@@ -58,7 +64,9 @@ def test_repeats_within_and_across_components_run_once():
     shared = ex.ln(A) + B
     t = tape.pack_exprs([shared * shared, ex.ln(A) + B, 2.0 * ex.ln(A)])
     assert t.codes.size == 4      # ln, +, *, and 2 * ln
-    assert t.checks.tolist() == [0, 0, 0] and t.check_offsets.tolist() == [0, 1, 2, 3]
+    # every component reads the one ln, so each fails where a <= 0
+    _, errs = _kernels.eval_pack(t, EDGE)
+    assert errs.tolist() == [[0, _kernels.ERR_LN, _kernels.ERR_LN, _kernels.ERR_LN, 0]] * 3
 
 
 def test_fan_quad_pack_has_no_repeats_and_free_constant_components():
@@ -75,21 +83,22 @@ def test_fan_quad_pack_has_no_repeats_and_free_constant_components():
 
 
 def test_constant_operands_that_cannot_fail_are_not_checked():
-    """x / 4 and ln(2) cannot fail, so they have no checks; a constant that
-    fails its test (x / 0, x / -0, ln(0), 0^-2) fails at every point."""
+    """x / 4 and ln(2) cannot fail, so they never report an error; a constant
+    that fails its test (x / 0, x / -0, ln(0), 0^-2) fails at every point."""
     zero, two = ex.const(CH, 0.0), ex.const(CH, 2.0)
     for e in (A / 4.0, ex.ln(two) + A, ex.sqrt(two) * B, two ** -3, A / -2.5):
-        assert tape.compile_expr(e).checks.size == 0
-    pts = np.array([[1.0, 2.0], [0.0, -1.0], [-3.0, 0.0]])
+        vals, errs = _kernels.eval_tape(tape.compile_expr(e), EDGE)
+        assert errs.tolist() == [0] * 5 and not np.isnan(vals).any(), ex.to_text(e)
     for e, code in ((A / 0.0, _kernels.ERR_DIV), (A / -0.0, _kernels.ERR_DIV),
                     (ex.ln(zero) + A, _kernels.ERR_LN), (zero ** -2, _kernels.ERR_POW),
                     (ex.sqrt(ex.const(CH, -1.0)), _kernels.ERR_SQRT)):
-        t = tape.compile_expr(e)
-        assert t.checks.size == 1
-        vals, errs = _kernels.eval_tape(t, pts)
-        assert errs.tolist() == [code] * 3 and np.isnan(vals).all()
-    # a checked operand that varies is still checked
-    assert tape.compile_expr(two / A).checks.size == 1
+        vals, errs = _kernels.eval_tape(tape.compile_expr(e), EDGE)
+        assert errs.tolist() == [code] * 5 and np.isnan(vals).all()
+    # a checked operand that varies fails exactly where it is zero, in a
+    # pack too, and only in the component that reads it
+    vals, errs = _kernels.eval_pack(tape.pack_exprs([two / A, A + B]), EDGE)
+    assert errs.tolist() == [[0, _kernels.ERR_DIV, _kernels.ERR_DIV, 0, 0], [0] * 5]
+    assert np.isnan(vals[0]).tolist() == [False, True, True, False, False]
 
 
 def test_fan_quad_pack_has_no_checks():
@@ -97,7 +106,10 @@ def test_fan_quad_pack_has_no_checks():
     fail, and they became multiplications by 1/2 and 1/4 (R1)."""
     rhs, pack, _ = cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))
     assert ["/ 4" in ex.to_text(e) for e in rhs] == [False, True, True, False]
-    assert _kernels.OP_DIV not in pack.codes.tolist() and pack.checks.size == 0
+    assert _kernels.OP_DIV not in pack.codes.tolist()
+    y = np.vstack([np.zeros(4), -np.ones(4), [0.0, -0.0, 0.0, -0.0], [-2.0, 0.0, -0.0, 3.0]])
+    vals, errs = _kernels.eval_pack(pack, y)
+    assert not errs.any() and np.isfinite(vals).all()
 
 
 def _fan_pack(kind):
@@ -156,7 +168,8 @@ def test_constant_folding_rules():
     assert _shape(A / 3.0)[0] == [D]
     for zero in (0.0, -0.0):
         t = tape.compile_expr(A / zero)
-        assert t.codes.tolist() == [D] and t.checks.size == 1
+        assert t.codes.tolist() == [D]
+        assert _kernels.eval_tape(t, EDGE)[1].tolist() == [_kernels.ERR_DIV] * 5
     # R2: scales multiply when one is a power of two and the product is normal
     assert _shape(3.0 * (A * 2.0))[0] == [M]
     assert _shape(0.5 * (1.1 * B) / 0.25) == ([M], [2.2])
