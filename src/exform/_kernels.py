@@ -5,18 +5,23 @@ strip fan at once.
 A tape (see :mod:`exform.tape`) is a straight-line program over slots laid
 out as ``registers + coordinate rows + constants``.  Every call decodes it
 afresh with ``tolist`` and binds it to that call's rows (:func:`_bind`);
-nothing is kept per tape.  A register is one row of m values, a coordinate is
-a row of the ``(dim, m)`` point array, and a constant is a 0-d float64 array
-built once per call.  Every operand a ufunc gets is an array, so numpy never
-converts a Python scalar per call; a 0-d float64 operand runs the same
-float64 loop, so the bits are those of the Python float.  A component's
-output register is the caller's output row itself, so results need no copy
-out; only components that are a coordinate, a constant or a repeat of an
-earlier component are copied.  :func:`eval_pack` and :func:`rk4` run the
-program once per batch (once per RK4 stage), and :func:`eval_tape` is
-:func:`eval_pack` on a one-component tape.  :func:`rk4` writes constant
-components into its stage rows once, before the step loop.  Results are
-bit-reproducible run to run.
+nothing is kept per tape.  A batch of points has shape ``(..., dim)``; the
+``(m, dim)`` batch is its one-axis case.  A register is one row of the batch
+shape, a coordinate is a row of the ``(dim, ...)`` view of the points (so an
+``(S, m, dim)`` view of an ``(S, dim, m)`` buffer is read where it lies), and
+a constant is a 0-d float64 array built once per call.  That view is copied
+only when its last axis is not unit-stride, as for a C-ordered ``(m, dim)``
+batch, so every ufunc runs an inner loop over contiguous values, which
+numpy's SIMD loops need for the same bits.  Every operand a ufunc gets is an
+array, so numpy never converts a Python scalar per call; a 0-d float64
+operand runs the same float64 loop, so the bits are those of the Python
+float.  A component's output register is the caller's output row itself,
+so results need no copy out; only components that are a coordinate, a
+constant or a repeat of an earlier component are copied.  :func:`eval_pack`
+and :func:`rk4` run the program once per batch (once per RK4 stage), and
+:func:`eval_tape` is :func:`eval_pack` on a one-component tape.  :func:`rk4`
+writes constant components into its stage rows once, before the step loop.
+Results are bit-reproducible run to run.
 
 Error codes: 0 ok, 1 division by zero, 2 ln of non-positive, 3 sqrt of
 negative, 4 zero base with negative exponent.  A may-fail operation is
@@ -82,8 +87,8 @@ def backend_name() -> str:
 
 
 def _bind(t, coords, out):
-    """Bind a tape to one call's rows: the ``(dim, m)`` coordinates and the
-    ``(ncomp, m)`` output rows ``out``.
+    """Bind a tape to one call's rows: the ``(dim, ...)`` coordinates and the
+    ``(ncomp, ...)`` output rows ``out``, over one batch shape.
 
     Returns (steps, copies).  A step is (ufunc, arguments, check), where check
     is None or (operation index, error code, test, checked operand).
@@ -94,7 +99,7 @@ def _bind(t, coords, out):
     """
     nreg = t.nreg
     first_const = nreg + t.dim
-    regs = list(np.empty((nreg, coords.shape[1])))
+    regs = list(np.empty((nreg, *coords.shape[1:])))
     copies, owned = [], set()
     for c, s in enumerate(t.outputs.tolist()):
         if s < nreg and s not in owned:
@@ -141,9 +146,9 @@ def _run(steps):
     return fails
 
 
-def _errors(t, fails, m):
-    """(ncomp, m) error codes by the module docstring's rule, in one walk that
-    keeps the int8 codes of each register's value, if it has any."""
+def _errors(t, fails, batch):
+    """(ncomp, *batch) error codes by the module docstring's rule, in one walk
+    that keeps the int8 codes of each register's value, if it has any."""
     rows = {}
     for i, (code, (d, a, b)) in enumerate(zip(t.codes.tolist(), t.args.tolist())):
         row = rows.get(a)
@@ -157,7 +162,7 @@ def _errors(t, fails, m):
             rows.pop(d, None)
         else:
             rows[d] = row
-    errs = np.zeros((t.outputs.shape[0], m), np.int8)
+    errs = np.zeros((t.outputs.shape[0], *batch), np.int8)
     for c, s in enumerate(t.outputs.tolist()):
         if s in rows:
             errs[c] = rows[s]
@@ -165,29 +170,37 @@ def _errors(t, fails, m):
 
 
 def eval_pack(t, pts: np.ndarray):
-    """Evaluate every component of a tape at an (m, dim) batch:
-    (values, error codes), each (ncomp, m).  An F-ordered batch (the
-    transpose of C-ordered ``(dim, m)`` rows) is read without a copy."""
+    """Evaluate every component of a tape at a batch of points (..., dim):
+    (values, error codes), each (ncomp, ...).
+
+    The coordinates are the view ``pts.transpose(ndim-1, 0, ..., ndim-2)``,
+    copied only when its last axis is not unit-stride (a C-ordered
+    ``(m, dim)`` batch).  An F-ordered ``(m, dim)`` batch, or an
+    ``(S, m, dim)`` view of an ``(S, dim, m)`` buffer, is read without a copy.
+    """
     pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != t.dim:
-        raise ValueError(f"expected (m, {t.dim}) points, got {pts.shape}")
-    m = pts.shape[0]
-    vals = np.empty((t.outputs.shape[0], m))
-    steps, copies = _bind(t, np.ascontiguousarray(pts.T), vals)
+    if pts.ndim < 2 or pts.shape[-1] != t.dim:
+        raise ValueError(f"expected (m, {t.dim}) points or a batch (..., m, {t.dim}), "
+                         f"got {pts.shape}")
+    coords = pts.transpose(-1, *range(pts.ndim - 1))
+    if coords.strides[-1] != coords.itemsize:
+        coords = np.ascontiguousarray(coords)
+    vals = np.empty((t.outputs.shape[0], *pts.shape[:-1]))
+    steps, copies = _bind(t, coords, vals)
     with np.errstate(all="ignore"):
         fails = _run(steps)
     for row, v in copies:
         row[:] = v
     if not fails:
         return vals, np.zeros(vals.shape, np.int8)
-    errs = _errors(t, fails, m)
+    errs = _errors(t, fails, pts.shape[:-1])
     vals[errs != 0] = np.nan
     return vals, errs
 
 
 def eval_tape(t, pts: np.ndarray):
-    """Evaluate a one-component tape at an (m, dim) batch:
-    (values (m,), error codes (m,))."""
+    """Evaluate a one-component tape at a batch of points (..., dim):
+    (values, error codes), each of the batch shape."""
     if t.outputs.shape[0] != 1:
         raise ValueError(f"eval_tape takes one component, got {t.outputs.shape[0]}")
     vals, errs = eval_pack(t, pts)
@@ -239,7 +252,7 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
         steps, copies = stage
         fails = _run(steps)
         if fails:
-            errs = _errors(t, fails, m)
+            errs = _errors(t, fails, (m,))
             c = int(np.argmax(errs.any(axis=1)))
             return c, int(errs[c][errs[c] != 0][0])
         for row, v in copies:

@@ -166,12 +166,19 @@ def charpit_rhs(pde: FirstOrderPDE, state: Sequence[float]):
 
 
 def _state_rows(n: int, states) -> np.ndarray:
-    """States (x, u, p), or flat rows of 2n+1 numbers, as rows (m, 2n+1),
-    converted to numbers in one numpy call for the whole fan; a malformed
-    state raises naming its index."""
+    """States (x, u, p), or flat rows of 2n+1 numbers, as rows (m, 2n+1).
+
+    A list of triples converts as three arrays, x, u and p, and an array in
+    one numpy call.  Any other list (flat rows, mixed forms) is spliced state
+    by state, and a malformed state raises naming its index."""
     width = 2 * n + 1
-    rows = states if isinstance(states, np.ndarray) else [
-        _flat_state(n, state) for state in states]
+    rows = states
+    if not isinstance(states, np.ndarray):
+        states = list(states)
+        triples = _triple_rows(n, states)
+        if triples is not None:
+            return triples
+        rows = [_flat_state(n, state) for state in states]
     try:
         out = np.array(rows, dtype=np.float64)
         if len(rows) and out.shape == (len(rows), width):
@@ -187,6 +194,24 @@ def _state_rows(n: int, states) -> np.ndarray:
             raise ValueError(f"state {k} must be (x, u, p) with {n} components "
                              f"in x and p, or {width} components")
     raise ValueError("need at least one state")
+
+
+def _triple_rows(n: int, states: list):
+    """Triples (x, u, p) as rows (m, 2n+1), each part converted for all
+    states at once; None unless every state is a triple whose parts are n, 1
+    and n numbers (a part of one number may be bare)."""
+    if not states or not all(isinstance(s, (tuple, list)) and len(s) == 3 for s in states):
+        return None
+    m, parts = len(states), []
+    for i, size in enumerate((n, 1, n)):
+        try:
+            part = np.array([s[i] for s in states], dtype=np.float64)
+        except (TypeError, ValueError):
+            return None
+        if part.shape != (m, size) and not (size == 1 and part.shape == (m,)):
+            return None
+        parts.append(part.reshape(m, size))
+    return np.concatenate(parts, axis=1)
 
 
 def _flat_state(n: int, state):
@@ -293,14 +318,12 @@ def _rk4(pack: tape.Tape, states0: np.ndarray, span: float,
 def _audit(audit: ScalarExpr, states: np.ndarray, what: str) -> np.ndarray:
     """The audit quantity (F or E) at every state of a fan (samples, m, d),
     as (samples, m); an undefined value raises naming its sample."""
-    samples, m, d = states.shape
-    # one copy into (d, samples*m) coordinate rows; their .T is the batch
-    rows = states.transpose(2, 0, 1).reshape(d, -1)
-    vals, ok = ex.evaluate_masked(audit, rows.T)
+    # RK4's trajectory is a view of a (samples, d, m) buffer: read in place
+    vals, ok = ex.evaluate_masked(audit, states)
     if not ok.all():
-        k = int(np.argmin(ok)) // m
+        k = int(np.argmin(ok.all(axis=1)))
         raise StripIntegrationError(f"{what} undefined at sample {k}", k)
-    return vals.reshape(samples, m)
+    return vals
 
 
 def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,

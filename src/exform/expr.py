@@ -786,7 +786,10 @@ def evaluate_many(e: ScalarExpr, points: np.ndarray) -> np.ndarray:
 
 
 def evaluate_masked(e: ScalarExpr, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate at points, returning (values, ok_mask) instead of raising."""
+    """Evaluate at a batch of points (..., dim), returning (values, ok_mask),
+    each of the batch shape, instead of raising.  The points are read as
+    `_kernels.eval_pack` reads them: a view whose inner batch axis is
+    unit-stride is not copied."""
     vals, errs = _kernels.eval_pack(_tape_for((e,)), points)
     return vals[0], errs[0] == 0
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,6 +191,41 @@ class TestStripIntegration:
         with pytest.raises(cp.StripIntegrationError) as err:
             cp.integrate_strips(pde, [init], 4.0, 100)
         assert err.value.step >= 0
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_audit_names_the_first_sample_where_it_is_undefined(self, k):
+        ch = ex.chart("x1", "x2")
+        x1, _ = ex.coords(ch)
+        # a (samples, m, 2) view of a (samples, 2, m) buffer, as RK4 returns it
+        buf = np.ones((10, 2, 4))
+        buf[k, 0, 2] = -1.0           # ln(x1) undefined at sample k, strip 2
+        buf[9, 0, 0] = 0.0            # and again at the last sample, strip 0
+        states = buf.transpose(0, 2, 1)
+        with pytest.raises(cp.StripIntegrationError,
+                           match=f"^F undefined at sample {k}$") as err:
+            cp._audit(ex.ln(x1), states, "F")
+        assert err.value.step == k
+        buf[k, 0, 2] = buf[9, 0, 0] = 2.0
+        assert np.array_equal(cp._audit(ex.ln(x1), states, "F"), np.log(buf[:, 0]))
+
+    def test_audit_reads_the_trajectory_without_copying_it(self):
+        """The audit of a 512-strip, 200-step fan (d = 5) allocates less than
+        the trajectory it reads: no copy of the states is made."""
+        _, pack, F = cp._charpit_system(EIKONAL)
+        theta = np.linspace(0.0, 2 * np.pi, 512)
+        states0 = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(512),
+                                   np.cos(theta), np.sin(theta)])
+        traj, _ = cp._rk4(pack, states0, 1.0, 200)
+        assert traj.shape == (201, 512, 5)
+        cp._audit(F, traj, "F")       # compile the audit tape outside the trace
+        tracemalloc.start()
+        try:
+            drift = cp._audit(F, traj, "F")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drift.shape == (201, 512)
+        assert peak < traj.nbytes
 
     def test_strip_condition_defect(self):
         strip = cp.integrate_strips(EIKONAL, [((0.0, 0.0), 0.0, (0.6, 0.8))],

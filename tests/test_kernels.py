@@ -530,3 +530,34 @@ def test_eval_pack_reads_an_f_ordered_batch_bit_for_bit(rng):
         c_vals, c_errs = _kernels.eval_pack(t, pts)
         assert np.array_equal(errs, c_errs)
         assert vals.tobytes() == c_vals.tobytes()
+
+
+@pytest.mark.parametrize("samples, m", [(7, 13), (3, 64), (5, 1)])
+def test_eval_pack_reads_a_step_major_buffer_bit_for_bit(rng, samples, m):
+    """An (S, m, dim) view of an (S, dim, m) buffer, the layout of an RK4
+    trajectory, gives the values and codes of its contiguous (S*m, dim) copy,
+    for every opcode, at points where each may-fail operation fails."""
+    x1, x2, x3 = ex.coords(CH)
+    exprs = [ex.sin(x1) * ex.cos(x2) - ex.exp(x3), ex.ln(x1 + x2) / (x3 - 1.0),
+             ex.sqrt(x2) + x1 ** 3, (x1 - x3) ** -1, -x2]
+    t = tape.pack_exprs(exprs)
+    assert set(t.codes.tolist()) >= {
+        _kernels.OP_SIN, _kernels.OP_COS, _kernels.OP_EXP, _kernels.OP_LN, _kernels.OP_SQRT,
+        _kernels.OP_POW, _kernels.OP_DIV, _kernels.OP_NEG}
+    assert {b for c, (_, _, b) in zip(t.codes.tolist(), t.args.tolist())
+            if c == _kernels.OP_POW} == {3, -1}
+    seen = set()
+    for _ in range(20):
+        t = tape.pack_exprs(exprs + [edge_expr(rng, CH, depth=3) for _ in range(2)])
+        pts = edge_points(rng, samples * m).reshape(samples, m, CH.dim)
+        view = np.ascontiguousarray(pts.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert not view.flags.c_contiguous or m == 1
+        vals, errs = _kernels.eval_pack(t, view)
+        flat_vals, flat_errs = _kernels.eval_pack(t, view.reshape(-1, CH.dim))
+        assert vals.shape == errs.shape == (len(exprs) + 2, samples, m)
+        assert errs.dtype == np.int8
+        assert np.array_equal(errs, flat_errs.reshape(errs.shape))
+        assert vals.tobytes() == flat_vals.reshape(vals.shape).tobytes()
+        seen.update(errs.ravel().tolist())
+    assert seen >= {0, _kernels.ERR_DIV, _kernels.ERR_LN, _kernels.ERR_SQRT,
+                    _kernels.ERR_POW}
