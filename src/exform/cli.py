@@ -300,9 +300,7 @@ def geom_bistructure(args) -> None:
         ps = evolution.Pseudostructure(doc.get("kind", "level-set"), dim=1)
     except ValueError as err:
         raise SchemaError(f"bistructure: {err}") from None
-    comm = evolution.evolutionary_commutator(
-        omega, conn if conn is not None else evolution.Connection(omega.chart))
-    event = evolution.commutator_event(comm, point)
+    event = evolution.DegeneracyEvent(tuple(point))
     record = evolution.capture_bistructure(event, omega, conn, ps, psi=psi)
     _write_text(args.out / "events.jsonl", _json_text(record.to_json_obj()) + "\n")
     print(f"bistructure: discrete {record.discrete_change!r}, "

@@ -272,13 +272,10 @@ class Pseudostructure:
 
 @dataclass(frozen=True)
 class DegeneracyEvent:
-    """A point where a degeneracy indicator vanished, with the commutator
-    term values of the attached 1-form at that point."""
+    """A point where a degeneracy indicator vanished."""
 
     point: tuple[float, ...]
     indicator: float = 0.0
-    flat_terms: Mapping[tuple[int, int], float] | None = None
-    basis_terms: Mapping[tuple[int, int], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -316,31 +313,20 @@ class BiStructure:
         }
 
 
-def commutator_event(comm: EvolutionaryCommutator, point: Sequence[float],
-                     indicator: float = 0.0) -> DegeneracyEvent:
-    """Package the commutator term values at a point into an event."""
-    flat = comm.flat.values_at(point)
-    basis = comm.basis.values_at(point)
-    return DegeneracyEvent(tuple(float(x) for x in point), indicator, flat, basis)
-
-
 def capture_bistructure(event: DegeneracyEvent, omega: DifferentialForm,
                         conn: Connection | None,
                         pseudostructure: Pseudostructure,
                         psi: DifferentialForm | None = None) -> BiStructure:
     """Record the commutator split at a degeneracy event.
 
-    If the event does not already carry term values they are computed from
-    omega and the connection at the event point.  The reported component is
-    the one where |flat + basis| is largest.
+    The term values are those of omega's commutator under the connection
+    (flat if None) at the event point.  The reported component is the one
+    where |flat + basis| is largest.
     """
-    flat = event.flat_terms
-    basis = event.basis_terms
-    if flat is None or basis is None:
-        comm = evolutionary_commutator(
-            omega, conn if conn is not None else Connection(omega.chart))
-        flat = comm.flat.values_at(event.point)
-        basis = comm.basis.values_at(event.point)
+    comm = evolutionary_commutator(
+        omega, conn if conn is not None else Connection(omega.chart))
+    flat = comm.flat.values_at(event.point)
+    basis = comm.basis.values_at(event.point)
     keys = sorted(set(flat) | set(basis))
     if keys:
         best = max(keys, key=lambda k: abs(flat.get(k, 0.0) + basis.get(k, 0.0)))

@@ -62,15 +62,6 @@ def merge_indices(a: Index, b: Index) -> tuple[int, Index] | None:
     return parity(a + b), tuple(sorted(a + b))
 
 
-def insert_axis(axis: int, index: Index) -> tuple[int, Index] | None:
-    """Wedge dx^axis onto the front of dx^index; None if the axis repeats."""
-    if axis in index:
-        return None
-    pos = sum(1 for i in index if i < axis)
-    merged = tuple(sorted((axis,) + index))
-    return (-1) ** pos, merged
-
-
 @dataclass(frozen=True)
 class DifferentialForm:
     """Degree-p skew-symmetric form: map from increasing multi-indices to
@@ -228,7 +219,7 @@ def exterior_derivative(theta: DifferentialForm) -> DifferentialForm:
     bucket: dict[Index, ScalarExpr] = {}
     for index, coeff in theta.coeffs.items():
         for axis in range(n):
-            inserted = insert_axis(axis, index)
+            inserted = merge_indices((axis,), index)
             if inserted is None:
                 continue
             sign, new_index = inserted

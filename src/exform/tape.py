@@ -19,8 +19,10 @@ keyed on each constant's value and sign, so ``-0.0`` keeps its own slot.  A
 register is reused after the last read of its value; component outputs stay
 live to the end of the program.
 
-Constants are folded at compile time, by four rules that give the IEEE
-result of the tree itself except at the edge below:
+The compiler has two halves.  The front end lowers each tree node to one
+call of ``op``, the one entry for an operation: it folds constants by four
+rules that give the IEEE result of the tree itself except at the edge below,
+and hands anything else to the value numbering.
 
 * R1: ``x / c`` with ``c = ±2^k`` and ``1/c`` normal is ``x * (1/c)``, which
   is exact everywhere.
@@ -43,13 +45,15 @@ and 1.5e308 folded), and where ``c·w`` falls below the normal range, the tree
 rounds it and the folded tape does not.  Nowhere else do the two differ,
 but in the sign of a NaN.
 
-Emission only adds operations and constants, so a fold may leave unread the
-ones it read through; one dead-value pass then walks back from the outputs
-and keeps what a component reads, directly or through a kept operation.  The
-quad system's dx/dt ``1.1 * (2 * p1) * 2 / 4 + 0.2`` is thus the two
-operations of ``1.1 * p1 + 0.2`` over the pool [1.1, 0.2].  A fold reads only
-through products and negations, which cannot fail, so it moves no error
-code (see :mod:`exform._kernels` for the error rule).
+A fold only adds operations and constants, so it may leave unread the ones
+it read through.  The back end, ``_finish``, then walks back once from the
+outputs, recording each value's last read; a value nothing reads is dead
+(Cooper & Torczon, *Engineering a Compiler*, 2nd ed., §10.2) and is dropped,
+and one walk forward gives each live operation its register.  The quad
+system's dx/dt ``1.1 * (2 * p1) * 2 / 4 + 0.2`` is thus the two operations of
+``1.1 * p1 + 0.2`` over the pool [1.1, 0.2].  A fold reads only through
+products and negations, which cannot fail, so it moves no error code (see
+:mod:`exform._kernels` for the error rule).
 """
 
 from __future__ import annotations
@@ -101,8 +105,7 @@ def pack_exprs(exprs) -> Tape:
     Const, Coord = expr.Const, expr.Coord
 
     # Value numbers: operation i is i; coordinate a is ~a and constant-pool
-    # entry c is ~(dim + c), so a leaf's slot is nreg + ~v, and v < -dim is a
-    # constant.
+    # entry c is ~(dim + c), so v < -dim is a constant.
     codes, lhs, rhs = [], [], []
     consts: list[float] = []
     pool: dict[float, int] = {}                # value, or ±inf for ±0.0 -> value number
@@ -118,8 +121,9 @@ def pack_exprs(exprs) -> Tape:
             consts.append(x)
         return v
 
-    def op(code: int, a: int, b: int) -> int:
-        key = (((a << 32) | (b & _LOW)) << 4 | code) if code == OP_MUL else a << 4 | code
+    def number(code: int, a: int, b: int) -> int:
+        """The value number of code on a and b, new unless numbered before."""
+        key = ((b << 32) | (a & _LOW)) << 4 | code   # b in the high bits: any exponent fits
         v = numbered.get(key)
         if v is None:
             v = numbered[key] = len(codes)
@@ -147,76 +151,50 @@ def pack_exprs(exprs) -> Tape:
                 w = v
         if k == 1.0:
             return w
-        return op(OP_NEG, w, 0) if k == -1.0 else op(OP_MUL, const(k), w)
+        return number(OP_NEG, w, 0) if k == -1.0 else number(OP_MUL, const(k), w)
 
-    def fold(code: int, a: int, b: int):
-        """An operation on two constants (R4), or a division by a constant
-        (R1), folded; None where it stays an operation."""
-        y = consts[~b - dim]
-        if a < lo:
-            if code == OP_DIV and not y:
-                return None
-            x = consts[~a - dim]
-            r = (x + y if code == OP_ADD else x - y if code == OP_SUB
-                 else x * y if code == OP_MUL else x / y)
-            return const(r) if math.isfinite(r) else None
-        if _pow2(y) and _MIN_NORMAL <= abs(1.0 / y) < math.inf:
-            return scale(1.0 / y, a)
-        return None
+    def op(code: int, a: int, b: int) -> int:
+        """code on a and b (the exponent of OP_POW, 0 for a unary operation),
+        folded where R1-R4 apply."""
+        if code == OP_NEG:
+            return const(-consts[~a - dim]) if a < lo else scale(-1.0, a)
+        if code == OP_SQRT and a < lo and consts[~a - dim] >= 0.0:
+            return const(math.sqrt(consts[~a - dim]))
+        if code <= OP_DIV and (a < lo or b < lo):
+            if code == OP_MUL and b < lo <= a:
+                a, b = b, a                    # the constant factor first
+            if code == OP_MUL and b >= lo:
+                return scale(consts[~a - dim], b)
+            if b < lo:
+                y = consts[~b - dim]
+                if a < lo and (y or code != OP_DIV):
+                    x = consts[~a - dim]
+                    r = (x + y if code == OP_ADD else x - y if code == OP_SUB
+                         else x * y if code == OP_MUL else x / y)
+                    if math.isfinite(r):
+                        return const(r)
+                elif (a >= lo and code == OP_DIV and _pow2(y)
+                      and _MIN_NORMAL <= abs(1.0 / y) < math.inf):
+                    return scale(1.0 / y, a)
+        return number(code, a, b)
 
-    # emit() inlines const() and op(): it runs once per node on every compile
     def emit(node) -> int:
         kind = type(node)
         if kind is Coord:
             return ~node.axis
         if kind is Const:
-            x = node.value
-            k = x or math.copysign(math.inf, x)
-            v = pool.get(k)
-            if v is None:
-                v = pool[k] = ~(dim + len(consts))
-                consts.append(x)
-            return v
+            return const(node.value)
         v = seen.get(id(node))
-        if v is not None:
-            return v
-        if kind is Binary:
-            a, b = emit(node.left), emit(node.right)
-            code = _BINOP[node.op]
-            if a < lo or b < lo:
-                if code == OP_MUL and b < lo <= a:
-                    a, b = b, a                # the constant factor first
-                if code == OP_MUL and b >= lo:
-                    v = scale(consts[~a - dim], b)
-                elif b < lo and (a < lo or code == OP_DIV):
-                    v = fold(code, a, b)
-                if v is not None:
-                    seen[id(node)] = v
-                    return v
-            key = ((a << 32) | (b & _LOW)) << 4 | code
-        elif kind is Unary:
-            a, b = emit(node.arg), 0
-            code = _UNOP[node.fn]
-            if a < lo and (code == OP_NEG or code == OP_SQRT and consts[~a - dim] >= 0.0):
-                x = consts[~a - dim]
-                v = seen[id(node)] = const(-x if code == OP_NEG else math.sqrt(x))
-                return v
-            if code == OP_NEG:
-                v = seen[id(node)] = scale(-1.0, a)
-                return v
-            key = a << 4 | code
-        elif kind is Power:
-            a, b, code = emit(node.base), node.exponent, OP_POW
-            key = ((b << 32) | (a & _LOW)) << 4 | code
-        else:
-            raise TypeError(f"not a ScalarExpr node: {node!r}")
-        v = numbered.get(key)
         if v is None:
-            v = numbered[key] = len(codes)
-            codes.append(code)
-            lhs.append(a)
-            rhs.append(b)
-        seen[id(node)] = v
+            if kind is Binary:
+                v = op(_BINOP[node.op], emit(node.left), emit(node.right))
+            elif kind is Unary:
+                v = op(_UNOP[node.fn], emit(node.arg), 0)
+            elif kind is Power:
+                v = op(OP_POW, emit(node.base), node.exponent)
+            else:
+                raise TypeError(f"not a ScalarExpr node: {node!r}")
+            seen[id(node)] = v
         return v
 
     outs = []
@@ -224,66 +202,58 @@ def pack_exprs(exprs) -> Tape:
         if e.chart != exprs[0].chart:
             raise ValueError("all expressions must share one chart")
         outs.append(emit(e))
+    return _finish(codes, lhs, rhs, consts, outs, dim)
 
-    # Dead values, walking back from the outputs (operands precede readers):
-    # live[base + v] flags each value v a component reads; survivors keep order.
-    nops, base = len(codes), dim + len(consts)
-    live = [False] * (base + nops)
+
+def _finish(codes, lhs, rhs, consts, outs, dim) -> Tape:
+    """The back end: a program over value numbers, numbered as in
+    `pack_exprs`, laid out as a tape whose components are the values `outs`.
+
+    A walk back from the outputs records the last read of each value (an
+    output is read at the end); a value nothing reads is dead, and neither
+    a dead operation nor an unread pool entry reaches the tape.  A walk
+    forward over the live operations gives each a register: an operand read
+    for the last time frees its register before the destination is chosen,
+    so an operation may write over its operand, and the register freed last
+    is taken first.  Survivors keep program and pool order.
+    """
+    nops = len(codes)
+    # last[v] is where value v is last read, -1 if nowhere; a leaf's v < 0
+    # indexes from the end, as does slot[v], the slot that holds v
+    last = [-1] * (nops + dim + len(consts))
     for v in outs:
-        live[base + v] = True
+        last[v] = nops
     for i in range(nops - 1, -1, -1):
-        if live[base + i]:
-            live[base + lhs[i]] = True
-            if codes[i] <= OP_DIV:
-                live[base + rhs[i]] = True
-    if False in live[:len(consts)] or False in live[base:]:
-        ops = [i for i in range(nops) if live[base + i]]
-        pooled = [v for v in range(~dim, -base - 1, -1) if live[base + v]]
-        renum = {v: j for j, v in enumerate(ops)} | {v: ~(dim + k) for k, v in enumerate(pooled)}
-        codes, nops = [codes[i] for i in ops], len(ops)
-        consts = [consts[~v - dim] for v in pooled]
-        lhs = [renum.get(lhs[i], lhs[i]) for i in ops]
-        rhs = [renum.get(rhs[i], rhs[i]) if c <= OP_DIV else rhs[i] for c, i in zip(codes, ops)]
-        outs = [renum.get(v, v) for v in outs]
-
-    # The last read of each value; outputs are read at the end.
-    last = [0] * nops
-    for i, (c, a, b) in enumerate(zip(codes, lhs, rhs)):
-        if a >= 0:
-            last[a] = i
-        if c <= OP_DIV and b >= 0:
-            last[b] = i
-    for v in outs:
-        if v >= 0:
-            last[v] = nops
-
-    # Registers: an operand read for the last time frees its register before
-    # the destination is chosen, so an operation may write over its operand.
-    reg = [0] * nops
+        if last[i] >= 0:
+            if last[lhs[i]] < 0:
+                last[lhs[i]] = i
+            if codes[i] <= OP_DIV and last[rhs[i]] < 0:
+                last[rhs[i]] = i
+    live = [i for i in range(nops) if last[i] >= 0]
+    slot = [0] * len(last)
     free: list[int] = []
     nreg = 0
-    for i, (c, a, b) in enumerate(zip(codes, lhs, rhs)):
+    for i in live:
+        a, b = lhs[i], rhs[i]
         if a >= 0 and last[a] == i:
-            free.append(reg[a])
-        if c <= OP_DIV and b >= 0 and b != a and last[b] == i:
-            free.append(reg[b])
+            free.append(slot[a])
+        if codes[i] <= OP_DIV and b >= 0 and b != a and last[b] == i:
+            free.append(slot[b])
         if free:
-            reg[i] = free.pop()
+            slot[i] = free.pop()
         else:
-            reg[i] = nreg
+            slot[i] = nreg
             nreg += 1
-
-    def slot(v: int) -> int:
-        return reg[v] if v >= 0 else nreg + ~v
-
-    # slot() inlined: this runs once per operation on every compile
-    args = [(r, reg[a] if a >= 0 else nreg + ~a,
-             b if c > OP_DIV else reg[b] if b >= 0 else nreg + ~b)
-            for r, c, a, b in zip(reg, codes, lhs, rhs)]
-
-    return Tape(codes=np.asarray(codes, np.int64),
-                args=np.asarray(args, np.int64).reshape(nops, 3),
-                consts=np.asarray(consts, np.float64),
-                outputs=np.asarray([slot(v) for v in outs], np.int64),
+    for a in range(dim):
+        slot[~a] = nreg + a
+    kept = [c for c in range(len(consts)) if last[~(dim + c)] >= 0]
+    for j, c in enumerate(kept):
+        slot[~(dim + c)] = nreg + dim + j
+    args = [(slot[i], slot[lhs[i]], slot[rhs[i]] if codes[i] <= OP_DIV else rhs[i])
+            for i in live]
+    return Tape(codes=np.asarray([codes[i] for i in live], np.int64),
+                args=np.asarray(args, np.int64).reshape(len(live), 3),
+                consts=np.asarray([consts[c] for c in kept], np.float64),
+                outputs=np.asarray([slot[v] for v in outs], np.int64),
                 nreg=nreg,
                 dim=dim)

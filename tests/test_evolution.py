@@ -425,8 +425,7 @@ class TestBiStructure:
     def test_sum_invariant(self):
         omega = forms.one_form(CH2, [X2 ** 2, X1])
         conn = ev.Connection(CH2, {(0, 1, 0): X1 * X2})
-        comm = ev.evolutionary_commutator(omega, conn)
-        event = ev.commutator_event(comm, (0.7, 0.4))
+        event = ev.DegeneracyEvent((0.7, 0.4))
         record = ev.capture_bistructure(event, omega, conn, self.ps)
         assert record.total_commutator == pytest.approx(
             record.discrete_change + record.deformation_measure, abs=1e-10)

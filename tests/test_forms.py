@@ -25,11 +25,12 @@ class TestMultiIndex:
         assert forms.merge_indices((1,), (0, 2)) == (-1, (0, 1, 2))
         assert forms.parity((2, 0, 1)) == 1 and forms.parity((0, 2, 1)) == -1
 
-    def test_insert_axis(self):
-        assert forms.insert_axis(0, (1, 2)) == (1, (0, 1, 2))
-        assert forms.insert_axis(2, (0, 1)) == (1, (0, 1, 2))
-        assert forms.insert_axis(1, (0, 2)) == (-1, (0, 1, 2))
-        assert forms.insert_axis(1, (1, 2)) is None
+    def test_merge_one_axis_in_front(self):
+        """d wedges dx^axis onto the front of dx^index."""
+        assert forms.merge_indices((0,), (1, 2)) == (1, (0, 1, 2))
+        assert forms.merge_indices((2,), (0, 1)) == (1, (0, 1, 2))
+        assert forms.merge_indices((1,), (0, 2)) == (-1, (0, 1, 2))
+        assert forms.merge_indices((1,), (1, 2)) is None
 
     def test_index_validation(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -243,6 +243,31 @@ def test_an_operation_a_fold_reads_through_stays_if_shared():
     assert _kernels.eval_tape(t, np.array([[1.25, 0.0]]))[0].tolist() == [7.0]
 
 
+def test_finish_lays_out_a_hand_built_program():
+    """The back end on a program no tree produced: x + y, a dead 2 * (x + y)
+    and the square of the sum over the pool [2, 3], with the square, the
+    coordinate x and the constant 3 as outputs.  The dead product and the
+    pool entry only it reads are gone, and the square reuses the sum's
+    register."""
+    x, y, two, three = ~0, ~1, ~2, ~3          # value numbers at dim 2
+    M = _kernels.OP_MUL
+    t = tape._finish([_kernels.OP_ADD, M, M], [x, two, 0], [y, 0, 0], [2.0, 3.0],
+                     [2, x, three], 2)
+    assert t.codes.tolist() == [_kernels.OP_ADD, M]
+    assert t.consts.tolist() == [3.0]
+    assert (t.nreg, t.dim) == (1, 2)
+    assert [tuple(row) for row in t.args.tolist()] == [(0, 1, 2), (0, 0, 0)]
+    assert t.outputs.tolist() == [0, 1, 3]
+
+
+def test_exponents_and_operand_order_keep_their_value_numbers():
+    """One value-number key serves every opcode: exponents ±2^31 and the two
+    orders of a difference are four operations."""
+    t = tape.pack_exprs([A ** 2 ** 31, A ** -2 ** 31, A - B, B - A])
+    assert t.codes.tolist() == [_kernels.OP_POW] * 2 + [_kernels.OP_SUB] * 2
+    assert t.args[:2, 2].tolist() == [2 ** 31, -2 ** 31]
+
+
 def test_pack_needs_one_chart_and_an_expression():
     with pytest.raises(ValueError):
         tape.pack_exprs([])
