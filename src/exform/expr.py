@@ -19,6 +19,9 @@ dataclass fields, so they never take part in `==`, `hash` or `repr`:
   rebuilt, so a simplified tree may share nodes with its input.  `partial`
   and `sum_of` build their trees simplified and marked, node by node;
 * `partial` keeps a dict from axis to derivative on the differentiated node.
+  Inside one call, a memo keyed by `id` differentiates each distinct inner
+  node of the argument once; that memo lives only for the call, on no node
+  and in no global table, and a result may share subtrees.
 
 Numeric evaluation goes through `evaluate_pack`: expressions over one chart
 run as one tape, cached per tuple, in one kernel call, and `evaluate_many`
@@ -657,7 +660,8 @@ def sum_of(terms: Iterable[ScalarExpr]) -> ScalarExpr:
 
 def partial(e: ScalarExpr, axis: int) -> ScalarExpr:
     """Exact partial derivative with respect to the given axis, simplified;
-    memoised per axis on `e`."""
+    memoised per axis on `e`.  Each distinct inner node of `e` is
+    differentiated once per call, so the result may share subtrees."""
     if not 0 <= axis < e.chart.dim:
         raise ValueError(f"axis {axis} out of range for {e.chart.names}")
     memo = getattr(e, "_partials", None)
@@ -665,7 +669,7 @@ def partial(e: ScalarExpr, axis: int) -> ScalarExpr:
         memo = {}
         object.__setattr__(e, "_partials", memo)
     if axis not in memo:
-        memo[axis] = _diff(e, axis)
+        memo[axis] = _diff(e, axis, {})
     return memo[axis]
 
 
@@ -674,44 +678,55 @@ def _copy(e: ScalarExpr) -> ScalarExpr:
     return e if getattr(e, "_simple", False) else simplify(e)
 
 
-def _diff(e: ScalarExpr, axis: int) -> ScalarExpr:
+def _diff(e: ScalarExpr, axis: int, seen: dict) -> ScalarExpr:
     """`simplify` of the derivative tree, each node settled as it is built;
-    operands copied from `e` go through `_copy`."""
+    operands copied from `e` go through `_copy`.  `seen`, a memo that lives
+    for one `partial` call, maps the `id` of each inner node differentiated
+    so far to its derivative: a node on several paths is differentiated once
+    and its derivative is shared.  Leaves get no entry.  The call's argument
+    keeps every keyed node alive, so no id is reused."""
     ch = e.chart
     match e:
         case Const() | Power(exponent=0):
             return _settle(Const(ch, 0.0))
         case Coord(axis=a):
             return _settle(Const(ch, 1.0 if a == axis else 0.0))
+    d = seen.get(id(e))
+    if d is not None:
+        return d
+    match e:
         case Binary(op="+" | "-" as op, left=l, right=r):
-            return _bin(ch, op, _diff(l, axis), _diff(r, axis))
+            d = _bin(ch, op, _diff(l, axis, seen), _diff(r, axis, seen))
         case Binary(op="*", left=l, right=r):
-            return _bin(ch, "+", _bin(ch, "*", _diff(l, axis), _copy(r)),
-                        _bin(ch, "*", _copy(l), _diff(r, axis)))
+            d = _bin(ch, "+", _bin(ch, "*", _diff(l, axis, seen), _copy(r)),
+                     _bin(ch, "*", _copy(l), _diff(r, axis, seen)))
         case Binary(op="/", left=l, right=r):
             sr = _copy(r)
-            num = _bin(ch, "-", _bin(ch, "*", _diff(l, axis), sr),
-                       _bin(ch, "*", _copy(l), _diff(r, axis)))
-            return _bin(ch, "/", num, _settle(Power(ch, sr, 2)))
+            num = _bin(ch, "-", _bin(ch, "*", _diff(l, axis, seen), sr),
+                       _bin(ch, "*", _copy(l), _diff(r, axis, seen)))
+            d = _bin(ch, "/", num, _settle(Power(ch, sr, 2)))
         case Power(base=b, exponent=k):
             scaled = _bin(ch, "*", _settle(Const(ch, float(k))),
                           _settle(Power(ch, _copy(b), k - 1)))
-            return _bin(ch, "*", scaled, _diff(b, axis))
+            d = _bin(ch, "*", scaled, _diff(b, axis, seen))
         case Unary(fn="neg", arg=a):
-            return _settle(Unary(ch, "neg", _diff(a, axis)))
+            d = _settle(Unary(ch, "neg", _diff(a, axis, seen)))
         case Unary(fn="sin", arg=a):
-            return _bin(ch, "*", _settle(Unary(ch, "cos", _copy(a))), _diff(a, axis))
+            d = _bin(ch, "*", _settle(Unary(ch, "cos", _copy(a))), _diff(a, axis, seen))
         case Unary(fn="cos", arg=a):
-            return _settle(Unary(ch, "neg", _bin(
-                ch, "*", _settle(Unary(ch, "sin", _copy(a))), _diff(a, axis))))
+            d = _settle(Unary(ch, "neg", _bin(
+                ch, "*", _settle(Unary(ch, "sin", _copy(a))), _diff(a, axis, seen))))
         case Unary(fn="exp", arg=a):
-            return _bin(ch, "*", _copy(e), _diff(a, axis))
+            d = _bin(ch, "*", _copy(e), _diff(a, axis, seen))
         case Unary(fn="ln", arg=a):
-            return _bin(ch, "/", _diff(a, axis), _copy(a))
+            d = _bin(ch, "/", _diff(a, axis, seen), _copy(a))
         case Unary(fn="sqrt", arg=a):
             denom = _bin(ch, "*", _settle(Const(ch, 2.0)), _copy(e))
-            return _bin(ch, "/", _diff(a, axis), denom)
-    raise TypeError(f"not a ScalarExpr node: {e!r}")
+            d = _bin(ch, "/", _diff(a, axis, seen), denom)
+        case _:
+            raise TypeError(f"not a ScalarExpr node: {e!r}")
+    seen[id(e)] = d
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,37 @@ def grammar_trees(ch):
     return st.recursive(leaves, extend, max_leaves=12)
 
 
+def dag_trees(ch):
+    """Grammar trees that reuse one drawn subtree t: t op t, exp(t) * t and
+    sqrt(t) / t, each node of t reached along two paths."""
+    def share(t, form):
+        match form:
+            case "exp":
+                return Binary(ch, "*", Unary(ch, "exp", t), t)
+            case "sqrt":
+                return Binary(ch, "/", Unary(ch, "sqrt", t), t)
+        return Binary(ch, form, t, t)
+
+    shapes = st.sampled_from(["+", "-", "*", "/", "exp", "sqrt"])
+    return st.builds(share, grammar_trees(ch), shapes)
+
+
+def distinct_nodes(e):
+    """The number of distinct nodes (by id) reachable from e."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        match node:
+            case Binary(left=l, right=r):
+                stack += (l, r)
+            case Power(base=b) | Unary(arg=b):
+                stack.append(b)
+    return len(seen)
+
+
 def assert_same(got, want):
     assert ex.to_text(got) == ex.to_text(want)
     assert got == want
@@ -321,6 +352,15 @@ class TestPartial:
                               ex.partial(ex.partial(e, 1), 0))
             assert ex.probably_zero(mixed)
 
+    def test_shared_subtrees_are_differentiated_once(self):
+        # each step doubles the paths to the previous e; without a per-call
+        # memo the derivative grows with the paths, not with the nodes
+        e = ex.sin(X1 * X2)
+        for _ in range(12):
+            e = Binary(CH2, "*", e, Unary(CH2, "sin", e))
+        assert distinct_nodes(e) == 28
+        assert distinct_nodes(ex.partial(e, 0)) <= 4 * distinct_nodes(e)
+
 
 class TestSimplify:
     def test_annihilator(self):
@@ -535,6 +575,22 @@ class TestBuildTimeSimplification:
             e = ex.simplify(e)
         want = self._reference(ref.partial, e, axis)
         assert_same(ex.partial(e, axis), want)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(dag_trees(CH2), st.lists(st.integers(0, 1), min_size=1, max_size=4), st.booleans())
+    @example(ex.parse_expr("sin(0.7*x1 - 1.3*x2) * exp(0.4*x2 + 1.1*x3)"
+                           " / (1 + (0.9*x1 - 0.5*x3)^2)", ex.chart("x1", "x2", "x3")),
+             [0, 1, 2, 0, 1], False)
+    def test_partial_chains_on_shared_subtrees_match_reference(self, e, axes, simplified):
+        # the reference rebuilds every node, so it differentiates the tree
+        # expansion; each result is fed back in, as mixed partials are taken
+        if simplified:
+            e = ex.simplify(e)
+        got = want = e
+        for axis in axes:
+            got = ex.partial(got, axis)
+            want = self._reference(ref.partial, want, axis)
+            assert_same(got, want)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(st.tuples(grammar_trees(CH2), st.booleans()), min_size=1, max_size=4))
