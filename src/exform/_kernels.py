@@ -18,7 +18,9 @@ operand runs the same float64 loop, so the bits are those of the Python
 float.  A component's output register is the caller's output row itself,
 so results need no copy out; only components that are a coordinate, a
 constant or a repeat of an earlier component are copied.  :func:`eval_pack`
-and :func:`rk4` run the program once per batch (once per RK4 stage), and
+runs the program once per batch and :func:`rk4` once per RK4 stage, or once
+per step when every coordinate row the program reads has a constant
+derivative that leaves it bit for bit unchanged (see :func:`rk4`);
 :func:`eval_tape` is :func:`eval_pack` on a one-component tape.  :func:`rk4`
 writes constant components into its stage rows once, before the step loop.
 Results are bit-reproducible run to run.
@@ -32,15 +34,18 @@ is the value's own failure.  That is the first failure in the postfix order
 of a component's own tree, and the component's value there is NaN.
 :func:`rk4` also reports 5 for the first step whose new state is not finite
 (overflow or NaN), which covers any non-finite stage value, since it
-propagates into the new state.  It finds that step with one scan of the
-trajectory after the step loop, not one check per step: a non-finite state
-component stays non-finite (``y + c * acc`` is inf or NaN when ``y`` is), so
-the first non-finite sample is the step the per-step check would have
-stopped at.
+propagates into the new state.  It finds that step after the step loop,
+not by one check per step: a non-finite state component stays non-finite
+(``y + c * acc`` is inf or NaN when ``y`` is), so the first non-finite sample
+is the step the per-step check would have stopped at.  One sum of the new
+states comes first; it is finite only if every state is, since a non-finite
+term keeps each partial sum non-finite, so the exact per-sample scan runs
+only when the sum is not (a blow-up, or finite states whose sum overflows).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -225,6 +230,18 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
     docstring); a blown-up fan runs on to the end or to its first domain
     error, and that scan still reports the step where it left the finite
     numbers.
+
+    A coordinate row is read when an operation takes it as an operand (both
+    of ``+ - * /``, the first of the others) or a component copies it.  Row
+    r is frozen when component r is a pool constant k and both ``k * (h/2)``
+    and ``k * h`` are -0.0 (``dp = -0`` of an x-independent Hamiltonian, for
+    h > 0).  Since ``y + -0.0`` is ``y`` for every float ``y``, each stage
+    state then holds ``y`` itself in every frozen row.  When every row read
+    is frozen, all four stages read the same bits, so one stage program is
+    bound and run per step, k2 = k3 = k4 = k1, the three stage updates are
+    skipped and ``2 * k2`` is formed once for both middle terms.  The result
+    keeps every bit, error codes included: a later stage could fail only
+    where the first did.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     d = t.outputs.shape[0]
@@ -235,8 +252,20 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
     m = y0.shape[0]
     traj = np.empty((nsteps + 1, d, m))
     traj[0] = y0.T
+    # The coordinate rows the program reads: operands (both of + - * /, the
+    # first of the others) and coordinates copied out as components.
+    nreg, outs = t.nreg, t.outputs.tolist()
+    read = set(outs)
+    for code, (_, a, b) in zip(t.codes.tolist(), t.args.tolist()):
+        read.update((a, b) if code <= OP_DIV else (a,))
+    pool = dict(enumerate(t.consts.tolist(), nreg + d))   # constant slot -> value
+    slope = [pool.get(s, math.nan) for s in outs]   # a constant component, or NaN
+    # reuse when every row read is frozen: k*(h/2) and k*h are -0.0 (docstring)
+    reuse = all((v, math.copysign(1.0, v)) == (0.0, -1.0)
+                for r in range(d) if nreg + r in read
+                for v in (slope[r] * (0.5 * h), slope[r] * h))
     stage_state = np.empty((d, m))
-    ks = np.empty((4, d, m))
+    ks = np.empty((1 if reuse else 4, d, m))
     acc = np.empty((d, m))
     stages = []
     for k in ks:
@@ -245,8 +274,10 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
             if v.ndim == 0:
                 row[:] = v   # a constant component, written once
         stages.append((steps, [(row, v) for row, v in copies if v.ndim]))
-    k1, k2, k3, k4 = ks
+    k1, k2, k3, k4 = (ks[0],) * 4 if reuse else ks
     half_h, full_h, two, sixth_h = (np.array(v) for v in (0.5 * h, h, 2.0, h / 6.0))
+    # (previous stage, step fraction, stage) of stages 2-4; none under reuse
+    later = list(zip((k1, k2, k3), (half_h, half_h, full_h), stages[1:]))
 
     def rhs(stage):
         steps, copies = stage
@@ -265,28 +296,29 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
             y, new = traj[step], traj[step + 1]
             stage_state[:] = y
             bad = rhs(stages[0])
-            if bad is None:
-                np.add(y, np.multiply(k1, half_h, stage_state), stage_state)
-                bad = rhs(stages[1])
-            if bad is None:
-                np.add(y, np.multiply(k2, half_h, stage_state), stage_state)
-                bad = rhs(stages[2])
-            if bad is None:
-                np.add(y, np.multiply(k3, full_h, stage_state), stage_state)
-                bad = rhs(stages[3])
+            for k, frac, stage in later:
+                if bad is not None:
+                    break
+                np.add(y, np.multiply(k, frac, stage_state), stage_state)
+                bad = rhs(stage)
             if bad is not None:
                 err, last = (step, *bad), step
                 break
             # y + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            np.add(k1, np.multiply(k2, two, acc), acc)
-            np.add(acc, np.multiply(k3, two, new), acc)
+            np.add(k1, np.multiply(k2, two, new), acc)
+            if k3 is not k2:
+                np.multiply(k3, two, new)
+            np.add(acc, new, acc)
             np.add(acc, k4, acc)
             np.add(y, np.multiply(acc, sixth_h, acc), new)
-    # finite[j, c]: component c of the state after step j is finite everywhere
-    finite = np.isfinite(traj[1:last + 1]).all(axis=2)
-    if not finite.all():
-        step, c = np.argwhere(~finite)[0].tolist()
-        err, last = (step, c, ERR_NONFINITE), step
+        # the exact scan only when one sum is not finite (module docstring)
+        done = traj[1:last + 1]
+        if not math.isfinite(done.sum()):
+            # finite[j, c]: component c of the state after step j is finite everywhere
+            finite = np.isfinite(done).all(axis=2)
+            if not finite.all():
+                step, c = np.argwhere(~finite)[0].tolist()
+                err, last = (step, c, ERR_NONFINITE), step
     if err is not None:
         traj[last + 1:] = traj[last]
     return traj.transpose(0, 2, 1), err

@@ -378,17 +378,56 @@ def test_rk4_matches_reference_on_canonical_and_charpit_systems():
             assert_same(traj, ref_traj)
 
 
-def test_rk4_matches_reference_with_repeated_coordinate_and_constant_components():
+def _reuse_cases():
+    """(right-hand sides, initial states, h, steps, whether rk4 reuses its
+    first stage), the reuse rule's edge cases among them."""
     chart = ex.chart("a", "b", "c", "d")
     a, b, c, _ = ex.coords(chart)
-    rhs = [b * c, b * c, a, ex.const(chart, -0.0)]
-    y0 = np.array([[0.1, 0.2, 0.3, 0.4], [1.0, -0.5, 0.25, 0.0]])
-    traj, err = _kernels.rk4(tape.pack_exprs(rhs), y0, 0.01, 50)
-    r = ref.pack_exprs(rhs)
-    ref_traj, ref_info = _rk4_numpy(r.codes, r.args, r.consts, r.offsets,
-                                    r.stack_need, y0, 0.01, 50)
-    assert err is None and ref_info[0] < 0
-    assert_same(traj, ref_traj)
+    xu = ex.chart("x", "u")
+    x, u = ex.coords(xu)
+
+    def k(v):
+        return ex.const(xu, v)
+
+    signed_zeros = np.array([[-0.0, -0.0], [0.5, -0.0], [0.0, 0.0]])
+    return [
+        ([b * c, b * c, a, ex.const(chart, -0.0)],
+         np.array([[0.1, 0.2, 0.3, 0.4], [1.0, -0.5, 0.25, 0.0]]), 0.01, 50, False),
+        # eikonal Charpit strips: dp = -0, and only p is read
+        (list(_system(PDE_EIK)[0]),
+         np.array([[0.0, 0.0, 0.0, 0.6, 0.8], [1.0, -1.0, 2.0, 1.0, 0.0]]), 0.01, 100, True),
+        # dx = u copies row u, which no operation reads, and du = 1
+        ([u, k(1.0)], np.array([[0.0, 0.0]]), 0.1, 3, False),
+        # -0 * (h/2) is +0 for h < 0, and -0 + +0 is +0: b = -0 moves to +0
+        ([ex.sin(u), k(-0.0)], signed_zeros, -0.1, 3, False),
+        ([ex.sin(u), k(0.0)], signed_zeros, -0.1, 3, True),
+        # -1e-320 * h/2 and -1e-320 * h underflow to -0
+        ([ex.sin(u), k(-1e-320)], signed_zeros, 1e-5, 4, True),
+        # -5e-324 * h/2 rounds to -0, but -5e-324 * h does not
+        ([u * 1e300, k(-5e-324)], np.array([[0.0, 0.0]]), 1.0, 2, False),
+        # a domain error at the first stage and a blow-up, each under reuse
+        ([ex.ln(u), k(-0.0)], np.array([[0.0, 0.5], [0.0, -1.0]]), 0.1, 5, True),
+        ([ex.exp(u) * 1e307, k(-0.0)], np.array([[1.7e308, 1.0], [0.0, -1.0]]), 0.1, 8, True),
+    ]
+
+
+def test_rk4_matches_reference_with_repeated_coordinate_and_constant_components(monkeypatch):
+    """Each case keeps the reference's bits and (step, component, code), and
+    binds one stage program under reuse, four otherwise."""
+    binds = []
+    bind = _kernels._bind
+    monkeypatch.setattr(_kernels, "_bind", lambda *args: binds.append(1) or bind(*args))
+    outcomes = []
+    for rhs, y0, h, steps, reuse in _reuse_cases():
+        binds.clear()
+        err = check_rk4(rhs, y0, h, steps)
+        assert len(binds) == (1 if reuse else 4)
+        outcomes.append(err)
+    assert outcomes[-2:] == [(0, 0, _kernels.ERR_LN), (3, 0, _kernels.ERR_NONFINITE)]
+    assert outcomes[:-2] == [None] * (len(outcomes) - 2)
+    rhs, y0, h, steps, _ = _reuse_cases()[2]   # dx = u, du = 1: x = s^2/2
+    traj, _ = _kernels.rk4(tape.pack_exprs(rhs), y0, h, steps)
+    assert traj[-1, 0].tolist() == [0.045000000000000005, 0.30000000000000004]
 
 
 def test_rk4_reports_domain_failure():
@@ -479,14 +518,31 @@ def test_rk4_blowup_on_the_last_step_is_reported():
     assert check_rk4(rhs, y0, 0.01, step + 1) == (step, comp, _kernels.ERR_NONFINITE)
 
 
+def test_rk4_finite_states_whose_sum_overflows_report_no_error():
+    """The finiteness scan starts from one sum of the new states; a sum that
+    overflows while every state is finite is not a failure."""
+    chart = ex.chart("a", "b")
+    a, b = ex.coords(chart)
+    rhs = [b * -1e-300, ex.const(chart, 0.0)]
+    y0 = np.array([[1e308, 1e308], [1.5e308, -1e308], [1e308, 1e308]])
+    traj, err = _kernels.rk4(tape.pack_exprs(rhs), y0, 0.1, 4)
+    assert err is None and np.isfinite(traj).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(traj[1:].transpose(0, 2, 1).sum())
+    assert check_rk4(rhs, y0, 0.1, 4) is None
+
+
 class _UfuncRecorder:
-    """Stands in for numpy inside `_kernels`, recording every ufunc operand."""
+    """Stands in for numpy inside `_kernels`, recording every ufunc call and
+    operand."""
 
     def __init__(self):
         self.operands = []
+        self.calls = 0
 
     def wrap(self, f):
         def call(*args, **kwargs):
+            self.calls += 1
             self.operands.extend(args)
             return f(*args, **kwargs)
         return call
@@ -494,6 +550,17 @@ class _UfuncRecorder:
     def __getattr__(self, name):
         f = getattr(np, name)
         return self.wrap(f) if isinstance(f, np.ufunc) else f
+
+
+def _record_ufuncs(monkeypatch):
+    """Route every ufunc and check test `_kernels` calls through a recorder."""
+    rec = _UfuncRecorder()
+    monkeypatch.setattr(_kernels, "np", rec)
+    for code, f in _kernels._UFUNC.items():
+        monkeypatch.setitem(_kernels._UFUNC, code, rec.wrap(f))
+    for code, (err, test) in _kernels._CHECK.items():
+        monkeypatch.setitem(_kernels._CHECK, code, (err, rec.wrap(test)))
+    return rec
 
 
 def test_ufunc_operands_are_arrays(monkeypatch):
@@ -505,12 +572,7 @@ def test_ufunc_operands_are_arrays(monkeypatch):
                             ex.sqrt(x2) - ex.ln(x3), x1 / (x2 - 1.0), x1 / 0.0,
                             ex.exp(two)])
     system = tape.pack_exprs([x2 * 0.5, -x1 * 1.5 + x3 ** 2, ex.const(CH, 1.0)])
-    rec = _UfuncRecorder()
-    monkeypatch.setattr(_kernels, "np", rec)
-    for code, f in _kernels._UFUNC.items():
-        monkeypatch.setitem(_kernels._UFUNC, code, rec.wrap(f))
-    for code, (err, test) in _kernels._CHECK.items():
-        monkeypatch.setitem(_kernels._CHECK, code, (err, rec.wrap(test)))
+    rec = _record_ufuncs(monkeypatch)
     _, errs = _kernels.eval_pack(pack, edge_points(np.random.default_rng(7), 8))
     assert errs.any()
     _, err = _kernels.rk4(system, np.array([[0.1, 0.2, 0.3]]), 0.01, 3)
@@ -518,6 +580,35 @@ def test_ufunc_operands_are_arrays(monkeypatch):
     assert rec.operands
     assert [v for v in rec.operands if not isinstance(v, np.ndarray)] == []
     assert any(v.ndim == 0 for v in rec.operands)
+
+
+def test_rk4_step_runs_one_stage_program_when_every_read_row_is_frozen(monkeypatch):
+    """The ufunc calls of one RK4 step, counted as the calls at 3 steps less
+    those at 2.  A stage program is the calls of one `eval_pack` of the tape.
+    The skeleton is three 2-call stage updates and the 7-call combination;
+    under reuse it is the combination alone, forming 2 k2 once (6 calls)."""
+    quad = cp._canonical_system(cp.HJEquation.from_text(1, "1.2*p1^2/2 + 0.3*p1"))[1]
+    eik = cp._charpit_system(PDE_EIK)[1]
+    osc = cp._canonical_system(HJ_OSC)[1]
+    # dp (quad's last component, eik's last two) is the pool constant -0.0
+    for t, dp in ((quad, [3]), (eik, [3, 4])):
+        first_const = t.nreg + t.dim
+        for s in t.outputs[dp].tolist():
+            assert s >= first_const and t.consts[s - first_const] == 0
+            assert np.signbit(t.consts[s - first_const])
+    rec = _record_ufuncs(monkeypatch)
+
+    def calls(f, *args):
+        before = rec.calls
+        err = f(*args)[1]
+        assert err is None or not err.any()
+        return rec.calls - before
+
+    for t, stages, skeleton in ((quad, 1, 6), (eik, 1, 6), (osc, 4, 13)):
+        y0 = np.linspace(0.1, 0.9, 8 * t.dim).reshape(8, t.dim)
+        program = calls(_kernels.eval_pack, t, y0)
+        step = calls(_kernels.rk4, t, y0, 0.01, 3) - calls(_kernels.rk4, t, y0, 0.01, 2)
+        assert step == stages * program + skeleton
 
 
 def test_eval_pack_reads_an_f_ordered_batch_bit_for_bit(rng):
