@@ -14,10 +14,14 @@ r <= tol, so a non-finite value is never zero, even at tol = inf.
 Trees are immutable.  Two caches live on the nodes themselves, outside the
 dataclass fields, so they never take part in `==`, `hash` or `repr`:
 
-* `simplify` marks every node it returns as a fixpoint and returns a marked
-  node unchanged; a node whose children simplify to themselves is kept, not
-  rebuilt, so a simplified tree may share nodes with its input.  `partial`
-  and `sum_of` build their trees simplified and marked, node by node;
+* `simplify` marks every node it returns as simplified and returns a marked
+  node unchanged; leaves are marked by their class.  The simplification rules
+  live in one constructor per kind of inner node (`_bin`, `_pow`, `_un`),
+  which tests them on the operands before building anything: a rule that
+  fires builds nothing, and a node is built and marked only when none does.
+  `simplify`, `partial` and `sum_of` make every inner node through them.  A
+  node whose children simplify to themselves is kept, not rebuilt, so a
+  simplified tree may share nodes with its input;
 * `partial` keeps a dict from axis to derivative on the differentiated node.
   Inside one call, a memo keyed by `id` differentiates each distinct inner
   node of the argument once; that memo lives only for the call, on no node
@@ -175,6 +179,7 @@ class ScalarExpr:
 @dataclass(frozen=True)
 class Const(ScalarExpr):
     value: float
+    _simple = True  # not a field: every leaf is simplified, marked by its class
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -194,6 +199,7 @@ class Const(ScalarExpr):
 @dataclass(frozen=True)
 class Coord(ScalarExpr):
     axis: int
+    _simple = True
 
     def __post_init__(self):
         if not 0 <= self.axis < self.chart.dim:
@@ -500,10 +506,6 @@ def to_text(e: ScalarExpr) -> str:
 # simplification
 
 
-def _is_const(e: ScalarExpr, value: float | None = None) -> bool:
-    return isinstance(e, Const) and (value is None or e.value == value)
-
-
 def _fold_binary(op: str, a: float, b: float) -> float | None:
     if op == "+":
         v = a + b
@@ -525,128 +527,132 @@ _UNARY_FOLD = {
     "exp": math.exp,
 }
 
-
-def _rewrite(e: ScalarExpr) -> ScalarExpr:
-    """One local rewriting step on a node whose children are simplified."""
-    ch = e.chart
-    match e:
-        case Binary(op=op, left=l, right=r):
-            if isinstance(l, Const) and isinstance(r, Const):
-                v = _fold_binary(op, l.value, r.value)
-                if v is not None:
-                    return Const(ch, 0.0 if v == 0.0 else v)
-            if op == "+":
-                if _is_const(l, 0.0):
-                    return r
-                if _is_const(r, 0.0):
-                    return l
-                if isinstance(l, Unary) and l.fn == "neg":
-                    return Binary(ch, "-", r, l.arg)
-                if isinstance(r, Unary) and r.fn == "neg":
-                    return Binary(ch, "-", l, r.arg)
-            elif op == "-":
-                if _is_const(r, 0.0):
-                    return l
-                if _is_const(l, 0.0):
-                    return Unary(ch, "neg", r)
-                if isinstance(r, Unary) and r.fn == "neg":
-                    return Binary(ch, "+", l, r.arg)
-                if l == r:
-                    return Const(ch, 0.0)
-                # a*b - b*a cancels exactly (IEEE multiplication commutes)
-                if (isinstance(l, Binary) and isinstance(r, Binary)
-                        and l.op == "*" and r.op == "*"
-                        and l.left == r.right and l.right == r.left):
-                    return Const(ch, 0.0)
-            elif op == "*":
-                if _is_const(l, 0.0) or _is_const(r, 0.0):
-                    return Const(ch, 0.0)
-                if _is_const(l, 1.0):
-                    return r
-                if _is_const(r, 1.0):
-                    return l
-            else:  # /
-                if _is_const(l, 0.0) and not _is_const(r, 0.0):
-                    return Const(ch, 0.0)
-                if _is_const(r, 1.0):
-                    return l
-            return e
-        case Power(base=b, exponent=k):
-            if k == 0:
-                return Const(ch, 1.0)
-            if k == 1:
-                return b
-            if isinstance(b, Const) and not (b.value == 0.0 and k < 0):
-                try:
-                    v = b.value**k
-                except OverflowError:
-                    return e
-                if math.isfinite(v):
-                    return Const(ch, v)
-            return e
-        case Unary(fn="neg", arg=Unary(fn="neg", arg=inner)):
-            return inner
-        case Unary(fn=fn, arg=Const(value=v)):
-            if fn in _UNARY_FOLD:
-                try:
-                    folded = _UNARY_FOLD[fn](v)
-                except OverflowError:
-                    return e
-                if math.isfinite(folded):
-                    return Const(ch, folded)
-            elif fn == "ln" and v > 0.0:
-                return Const(ch, math.log(v))
-            elif fn == "sqrt" and v >= 0.0:
-                return Const(ch, math.sqrt(v))
-            return e
-        case _:
-            return e
+# One constructor per kind of inner node holds its rules, tried in order; a
+# rule that makes a new node calls a constructor again.  Given simplified
+# operands, each returns a simplified tree.  `node`, from `simplify`, is the
+# node to keep when no rule fires.  Marks are set by object.__setattr__ and
+# read by getattr, never __dict__, which makes CPython build a dict per node.
 
 
-def _settle(node: ScalarExpr) -> ScalarExpr:
-    """Rewrite a node whose children are simplified until `_rewrite` returns
-    it unchanged, and mark it.  The mark is sound because every subtree of a
-    result is a result: `_rewrite` builds new nodes only at the top."""
-    # getattr and object.__setattr__, never __dict__: reading __dict__ makes
-    # CPython build a separate dict object for every node it touches
-    while not getattr(node, "_simple", False):
-        rewritten = _rewrite(node)
-        if rewritten is node:
-            object.__setattr__(node, "_simple", True)
-        node = rewritten
+def _bin(ch: CoordinateChart, op: str, l: ScalarExpr, r: ScalarExpr,
+         node: ScalarExpr | None = None) -> ScalarExpr:
+    if isinstance(l, Const):
+        lv = l.value
+        if isinstance(r, Const):
+            v = _fold_binary(op, lv, r.value)
+            if v is not None:
+                return Const(ch, 0.0 if v == 0.0 else v)
+    else:
+        lv = None  # never == 0.0 or 1.0
+    rv = r.value if isinstance(r, Const) else None
+    if op == "+":
+        if lv == 0.0:
+            return r
+        if rv == 0.0:
+            return l
+        if isinstance(l, Unary) and l.fn == "neg":
+            return _bin(ch, "-", r, l.arg)
+        if isinstance(r, Unary) and r.fn == "neg":
+            return _bin(ch, "-", l, r.arg)
+    elif op == "-":
+        if rv == 0.0:
+            return l
+        if lv == 0.0:
+            return _un(ch, "neg", r)
+        if isinstance(r, Unary) and r.fn == "neg":
+            return _bin(ch, "+", l, r.arg)
+        if l == r:
+            return Const(ch, 0.0)
+        # a*b - b*a cancels exactly (IEEE multiplication commutes)
+        if (isinstance(l, Binary) and isinstance(r, Binary)
+                and l.op == "*" and r.op == "*"
+                and l.left == r.right and l.right == r.left):
+            return Const(ch, 0.0)
+    elif op == "*":
+        if lv == 0.0 or rv == 0.0:
+            return Const(ch, 0.0)
+        if lv == 1.0:
+            return r
+        if rv == 1.0:
+            return l
+    else:  # /
+        if lv == 0.0 and rv != 0.0:
+            return Const(ch, 0.0)
+        if rv == 1.0:
+            return l
+    if node is None:
+        node = Binary(ch, op, l, r)
+    object.__setattr__(node, "_simple", True)
     return node
 
 
-def _bin(ch: CoordinateChart, op: str, l: ScalarExpr, r: ScalarExpr) -> ScalarExpr:
-    return _settle(Binary(ch, op, l, r))
+def _pow(ch: CoordinateChart, b: ScalarExpr, k: int,
+         node: ScalarExpr | None = None) -> ScalarExpr:
+    if k == 0:
+        return Const(ch, 1.0)
+    if k == 1:
+        return b
+    # |k| > 2^31 is never folded, so that Power below raises on it
+    if isinstance(b, Const) and not (b.value == 0.0 and k < 0) and abs(k) <= 2**31:
+        try:
+            v = b.value**k
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return Const(ch, v)
+    if node is None:
+        node = Power(ch, b, k)
+    object.__setattr__(node, "_simple", True)
+    return node
+
+
+def _un(ch: CoordinateChart, fn: str, a: ScalarExpr,
+        node: ScalarExpr | None = None) -> ScalarExpr:
+    if isinstance(a, Unary):
+        if fn == "neg" and a.fn == "neg":
+            return a.arg
+    elif isinstance(a, Const):
+        v = a.value
+        if fn in _UNARY_FOLD:
+            try:
+                v = _UNARY_FOLD[fn](v)
+            except OverflowError:
+                v = math.inf
+            if math.isfinite(v):
+                return Const(ch, v)
+        elif fn == "ln" and v > 0.0:
+            return Const(ch, math.log(v))
+        elif fn == "sqrt" and v >= 0.0:
+            return Const(ch, math.sqrt(v))
+    if node is None:
+        node = Unary(ch, fn, a)
+    object.__setattr__(node, "_simple", True)
+    return node
 
 
 def simplify(e: ScalarExpr) -> ScalarExpr:
     """Constant folding, 0/1 identities, double negation; idempotent.
 
+    Every node it returns is marked, and a marked node is returned as it is.
     A node whose children simplify to themselves is kept, not rebuilt."""
     if getattr(e, "_simple", False):
         return e
     match e:
-        case Const() | Coord():
-            node = e
         case Binary(op=op, left=l, right=r):
             sl, sr = simplify(l), simplify(r)
-            node = e if sl is l and sr is r else Binary(e.chart, op, sl, sr)
+            return _bin(e.chart, op, sl, sr, e if sl is l and sr is r else None)
         case Power(base=b, exponent=k):
             sb = simplify(b)
-            node = e if sb is b else Power(e.chart, sb, k)
+            return _pow(e.chart, sb, k, e if sb is b else None)
         case Unary(fn=fn, arg=a):
             sa = simplify(a)
-            node = e if sa is a else Unary(e.chart, fn, sa)
-        case _:
-            raise TypeError(f"not a ScalarExpr node: {e!r}")
-    return _settle(node)
+            return _un(e.chart, fn, sa, e if sa is a else None)
+    raise TypeError(f"not a ScalarExpr node: {e!r}")
 
 
 def sum_of(terms: Iterable[ScalarExpr]) -> ScalarExpr:
     """The simplified left-associated sum of one or more terms: `simplify` of
-    ((t0 + t1) + t2) + ..., built one settled node per term."""
+    ((t0 + t1) + t2) + ..., each sum made by the `+` constructor."""
     first, *rest = terms
     total = simplify(first)
     for t in rest:
@@ -679,18 +685,19 @@ def _copy(e: ScalarExpr) -> ScalarExpr:
 
 
 def _diff(e: ScalarExpr, axis: int, seen: dict) -> ScalarExpr:
-    """`simplify` of the derivative tree, each node settled as it is built;
-    operands copied from `e` go through `_copy`.  `seen`, a memo that lives
-    for one `partial` call, maps the `id` of each inner node differentiated
-    so far to its derivative: a node on several paths is differentiated once
-    and its derivative is shared.  Leaves get no entry.  The call's argument
-    keeps every keyed node alive, so no id is reused."""
+    """`simplify` of the derivative tree, made by the constructors that hold
+    the rules, so no node a rule fires on is built; operands copied from `e`
+    go through `_copy`.  `seen`, a memo that lives for one `partial` call,
+    maps the `id` of each inner node differentiated so far to its derivative:
+    a node on several paths is differentiated once and its derivative is
+    shared.  Leaves get no entry.  The call's argument keeps every keyed node
+    alive, so no id is reused."""
     ch = e.chart
     match e:
         case Const() | Power(exponent=0):
-            return _settle(Const(ch, 0.0))
+            return Const(ch, 0.0)
         case Coord(axis=a):
-            return _settle(Const(ch, 1.0 if a == axis else 0.0))
+            return Const(ch, 1.0 if a == axis else 0.0)
     d = seen.get(id(e))
     if d is not None:
         return d
@@ -704,24 +711,23 @@ def _diff(e: ScalarExpr, axis: int, seen: dict) -> ScalarExpr:
             sr = _copy(r)
             num = _bin(ch, "-", _bin(ch, "*", _diff(l, axis, seen), sr),
                        _bin(ch, "*", _copy(l), _diff(r, axis, seen)))
-            d = _bin(ch, "/", num, _settle(Power(ch, sr, 2)))
+            d = _bin(ch, "/", num, _pow(ch, sr, 2))
         case Power(base=b, exponent=k):
-            scaled = _bin(ch, "*", _settle(Const(ch, float(k))),
-                          _settle(Power(ch, _copy(b), k - 1)))
+            scaled = _bin(ch, "*", Const(ch, float(k)), _pow(ch, _copy(b), k - 1))
             d = _bin(ch, "*", scaled, _diff(b, axis, seen))
         case Unary(fn="neg", arg=a):
-            d = _settle(Unary(ch, "neg", _diff(a, axis, seen)))
+            d = _un(ch, "neg", _diff(a, axis, seen))
         case Unary(fn="sin", arg=a):
-            d = _bin(ch, "*", _settle(Unary(ch, "cos", _copy(a))), _diff(a, axis, seen))
+            d = _bin(ch, "*", _un(ch, "cos", _copy(a)), _diff(a, axis, seen))
         case Unary(fn="cos", arg=a):
-            d = _settle(Unary(ch, "neg", _bin(
-                ch, "*", _settle(Unary(ch, "sin", _copy(a))), _diff(a, axis, seen))))
+            d = _un(ch, "neg", _bin(
+                ch, "*", _un(ch, "sin", _copy(a)), _diff(a, axis, seen)))
         case Unary(fn="exp", arg=a):
             d = _bin(ch, "*", _copy(e), _diff(a, axis, seen))
         case Unary(fn="ln", arg=a):
             d = _bin(ch, "/", _diff(a, axis, seen), _copy(a))
         case Unary(fn="sqrt", arg=a):
-            denom = _bin(ch, "*", _settle(Const(ch, 2.0)), _copy(e))
+            denom = _bin(ch, "*", Const(ch, 2.0), _copy(e))
             d = _bin(ch, "/", _diff(a, axis, seen), denom)
         case _:
             raise TypeError(f"not a ScalarExpr node: {e!r}")

@@ -2,6 +2,8 @@
 reference in `simplify_reference`: identical printed text, `==` trees and
 identical `repr` (which tells -0.0 from 0.0), on seeded trees."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,124 @@ def test_equal_nodes_keep_separate_memos():
     assert repr(ex.partial(pos, 0)) != repr(ex.partial(neg, 0))
     assert_same(ex.partial(pos, 0), ref.partial(pos, 0))
     assert_same(ex.partial(neg, 0), ref.partial(neg, 0))
+
+
+def rule_cases():
+    """(name, tree, simplified text) for every rule of the constructors, in
+    fresh unmarked trees; None marks a case that is kept as it is."""
+    def c(v):
+        return ex.const(CH, v)
+
+    def b(op, l, r):
+        return Binary(CH, op, l, r)
+
+    x, y = X1, X2
+    return [
+        ("0 + y", b("+", c(0.0), y), "x2"),
+        ("x + 0", b("+", x, c(-0.0)), "x1"),
+        ("-x + y", b("+", -x, y), "x2 - x1"),
+        ("x + -y", b("+", x, -y), "x1 - x2"),
+        ("x - 0", b("-", x, c(0.0)), "x1"),
+        ("0 - y", b("-", c(0.0), y), "-x2"),
+        ("0 - -y", b("-", c(-0.0), -y), "x2"),  # a rule that calls a constructor again
+        ("x - -y", b("-", x, -y), "x1 + x2"),
+        ("x - x", b("-", ex.sin(x), ex.sin(x)), "0"),  # equal, not identical
+        ("a*b - b*a", b("-", x * y, y * x), "0"),
+        ("0 * x", b("*", c(0.0), x), "0"),
+        ("-0 * x", b("*", c(-0.0), x), "0"),
+        ("x * -0", b("*", x, c(-0.0)), "0"),
+        ("1 * x", b("*", c(1.0), x), "x1"),
+        ("x * 1", b("*", x, c(1.0)), "x1"),
+        ("0 / x", b("/", c(0.0), x), "0"),
+        ("0 / 0", b("/", c(0.0), c(0.0)), None),
+        ("x / 1", b("/", x, c(1.0)), "x1"),
+        ("1 + 2", b("+", c(1.0), c(2.0)), "3"),
+        ("-0 * 1", b("*", c(-0.0), c(1.0)), "0"),  # folds to -0.0, kept as +0.0
+        ("1e200 * 1e200", b("*", c(1e200), c(1e200)), None),
+        ("x^0", Power(CH, x, 0), "1"),
+        ("x^1", Power(CH, x, 1), "x1"),
+        ("2^3", Power(CH, c(2.0), 3), "8"),
+        ("0^-1", Power(CH, c(0.0), -1), None),
+        ("1e200^2", Power(CH, c(1e200), 2), None),
+        ("-(-x)", -(-x), "x1"),
+        ("-(2)", Unary(CH, "neg", c(2.0)), "-2"),
+        ("sin(0)", ex.sin(c(0.0)), "0"),
+        ("exp(800)", ex.exp(c(800.0)), None),
+        ("ln(0)", ex.ln(c(0.0)), None),
+        ("ln(2)", ex.ln(c(2.0)), repr(math.log(2.0))),
+        ("sqrt(-1)", ex.sqrt(c(-1.0)), None),
+        ("sqrt(2)", ex.sqrt(c(2.0)), repr(math.sqrt(2.0))),
+    ]
+
+
+# The reference predates the guard on a power that overflows and raises there.
+REFERENCE_RAISES = {"1e200^2"}
+
+
+def test_every_rule_fires_and_every_kept_case_stays_kept():
+    for name, e, text in rule_cases():
+        s = ex.simplify(e)
+        if text is None:
+            assert s is e, name
+        else:
+            assert ex.to_text(s) == text, name
+        if name in REFERENCE_RAISES:
+            with pytest.raises(OverflowError):
+                ref.simplify(e)
+            assert_same(ex.sum_of([e, X3]), Binary(CH, "+", e, X3))
+        else:
+            assert_same(s, ref.simplify(e))
+            assert_same(ex.sum_of([e, X3]), ref.simplify(e + X3))
+            assert_same(ex.sum_of([X3, e]), ref.simplify(X3 + e))
+            if isinstance(e, Binary) and e.op == "+":
+                # the rule fires in sum_of's own `+`
+                assert_same(ex.sum_of([e.left, e.right]), ref.simplify(e))
+        for axis in range(CH.dim):
+            assert_same(ex.partial(e, axis), ref.partial(e, axis))
+    folded = ex.simplify(dict((n, e) for n, e, _ in rule_cases())["-0 * 1"])
+    assert math.copysign(1.0, folded.value) == 1.0
+
+
+def _inner_ids(e, ids):
+    """Add the ids of the distinct Binary, Power and Unary nodes of e."""
+    if isinstance(e, Binary):
+        children = (e.left, e.right)
+    elif isinstance(e, Power):
+        children = (e.base,)
+    elif isinstance(e, Unary):
+        children = (e.arg,)
+    else:
+        return ids
+    if id(e) not in ids:
+        ids.add(id(e))
+        for child in children:
+            _inner_ids(child, ids)
+    return ids
+
+
+def test_a_node_a_rule_rewrites_is_never_built(monkeypatch):
+    """`partial` builds an inner node only where no rule fires on it: every
+    Binary, Unary and Power it constructs is a distinct node of its result."""
+    cases = [(3.0 * X1, 0), (X1 * X2 + 0.0 * X3, 2), (X1 * X1 * X2, 0)]
+    built = []
+
+    def counting(init):
+        def wrapper(self, *args):
+            built.append(self)
+            init(self, *args)
+        return wrapper
+
+    for cls in (Binary, Unary, Power):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    for e, axis in cases:
+        built.clear()
+        d = ex.partial(e, axis)
+        assert sorted(map(id, built)) == sorted(_inner_ids(d, set())), ex.to_text(d)
+    assert ex.to_text(d) == "(x1 + x1) * x2"
+
+
+def test_an_exponent_past_the_range_raises_where_it_would_fold():
+    # d/dx1 of 2^(-2^31) needs 2^(-2^31 - 1), which would fold to 0
+    e = Power(CH, ex.const(CH, 2.0), -2**31)
+    with pytest.raises(ex.ExformError, match=r"exponent -2147483649 out of range"):
+        ex.partial(e, 0)
