@@ -22,7 +22,10 @@ file goes through `_write_text`, atomically (write, then rename).  JSON
 artifacts go through `_write_json`, which adds the `"schema": "exform/v1"`
 envelope.  They and the `events.jsonl` log are strict JSON: a non-finite
 float is written as the string "inf", "-inf" or "nan".  Strips are CSV or
-JSON (`--format`).
+JSON (`--format`).  `_write_verdict` alone writes the sampled verdicts
+(`form closure`, `form cr`, `form harmonic`, `geom relation`): one boolean
+per verdict, `max_residual`, the `trials`, `tol` and `seed` that replay it
+byte for byte, and any residual texts.
 
 Exit codes: 0 success, 1 assertion failure (--assert-closed on an unclosed
 form), 2 schema/input violation, 3 math domain error.  All randomness flows
@@ -97,6 +100,17 @@ def _write_json(path: Path, obj: dict) -> None:
     _write_text(path, _json_text({"schema": SCHEMA_VERSION, **obj}, indent=2) + "\n")
 
 
+def _write_verdict(args, name: str, extra=None, **residuals) -> tuple[bool, float]:
+    """Write the verdict record `name`; return (all verdicts hold, max residual)."""
+    sampled = {k: forms.form_residual(f, args.trials, args.seed)
+               for k, f in residuals.items()}
+    verdicts = {k: ex.is_zero_residual(r, args.tol) for k, r in sampled.items()}
+    worst = max(sampled.values())
+    _write_json(args.out / name, {**verdicts, "max_residual": worst, "trials": args.trials,
+                                  "tol": args.tol, "seed": args.seed, **(extra or {})})
+    return all(verdicts.values()), worst
+
+
 def _write_strip(path: Path, fan: charpde.Fan, k: int, fmt: str) -> None:
     """Strip k of the fan, one row per sample: s, t (= s), x1..xn, u, p1..pn, F_drift."""
     n = fan.n
@@ -156,12 +170,9 @@ def form_commutator(args) -> None:
 
 
 def form_closure(args) -> None:
-    residual = forms.closure_residual(_load_form(args.input), args.trials, args.seed)
-    closed = ex.is_zero_residual(residual, args.tol)
-    _write_json(args.out / "form_closure.json", {
-        "closed": closed, "max_residual": residual, "trials": args.trials,
-        "tol": args.tol, "seed": args.seed,
-    })
+    closed, residual = _write_verdict(
+        args, "form_closure.json",
+        closed=forms.exterior_derivative(_load_form(args.input)))
     print(f"{'CLOSED' if closed else 'UNCLOSED'} max residual {residual!r}")
     if args.assert_closed and not closed:
         raise AssertionFailure("closure assertion failed")
@@ -183,20 +194,17 @@ def form_cr(args) -> None:
     u = schemas.coeff_from_json(doc.get("u"), chart, "cr.u")
     v = schemas.coeff_from_json(doc.get("v"), chart, "cr.v")
     first, second = dual.cauchy_riemann_residuals(u, v)
-    _write_json(args.out / "form_cr.json", {
-        "first": str(first), "second": str(second),
-        "first_zero": ex.probably_zero(first, args.trials, args.tol, args.seed),
-        "second_zero": ex.probably_zero(second, args.trials, args.tol, args.seed),
-    })
+    _write_verdict(args, "form_cr.json", {"first": str(first), "second": str(second)},
+                   first_zero=forms.scalar_form(first),
+                   second_zero=forms.scalar_form(second))
     print(f"cr residuals: {first} | {second}")
 
 
 def form_harmonic(args) -> None:
     f = schemas.scalar_from_json(schemas.load_json_file(args.input))
     residual = dual.harmonic_residual(f)
-    harmonic = ex.probably_zero(residual, args.trials, args.tol, args.seed)
-    _write_json(args.out / "form_harmonic.json",
-                {"residual": str(residual), "harmonic": harmonic})
+    harmonic, _ = _write_verdict(args, "form_harmonic.json", {"residual": str(residual)},
+                                 harmonic=forms.scalar_form(residual))
     print(f"{'HARMONIC' if harmonic else 'NOT HARMONIC'} residual {residual}")
 
 
@@ -238,11 +246,10 @@ def form_antiderivative(args) -> None:
 
 def geom_torsion(args) -> None:
     conn = _load_connection(args.input)
-    t = evolution.torsion(conn)
-    n = conn.chart.dim
+    # each antisymmetric (mu, nu) pair once, mu < nu
     entries = [{"rho": r, "mu": m, "nu": nu, "coeff": str(c)}
-               for r in range(n) for m in range(n) for nu in range(n)
-               if not ex.is_zero_const(c := t[r].k(m, nu))]
+               for r, pairs in enumerate(evolution.torsion(conn))
+               for (m, nu), c in pairs.entries.items() if not ex.is_zero_const(c)]
     _write_json(args.out / "geom_torsion.json",
                 {"chart": list(conn.chart.names), "entries": entries})
     print(f"torsion: {len(entries)} nonzero entries")
@@ -273,15 +280,10 @@ def geom_evcommutator(args) -> None:
 
 
 def geom_relation(args) -> None:
-    psi = _load_form(args.psi, "psi")
-    omega = _load_form(args.omega, "omega")
-    conn = _load_connection(args.gamma, "gamma") if args.gamma else None
-    rel = evolution.NonidenticalRelation(psi, omega, conn)
-    worst = forms.form_residual(rel.residual_form(), args.trials, args.seed)
-    identical = ex.is_zero_residual(worst, args.tol)
-    _write_json(args.out / "geom_relation.json", {
-        "identical": identical, "max_residual": worst, "points": args.trials,
-    })
+    rel = evolution.NonidenticalRelation(_load_form(args.psi, "psi"),
+                                         _load_form(args.omega, "omega"))
+    identical, worst = _write_verdict(args, "geom_relation.json",
+                                      identical=rel.residual_form())
     print(f"{'IDENTICAL' if identical else 'NONIDENTICAL'} max residual {worst!r}")
 
 
@@ -438,7 +440,6 @@ OPTIONS = {
                             help="exit 1 when the closure check reports UNCLOSED"),
     "--base": dict(required=True, help="comma-separated base point"),
     "--at": dict(action="append", help="evaluation point (repeatable)"),
-    "--gamma": dict(help="connection document"),
 }
 ZERO_TEST = ("--trials", "--tol")
 
@@ -484,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(geom, "torsion", geom_torsion, "--in")
     command(geom, "curvature", geom_curvature, "--in")
     command(geom, "evcommutator", geom_evcommutator, "--omega", "--gamma")
-    command(geom, "relation", geom_relation, "--psi", "--omega",
-            flags=ZERO_TEST + ("--gamma",))
+    command(geom, "relation", geom_relation, "--psi", "--omega", flags=ZERO_TEST)
     command(geom, "bistructure", geom_bistructure, "--in")
 
     pde = group("pde", "first-order PDE analysis")

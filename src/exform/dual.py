@@ -26,8 +26,8 @@ def hodge_star(theta: DifferentialForm) -> DifferentialForm:
     Levi-Civita permutation sign."""
     chart = theta.chart
     n = chart.dim
-    if theta.beyond_top:
-        raise forms.DegreeError("cannot star a beyond-top form")
+    if theta.degree > n:
+        raise forms.DegreeError(f"cannot star a degree-{theta.degree} form over n={n}")
     coeffs: dict[tuple[int, ...], ScalarExpr] = {}
     for index, coeff in theta.coeffs.items():
         comp = tuple(i for i in range(n) if i not in index)

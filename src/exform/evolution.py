@@ -167,7 +167,6 @@ class NonidenticalRelation:
 
     psi: DifferentialForm
     omega: DifferentialForm
-    connection: Connection | None = None
 
     def __post_init__(self):
         if self.psi.chart != self.omega.chart:
@@ -176,8 +175,6 @@ class NonidenticalRelation:
             raise forms.DegreeError(
                 f"need deg(omega) = deg(psi) + 1, got {self.omega.degree} "
                 f"and {self.psi.degree}")
-        if self.connection is not None and self.connection.chart != self.psi.chart:
-            raise ChartMismatchError("connection chart differs")
 
     def residual_form(self) -> DifferentialForm:
         return forms.subtract_forms(forms.exterior_derivative(self.psi), self.omega)

@@ -4,7 +4,8 @@ numerical integration of forms over parametrized cells.
 
 Multi-indices are strictly increasing tuples of axis indices; coefficients
 are ScalarExpr trees.  Absent indices mean zero, and literal-zero
-coefficients are never stored.
+coefficients are never stored.  A degree above the chart's dimension n has
+no index, so such a form is an ordinary empty form of that degree.
 """
 
 from __future__ import annotations
@@ -65,27 +66,18 @@ def merge_indices(a: Index, b: Index) -> tuple[int, Index] | None:
 @dataclass(frozen=True)
 class DifferentialForm:
     """Degree-p skew-symmetric form: map from increasing multi-indices to
-    coefficient expressions.
-
-    ``beyond_top`` marks the zero result of differentiating a top-degree
-    form; such a form has no coefficients and is vacuously closed.
+    coefficient expressions.  Any p >= 0 is a degree; for p above n no index
+    is valid, so the form is empty (d of a top-degree form has degree n+1).
     """
 
     chart: CoordinateChart
     degree: int
     coeffs: Mapping[Index, ScalarExpr] = field(default_factory=dict)
-    beyond_top: bool = False
 
     def __post_init__(self):
         n = self.chart.dim
-        if self.beyond_top:
-            if self.coeffs:
-                raise ValueError("beyond-top forms must be empty")
-            object.__setattr__(self, "degree", n)
-            object.__setattr__(self, "coeffs", {})
-            return
-        if not 0 <= self.degree <= n:
-            raise ValueError(f"degree {self.degree} out of range for n={n}")
+        if self.degree < 0:
+            raise ValueError(f"degree {self.degree} is negative")
         normalized: dict[Index, ScalarExpr] = {}
         for index, coeff in self.coeffs.items():
             index = tuple(index)
@@ -122,8 +114,6 @@ class DifferentialForm:
 
 
 def zero_form(chart: CoordinateChart, degree: int) -> DifferentialForm:
-    if degree > chart.dim:
-        return DifferentialForm(chart, chart.dim, {}, beyond_top=True)
     return DifferentialForm(chart, degree, {})
 
 
@@ -159,8 +149,7 @@ def add_forms(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     for index, coeff in b.coeffs.items():
         merged[index] = ex.Binary(a.chart, "+", merged[index], coeff) \
             if index in merged else coeff
-    return DifferentialForm(a.chart, a.degree, merged,
-                            beyond_top=a.beyond_top and b.beyond_top)
+    return DifferentialForm(a.chart, a.degree, merged)
 
 
 def subtract_forms(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -173,8 +162,7 @@ def subtract_forms(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm
             merged[index] = ex.Binary(a.chart, "-", merged[index], coeff)
         else:
             merged[index] = ex.Unary(a.chart, "neg", coeff)
-    return DifferentialForm(a.chart, a.degree, merged,
-                            beyond_top=a.beyond_top and b.beyond_top)
+    return DifferentialForm(a.chart, a.degree, merged)
 
 
 def scale_form(factor: ScalarExpr | float, form: DifferentialForm) -> DifferentialForm:
@@ -182,8 +170,7 @@ def scale_form(factor: ScalarExpr | float, form: DifferentialForm) -> Differenti
         factor = Const(form.chart, float(factor))
     return DifferentialForm(form.chart, form.degree,
                             {i: ex.Binary(form.chart, "*", factor, c)
-                             for i, c in form.coeffs.items()},
-                            beyond_top=form.beyond_top)
+                             for i, c in form.coeffs.items()})
 
 
 def _check_same_chart(a: DifferentialForm, b: DifferentialForm) -> None:
@@ -195,9 +182,6 @@ def _check_same_chart(a: DifferentialForm, b: DifferentialForm) -> None:
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Exterior product; repeated axes drop, merged indices carry parity signs."""
     _check_same_chart(a, b)
-    degree = a.degree + b.degree
-    if degree > a.chart.dim or a.beyond_top or b.beyond_top:
-        return zero_form(a.chart, degree)
     bucket: dict[Index, ScalarExpr] = {}
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
@@ -207,15 +191,13 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
             sign, index = merged
             _accumulate(bucket, a.chart, index, sign,
                         ex.Binary(a.chart, "*", ca, cb))
-    return DifferentialForm(a.chart, degree, bucket)
+    return DifferentialForm(a.chart, a.degree + b.degree, bucket)
 
 
 def exterior_derivative(theta: DifferentialForm) -> DifferentialForm:
     """d(theta): degree p+1, coefficients are signed sums of partials."""
     chart = theta.chart
     n = chart.dim
-    if theta.beyond_top or theta.degree == n:
-        return zero_form(chart, theta.degree + 1)
     bucket: dict[Index, ScalarExpr] = {}
     for index, coeff in theta.coeffs.items():
         for axis in range(n):

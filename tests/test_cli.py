@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from exform import cli, evolution, expr as ex, forms
+from exform import cli, evolution, expr as ex, forms, schemas
 
 from conftest import FIXTURES
 
@@ -195,6 +195,19 @@ class TestFormCommands:
         doc = read(out, "form_d.json")
         assert doc["terms"] == [{"index": [0, 1, 2], "coeff": "3"}]
 
+    def test_d_of_top_degree_writes_degree_n_plus_1(self, tmp_path, capsys):
+        top = tmp_path / "top.json"
+        top.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1", "x2"], "degree": 2,
+            "terms": [{"index": [0, 1], "coeff": "x1 * x2"}]}))
+        code, out = run(["form", "d", "--in", str(top)], tmp_path)
+        assert code == 0
+        assert capsys.readouterr().out == "d: degree 2 -> 3, 0 terms\n"
+        doc = read(out, "form_d.json")
+        assert doc["degree"] == 3 and doc["terms"] == []
+        reloaded = schemas.form_from_json(doc)
+        assert reloaded.degree == 3 and reloaded.is_zero
+
     def test_wedge(self, tmp_path):
         code, out = run(["form", "wedge",
                          "--a", str(FIXTURES / "form_curl_input.json"),
@@ -292,9 +305,14 @@ class TestFormCommands:
                         lambda _: rel.is_identical()):
             with pytest.raises(ex.ResampleExhaustedError):
                 verdict(theta)
+        scalar = tmp_path / "thin_scalar.json"
+        scalar.write_text(json.dumps({
+            "schema": "exform/v1", "chart": ["x1", "x2"],
+            "expr": "sqrt(x1 - 1.95) * x1"}))
         for argv in (["form", "closure", "--in", str(doc)],
                      ["geom", "relation", "--psi", str(FIXTURES / "form_zero_psi.json"),
-                      "--omega", str(doc)]):
+                      "--omega", str(doc)],
+                     ["form", "harmonic", "--in", str(scalar)]):
             assert run(argv, tmp_path)[0] == cli.EXIT_MATH
             assert "could not collect 64 in-domain points" in capsys.readouterr().err
 
@@ -305,7 +323,7 @@ class TestGeomCommands:
                          str(FIXTURES / "conn_torsion.json")], tmp_path)
         doc = read(out, "geom_torsion.json")
         table = {(e["rho"], e["mu"], e["nu"]): e["coeff"] for e in doc["entries"]}
-        assert table == {(0, 0, 1): "x2", (0, 1, 0): "-x2"}
+        assert table == {(0, 0, 1): "x2"}
 
     def test_symmetric_torsion_empty(self, tmp_path):
         _, out = run(["geom", "torsion", "--in",
@@ -412,6 +430,32 @@ class TestPdeCommands:
         _, out = run(["pde", "bracket", "--in",
                       str(FIXTURES / "bracket_momentum.json")], tmp_path)
         assert read(out, "pde_bracket.json")["bracket"] == "-1"
+
+
+# the sampled-verdict commands and the record each writes
+VERDICTS = [
+    (["form", "closure", "--in", "form_unclosed.json"], "form_closure.json"),
+    (["geom", "relation", "--psi", "form_zero_psi.json",
+      "--omega", "form_unclosed.json"], "geom_relation.json"),
+    (["form", "cr", "--in", "cr_pair.json"], "form_cr.json"),
+    (["form", "harmonic", "--in", "scalar_nonharmonic.json"], "form_harmonic.json"),
+]
+
+
+@pytest.mark.parametrize("argv, record", VERDICTS, ids=[r for _, r in VERDICTS])
+def test_verdict_record_replays_its_verdict(argv, record, tmp_path):
+    """Rerun with the trials, tol and seed read from the record: same bytes."""
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(argv, tmp_path / "first",
+                    extra=("--trials", "17", "--tol", "1e-7", "--seed", "5"))
+    doc = read(out, record)
+    assert (doc["trials"], doc["tol"], doc["seed"]) == (17, 1e-7, 5)
+    assert isinstance(doc["max_residual"], float)
+    replay = ("--trials", str(doc["trials"]), "--tol", repr(doc["tol"]),
+              "--seed", str(doc["seed"]))
+    code2, out2 = run(argv, tmp_path / "replay", extra=replay)
+    assert code2 == code == 0
+    assert (out2 / record).read_bytes() == (out / record).read_bytes()
 
 
 class TestSchemaRoundTrip:

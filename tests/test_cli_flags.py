@@ -28,7 +28,7 @@ DECLARED = {
     "geom torsion": ("--in",),
     "geom curvature": ("--in",),
     "geom evcommutator": ("--omega", "--gamma"),
-    "geom relation": ("--psi", "--omega", "--gamma", "--trials", "--tol"),
+    "geom relation": ("--psi", "--omega", "--trials", "--tol"),
     "geom bistructure": ("--in",),
     "pde charpit": ("--in", "--steps", "--format"),
     "pde hj": ("--in", "--steps", "--format"),

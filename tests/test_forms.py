@@ -80,15 +80,21 @@ class TestWedge:
     def test_degree_overflow_is_zero(self):
         two = forms.DifferentialForm(CH2, 2, {(0, 1): A1})
         w = forms.wedge(two, forms.basis_one_form(CH2, 0))
-        assert w.is_zero and w.beyond_top
+        assert w.is_zero and w.degree == 3
 
     @pytest.mark.parametrize("combine", [forms.add_forms, forms.subtract_forms])
     def test_sum_of_beyond_top_forms_stays_beyond_top(self, combine):
         bt = forms.zero_form(CH2, 3)
         total = combine(bt, bt)
-        assert total.beyond_top
+        assert total.is_zero and total.degree == 3
         with pytest.raises(forms.DegreeError):
             dual.hodge_star(total)
+
+    @pytest.mark.parametrize("combine", [forms.add_forms, forms.subtract_forms])
+    def test_form_above_top_degree_does_not_add_to_top_degree(self, combine):
+        top = forms.DifferentialForm(CH2, 2, {(0, 1): A1})
+        with pytest.raises(forms.DegreeError):
+            combine(forms.exterior_derivative(top), top)
 
     def test_antisymmetry_property(self, rng):
         for _ in range(25):
@@ -150,8 +156,9 @@ class TestExteriorDerivative:
     def test_top_degree_flagged(self):
         top = forms.DifferentialForm(CH2, 2, {(0, 1): A1})
         d = forms.exterior_derivative(top)
-        assert d.is_zero and d.beyond_top
+        assert d.is_zero and d.degree == 3
         assert forms.is_closed(d)
+        assert forms.exterior_derivative(d).degree == 4
 
     def test_nilpotency_on_corpus(self, rng):
         charts = [CH2, CH3, ex.chart("x1", "x2", "x3", "x4")]

@@ -6,6 +6,9 @@ stdout and every artifact byte-identical.  To regenerate the file after a
 change that is meant to alter results, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each command key it added, removed or changed against the file it
+overwrites, with the changed fields, so a change can name what moved.
 """
 
 import contextlib
@@ -59,8 +62,6 @@ COMMANDS = [
     (["form", "antiderivative", "--in", F + "form_exact_pair.json", "--base", "0,0"], 0),
     (["geom", "evcommutator", "--omega", F + "form_exact_pair.json",
       "--gamma", F + "conn_torsion.json"], 0),
-    (["geom", "relation", "--psi", F + "form_zero_psi.json",
-      "--omega", F + "form_unclosed.json", "--gamma", F + "conn_torsion.json"], 0),
 ]
 
 
@@ -99,6 +100,30 @@ def test_command_matches_golden(argv, expect_code, tmp_path):
             json.loads(doc, parse_constant=reject_constant)
 
 
+def table_changes(old: dict, new: dict) -> list[str]:
+    """One line per command key added, removed or changed from old to new;
+    a changed key lists its changed fields (code, stdout, artifact names)."""
+    lines = [f"added: {key}" for key in sorted(new.keys() - old.keys())]
+    lines += [f"removed: {key}" for key in sorted(old.keys() - new.keys())]
+    for key in sorted(old.keys() & new.keys()):
+        a, b = old[key], new[key]
+        fields = [f for f in ("code", "stdout") if a[f] != b[f]]
+        fields += sorted(name for name in a["artifacts"].keys() | b["artifacts"].keys()
+                         if a["artifacts"].get(name) != b["artifacts"].get(name))
+        if fields:
+            lines.append(f"changed: {key} ({', '.join(fields)})")
+    return lines
+
+
+def test_table_changes_names_each_moved_key():
+    row = {"code": 0, "stdout": "x\n", "artifacts": {"a.json": "1", "b.json": "2"}}
+    moved = {**row, "stdout": "y\n", "artifacts": {"a.json": "1", "b.json": "3"}}
+    old = {"kept": row, "moved": row, "gone": row}
+    new = {"kept": row, "moved": moved, "new": row}
+    assert table_changes(old, new) == [
+        "added: new", "removed: gone", "changed: moved (stdout, b.json)"]
+
+
 def test_golden_covers_every_fixture():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(command_key(argv) for argv, _ in COMMANDS)
@@ -108,8 +133,10 @@ def test_golden_covers_every_fixture():
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = {command_key(argv): run_command(argv, pathlib.Path(tmp) / f"out{k}")
                  for k, (argv, _) in enumerate(COMMANDS)}
     GOLDEN.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n",
                       encoding="utf-8")
+    print("\n".join(table_changes(old, table)) or "no command changed")
