@@ -28,9 +28,9 @@ per verdict, `max_residual`, the `trials`, `tol` and `seed` that replay it
 byte for byte, and any residual texts.
 
 Exit codes: 0 success, 1 assertion failure (--assert-closed on an unclosed
-form), 2 schema/input violation, 3 math domain error.  All randomness flows
-from the single configured seed; two runs with identical inputs and
-configuration produce byte-identical artifacts.
+form), 2 schema/input violation (a form of the wrong degree included), 3 math
+domain error.  All randomness flows from the single configured seed; two runs
+with identical inputs and configuration produce byte-identical artifacts.
 
 Seed precedence: --seed flag, then the EXFORM_SEED environment variable,
 then 42.
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     except AssertionFailure as err:
         print(f"assertion failed: {err}", file=sys.stderr)
         return EXIT_ASSERT
-    except SchemaError as err:
+    except (SchemaError, forms.DegreeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
     except ex.ExformError as err:

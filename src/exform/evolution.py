@@ -44,9 +44,10 @@ class Connection:
             if not ex.is_zero_const(coeff):
                 cleaned[(rho, mu, nu)] = coeff
         object.__setattr__(self, "gamma", dict(sorted(cleaned.items())))
+        object.__setattr__(self, "_zero", Const(self.chart, 0.0))  # not a field
 
     def coeff(self, rho: int, mu: int, nu: int) -> ScalarExpr:
-        return self.gamma.get((rho, mu, nu), Const(self.chart, 0.0))
+        return self.gamma.get((rho, mu, nu), self._zero)
 
 
 def torsion(conn: Connection) -> tuple[Commutator1, ...]:

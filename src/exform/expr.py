@@ -27,6 +27,12 @@ dataclass fields, so they never take part in `==`, `hash` or `repr`:
   node of the argument once; that memo lives only for the call, on no node
   and in no global table, and a result may share subtrees.
 
+Leaves and constants may be shared within one `parse_expr` or one `partial`
+call, never through a global table: a parse makes one Coord per name and one
+Const per number text, a `partial` call one zero and one one for every leaf it
+differentiates, and `_bin` returns a Const operand that is its fold's value,
+to the sign of zero, instead of a copy.
+
 Numeric evaluation goes through `evaluate_pack`: expressions over one chart
 run as one tape, cached per tuple, in one kernel call, and `evaluate_many`
 and `evaluate` are its one-expression cases.  Error rule: the first
@@ -284,160 +290,137 @@ def free_axes(e: ScalarExpr) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # parsing
 
-
-_TOKEN_NUM = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int]] = []
-        self._run()
-
-    def _run(self):
-        text = self.text
-        n = len(text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            # ASCII only: str.isdigit and str.isalpha accept '²' and 'é' too
-            if c in "0123456789." and (m := _TOKEN_NUM.match(text, i)):
-                end = m.end()
-                if end < n and (text[end].isalnum() or text[end] in "._"):
-                    raise ParseError("malformed number", text, i)
-                if not math.isfinite(value := float(m.group())):
-                    raise ParseError("number out of range", text, i)
-                self.tokens.append(("num", value, i))
-                i = end
-                continue
-            if m := _IDENT_RE.match(text, i):
-                self.tokens.append(("ident", m.group(), i))
-                i = m.end()
-                continue
-            raise ParseError(f"unexpected character {c!r}", text, i)
-        self.tokens.append(("end", None, n))
+# One scan makes every token: an operator, a name, a number with the letter,
+# digit, '_' or '.' that follows it if any (then it is malformed: it does not
+# match _NUMBER_RE), or any other non-space character.  Digits are ASCII only,
+# as \d, str.isdigit and float() accept '٣' too; \s is str.isspace and \w is
+# str.isalnum or '_'.
+_NUMBER_RE = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_TOKEN_RE = re.compile(rf"\s*([-+*/^()]|{_IDENT_RE.pattern}|{_NUMBER_RE.pattern}[\w.]?|\S)")
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-class _Parser:
-    """Precedence climbing: ^  >  unary -  >  * /  >  + -, binaries left-assoc."""
+def _is_number(t: str) -> bool:
+    return t[:1] in _DIGITS or t[:1] == "." and len(t) > 1
 
-    def __init__(self, text: str, ch: CoordinateChart):
-        self.text = text
-        self.chart = ch
-        self.tokens = _Tokenizer(text).tokens
-        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", self.text, tok[2])
-        return tok
-
-    def parse(self) -> ScalarExpr:
-        e = self.additive()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected token {tok[1]!r}", self.text, tok[2])
-        return e
-
-    def additive(self) -> ScalarExpr:
-        e = self.multiplicative()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.multiplicative()
-            e = Binary(self.chart, op, e, rhs)
-        return e
-
-    def multiplicative(self) -> ScalarExpr:
-        e = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.unary()
-            e = Binary(self.chart, op, e, rhs)
-        return e
-
-    def unary(self) -> ScalarExpr:
-        if self.peek()[0] == "-":
-            self.advance()
-            operand = self.unary()
-            # a negated numeric literal is a negative constant
-            if isinstance(operand, Const):
-                return Const(self.chart, -operand.value)
-            return Unary(self.chart, "neg", operand)
-        return self.power()
-
-    def power(self) -> ScalarExpr:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return Power(self.chart, base, self.exponent())
-        return base
-
-    def exponent(self) -> int:
-        # constant integer exponents only; general powers go through exp/ln
-        tok = self.peek()
-        if tok[0] == "(":
-            self.advance()
-            k = self.exponent()
-            self.expect(")")
-            return k
-        neg = False
-        if tok[0] == "-":
-            self.advance()
-            neg = True
-            tok = self.peek()
-        if tok[0] != "num":
-            raise ParseError("exponent must be a constant integer", self.text, tok[2])
-        self.advance()
-        value = tok[1]
-        if value != int(value):
-            raise ParseError("exponent must be a constant integer", self.text, tok[2])
-        if value > 2**31:
-            raise ParseError("exponent out of range", self.text, tok[2])
-        return -int(value) if neg else int(value)
-
-    def atom(self) -> ScalarExpr:
-        tok = self.advance()
-        kind, value, pos = tok
-        if kind == "num":
-            return Const(self.chart, value)
-        if kind == "(":
-            e = self.additive()
-            self.expect(")")
-            return e
-        if kind == "ident":
-            if value in FUNCTION_NAMES:
-                self.expect("(")
-                arg = self.additive()
-                self.expect(")")
-                return Unary(self.chart, value, arg)
-            try:
-                axis = self.chart.axis(value)
-            except KeyError:
-                raise ParseError(f"unknown identifier {value!r}", self.text, pos) from None
-            return Coord(self.chart, axis)
-        raise ParseError(f"unexpected token {value!r}", self.text, pos)
+def _parse_error(text: str, k: int, message: str, found: bool = False) -> ParseError:
+    """The error of a parse that stopped at token k (the end if there is no
+    token k).  A lexical error (unexpected character, malformed or infinite
+    number) anywhere in the text comes first, the earliest one; otherwise
+    `message`, followed by the token's value if `found`.  Positions are found
+    only here, by a second scan."""
+    pos, value = len(text), None
+    for n, m in enumerate(_TOKEN_RE.finditer(text)):
+        t = m.group(1)
+        if _is_number(t):
+            if not _NUMBER_RE.fullmatch(t):
+                return ParseError("malformed number", text, m.start(1))
+            if not math.isfinite(float(t)):
+                return ParseError("number out of range", text, m.start(1))
+        elif t[0] not in _NAME_START and t not in "+-*/^()":  # t is one character
+            return ParseError(f"unexpected character {t!r}", text, m.start(1))
+        if n == k:
+            pos, value = m.start(1), float(t) if _is_number(t) else t
+    return ParseError(f"{message} {value!r}" if found else message, text, pos)
 
 
 def parse_expr(text: str, ch: CoordinateChart) -> ScalarExpr:
-    """Parse expression text over the chart.  Whitespace-insensitive."""
-    return _Parser(text, ch).parse()
+    """Parse expression text over the chart.  Whitespace-insensitive.
+
+    Precedence climbing: ^  >  unary -  >  * /  >  + -, binaries left-assoc.
+    Each name and each number text makes one leaf, shared by its uses."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end
+    leaves: dict[str, ScalarExpr] = {}
+    i = 0
+
+    def binary(min_prec: int) -> ScalarExpr:
+        nonlocal i
+        e = operand()
+        op = tokens[i]
+        while _BINARY_PREC.get(op, 0) >= min_prec:
+            i += 1
+            e = Binary(ch, op, e, operand() if op in "*/" else binary(2))
+            op = tokens[i]
+        return e
+
+    def operand() -> ScalarExpr:
+        nonlocal i
+        t = tokens[i]
+        i += 1
+        e = leaves.get(t)
+        if e is None:
+            if t == "(":
+                e = binary(1)
+                expect(")")
+            elif t == "-":
+                e = operand()
+                # a negated numeric literal is a negative constant
+                return Const(ch, -e.value) if e.__class__ is Const else Unary(ch, "neg", e)
+            elif t in FUNCTION_NAMES:
+                expect("(")
+                e = Unary(ch, t, binary(1))
+                expect(")")
+            else:
+                e = leaves[t] = leaf(t, i - 1)
+        if tokens[i] == "^":
+            i += 1
+            return Power(ch, e, exponent())
+        return e
+
+    def leaf(t: str, k: int) -> ScalarExpr:
+        if _is_number(t):
+            return Const(ch, number(t, k))
+        if t[:1] in _NAME_START:
+            try:
+                return Coord(ch, ch.axis(t))
+            except KeyError:
+                raise _parse_error(text, k, f"unknown identifier {t!r}") from None
+        raise _parse_error(text, k, "unexpected token", found=True)
+
+    def number(t: str, k: int) -> float:
+        if _NUMBER_RE.fullmatch(t) and math.isfinite(v := float(t)):
+            return v
+        raise _parse_error(text, k, "malformed number")  # the scan names the fault
+
+    def expect(t: str):
+        nonlocal i
+        if tokens[i] != t:
+            raise _parse_error(text, i, f"expected {t!r}, found", found=True)
+        i += 1
+
+    def exponent() -> int:
+        # constant integer exponents only; general powers go through exp/ln
+        nonlocal i
+        if tokens[i] == "(":
+            i += 1
+            k = exponent()
+            expect(")")
+            return k
+        neg = tokens[i] == "-"
+        i += neg
+        if not _is_number(tokens[i]):
+            raise _parse_error(text, i, "exponent must be a constant integer")
+        value = number(tokens[i], i)
+        if value != int(value):
+            raise _parse_error(text, i, "exponent must be a constant integer")
+        if value > 2**31:
+            raise _parse_error(text, i, "exponent out of range")
+        i += 1
+        return -int(value) if neg else int(value)
+
+    try:
+        e = binary(1)
+    finally:
+        # the closures call each other, a reference cycle that would outlive
+        # the call until the cyclic collector ran; cut it so it is freed now
+        binary = operand = exponent = None
+    if tokens[i]:
+        raise _parse_error(text, i, "unexpected token", found=True)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +517,16 @@ _UNARY_FOLD = {
 # read by getattr, never __dict__, which makes CPython build a dict per node.
 
 
+def _const(ch: CoordinateChart, v: float, l: ScalarExpr, r: ScalarExpr) -> Const:
+    """Const(ch, v) for a value `_bin` folds to (never -0.0): an operand that
+    is that constant, to the sign of zero, is returned instead of a new node."""
+    if l.__class__ is Const and l.value == v and (v or math.copysign(1.0, l.value) > 0):
+        return l
+    if r.__class__ is Const and r.value == v and (v or math.copysign(1.0, r.value) > 0):
+        return r
+    return Const(ch, v)
+
+
 def _bin(ch: CoordinateChart, op: str, l: ScalarExpr, r: ScalarExpr,
          node: ScalarExpr | None = None) -> ScalarExpr:
     if isinstance(l, Const):
@@ -541,7 +534,7 @@ def _bin(ch: CoordinateChart, op: str, l: ScalarExpr, r: ScalarExpr,
         if isinstance(r, Const):
             v = _fold_binary(op, lv, r.value)
             if v is not None:
-                return Const(ch, 0.0 if v == 0.0 else v)
+                return _const(ch, 0.0 if v == 0.0 else v, l, r)
     else:
         lv = None  # never == 0.0 or 1.0
     rv = r.value if isinstance(r, Const) else None
@@ -570,14 +563,14 @@ def _bin(ch: CoordinateChart, op: str, l: ScalarExpr, r: ScalarExpr,
             return Const(ch, 0.0)
     elif op == "*":
         if lv == 0.0 or rv == 0.0:
-            return Const(ch, 0.0)
+            return _const(ch, 0.0, l, r)
         if lv == 1.0:
             return r
         if rv == 1.0:
             return l
     else:  # /
         if lv == 0.0 and rv != 0.0:
-            return Const(ch, 0.0)
+            return _const(ch, 0.0, l, r)
         if rv == 1.0:
             return l
     if node is None:
@@ -675,7 +668,8 @@ def partial(e: ScalarExpr, axis: int) -> ScalarExpr:
         memo = {}
         object.__setattr__(e, "_partials", memo)
     if axis not in memo:
-        memo[axis] = _diff(e, axis, {})
+        ch = e.chart
+        memo[axis] = _diff(e, axis, {}, (Const(ch, 0.0), Const(ch, 1.0)))
     return memo[axis]
 
 
@@ -684,51 +678,52 @@ def _copy(e: ScalarExpr) -> ScalarExpr:
     return e if getattr(e, "_simple", False) else simplify(e)
 
 
-def _diff(e: ScalarExpr, axis: int, seen: dict) -> ScalarExpr:
+def _diff(e: ScalarExpr, axis: int, seen: dict, leaf: tuple[Const, Const]) -> ScalarExpr:
     """`simplify` of the derivative tree, made by the constructors that hold
     the rules, so no node a rule fires on is built; operands copied from `e`
     go through `_copy`.  `seen`, a memo that lives for one `partial` call,
     maps the `id` of each inner node differentiated so far to its derivative:
     a node on several paths is differentiated once and its derivative is
     shared.  Leaves get no entry.  The call's argument keeps every keyed node
-    alive, so no id is reused."""
+    alive, so no id is reused.  `leaf` is the call's zero and one, the
+    derivative of every leaf and of every x^0."""
     ch = e.chart
     match e:
         case Const() | Power(exponent=0):
-            return Const(ch, 0.0)
+            return leaf[0]
         case Coord(axis=a):
-            return Const(ch, 1.0 if a == axis else 0.0)
+            return leaf[a == axis]
     d = seen.get(id(e))
     if d is not None:
         return d
     match e:
         case Binary(op="+" | "-" as op, left=l, right=r):
-            d = _bin(ch, op, _diff(l, axis, seen), _diff(r, axis, seen))
+            d = _bin(ch, op, _diff(l, axis, seen, leaf), _diff(r, axis, seen, leaf))
         case Binary(op="*", left=l, right=r):
-            d = _bin(ch, "+", _bin(ch, "*", _diff(l, axis, seen), _copy(r)),
-                     _bin(ch, "*", _copy(l), _diff(r, axis, seen)))
+            d = _bin(ch, "+", _bin(ch, "*", _diff(l, axis, seen, leaf), _copy(r)),
+                     _bin(ch, "*", _copy(l), _diff(r, axis, seen, leaf)))
         case Binary(op="/", left=l, right=r):
             sr = _copy(r)
-            num = _bin(ch, "-", _bin(ch, "*", _diff(l, axis, seen), sr),
-                       _bin(ch, "*", _copy(l), _diff(r, axis, seen)))
+            num = _bin(ch, "-", _bin(ch, "*", _diff(l, axis, seen, leaf), sr),
+                       _bin(ch, "*", _copy(l), _diff(r, axis, seen, leaf)))
             d = _bin(ch, "/", num, _pow(ch, sr, 2))
         case Power(base=b, exponent=k):
             scaled = _bin(ch, "*", Const(ch, float(k)), _pow(ch, _copy(b), k - 1))
-            d = _bin(ch, "*", scaled, _diff(b, axis, seen))
+            d = _bin(ch, "*", scaled, _diff(b, axis, seen, leaf))
         case Unary(fn="neg", arg=a):
-            d = _un(ch, "neg", _diff(a, axis, seen))
+            d = _un(ch, "neg", _diff(a, axis, seen, leaf))
         case Unary(fn="sin", arg=a):
-            d = _bin(ch, "*", _un(ch, "cos", _copy(a)), _diff(a, axis, seen))
+            d = _bin(ch, "*", _un(ch, "cos", _copy(a)), _diff(a, axis, seen, leaf))
         case Unary(fn="cos", arg=a):
             d = _un(ch, "neg", _bin(
-                ch, "*", _un(ch, "sin", _copy(a)), _diff(a, axis, seen)))
+                ch, "*", _un(ch, "sin", _copy(a)), _diff(a, axis, seen, leaf)))
         case Unary(fn="exp", arg=a):
-            d = _bin(ch, "*", _copy(e), _diff(a, axis, seen))
+            d = _bin(ch, "*", _copy(e), _diff(a, axis, seen, leaf))
         case Unary(fn="ln", arg=a):
-            d = _bin(ch, "/", _diff(a, axis, seen), _copy(a))
+            d = _bin(ch, "/", _diff(a, axis, seen, leaf), _copy(a))
         case Unary(fn="sqrt", arg=a):
             denom = _bin(ch, "*", Const(ch, 2.0), _copy(e))
-            d = _bin(ch, "/", _diff(a, axis, seen), denom)
+            d = _bin(ch, "/", _diff(a, axis, seen, leaf), denom)
         case _:
             raise TypeError(f"not a ScalarExpr node: {e!r}")
     seen[id(e)] = d

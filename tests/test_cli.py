@@ -93,6 +93,23 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_relation_of_two_one_forms_is_an_input_error(self, tmp_path, capsys):
+        code, out = run(["geom", "relation", "--psi", str(FIXTURES / "form_exact_pair.json"),
+                         "--omega", str(FIXTURES / "form_unclosed.json")], tmp_path)
+        assert code == cli.EXIT_SCHEMA
+        assert ("input error: need deg(omega) = deg(psi) + 1, got 1 and 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_star_above_the_top_degree_is_an_input_error(self, tmp_path, capsys):
+        doc = tmp_path / "degree3.json"
+        doc.write_text(json.dumps({"schema": "exform/v1", "chart": ["x1", "x2"],
+                                   "degree": 3, "terms": []}))
+        code, out = run(["form", "star", "--in", str(doc)], tmp_path)
+        assert code == cli.EXIT_SCHEMA
+        assert "input error: cannot star a degree-3 form over n=2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exponent_past_the_range_is_a_math_error(self, tmp_path, capsys):
         # x1^(-2^31) parses; its derivative would need the exponent -2^31 - 1
         doc = tmp_path / "lowpower.json"

@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from exform import expr as ex
 from exform import forms
 from exform.expr import Binary, Const, Coord, Power, Unary
 
+import parse_reference
 import simplify_reference as ref
 from conftest import rand_expr, smooth_trees
 
@@ -119,6 +121,24 @@ class TestParse:
         with pytest.raises(ex.ParseError, match=f"unexpected character {char!r}") as err:
             ex.parse_expr(text, CH2)
         assert err.value.pos == pos
+
+    @pytest.mark.parametrize("text, pos", [("1٣", 0), ("x1^2٣", 3)])
+    def test_numbers_are_ascii_digits_only(self, text, pos):
+        # float() reads "1٣" as 13, so a number run into another digit is malformed
+        with pytest.raises(ex.ParseError, match="malformed number") as err:
+            ex.parse_expr(text, CH2)
+        assert err.value.pos == pos
+
+    def test_a_parse_leaves_no_garbage_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            ex.parse_expr("sin(x1)^2 - -(x2 * 3)^(-1)", CH2)
+            with pytest.raises(ex.ParseError):
+                ex.parse_expr("x1 * (x2 + ", CH2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_precedence_pow_over_unary_minus(self):
         assert ex.parse_expr("-x1^2", CH2) == Unary(CH2, "neg", Power(CH2, X1, 2))
@@ -480,6 +500,44 @@ class TestProbablyZero:
     def test_tol_boundary(self):
         assert ex.probably_zero(ex.const(CH2, 1e-10), tol=1e-9)
         assert not ex.probably_zero(ex.const(CH2, 1e-8), tol=1e-9)
+
+
+TOKEN_SOUP = ["x1", "x2", "q", "sin", "exp", "(", ")", "+", "-", "*", "/", "^", " ", "\t",
+              "2", "0", "-0", "1.5", ".5", "1.", ".", "1e3", "1e400", "1e-400", "1.2.3", "2y",
+              "2_", "1e", "2.5", "2147483648", "2147483649", "?", "é", "²", "٣"]
+
+
+def parse_outcome(parse, text):
+    """The tree and its repr, or the ParseError's message and position."""
+    try:
+        e = parse(text, CH2)
+    except ex.ParseError as err:
+        return str(err), err.pos
+    return e, repr(e)
+
+
+class TestParseReference:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.one_of(grammar_trees(CH2).map(ex.to_text), smooth_trees(CH2).map(ex.to_text),
+                     st.lists(st.sampled_from(TOKEN_SOUP), min_size=1, max_size=12).map("".join)))
+    @example("x1^2.5")
+    @example("x1^(-2147483649)")
+    @example("x1^(-2147483648) * (2 - -x2)")
+    @example("1٣ + x1")
+    @example("sin x1")
+    @example("(x1 + x2")
+    def test_parse_matches_reference(self, text):
+        assert parse_outcome(ex.parse_expr, text) == parse_outcome(parse_reference.parse_expr, text)
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("x1 + ) + 2y", "malformed number", 9),
+        ("(x1 ? 2y", "unexpected character '?'", 4),
+        ("x1 + ) + 2", "unexpected token ')'", 5),
+        ("(x1 + 2", "expected ')', found None", 7),
+    ])
+    def test_lexical_errors_come_before_syntax_errors(self, text, message, pos):
+        assert parse_outcome(ex.parse_expr, text) == (f"{message} at position {pos}: {text!r}",
+                                                      pos)
 
 
 class TestRoundTrip:

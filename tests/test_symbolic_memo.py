@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from exform import expr as ex
-from exform.expr import Binary, Power, Unary
+from exform import evolution, expr as ex
+from exform.expr import Binary, Const, Coord, Power, Unary
 
 import simplify_reference as ref
 from conftest import rand_expr
@@ -259,10 +259,8 @@ def _inner_ids(e, ids):
     return ids
 
 
-def test_a_node_a_rule_rewrites_is_never_built(monkeypatch):
-    """`partial` builds an inner node only where no rule fires on it: every
-    Binary, Unary and Power it constructs is a distinct node of its result."""
-    cases = [(3.0 * X1, 0), (X1 * X2 + 0.0 * X3, 2), (X1 * X1 * X2, 0)]
+def record_constructions(monkeypatch, *classes):
+    """A list that every node of the given classes is appended to when built."""
     built = []
 
     def counting(init):
@@ -271,8 +269,16 @@ def test_a_node_a_rule_rewrites_is_never_built(monkeypatch):
             init(self, *args)
         return wrapper
 
-    for cls in (Binary, Unary, Power):
+    for cls in classes:
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    return built
+
+
+def test_a_node_a_rule_rewrites_is_never_built(monkeypatch):
+    """`partial` builds an inner node only where no rule fires on it: every
+    Binary, Unary and Power it constructs is a distinct node of its result."""
+    cases = [(3.0 * X1, 0), (X1 * X2 + 0.0 * X3, 2), (X1 * X1 * X2, 0)]
+    built = record_constructions(monkeypatch, Binary, Unary, Power)
     for e, axis in cases:
         built.clear()
         d = ex.partial(e, axis)
@@ -285,3 +291,53 @@ def test_an_exponent_past_the_range_raises_where_it_would_fold():
     e = Power(CH, ex.const(CH, 2.0), -2**31)
     with pytest.raises(ex.ExformError, match=r"exponent -2147483649 out of range"):
         ex.partial(e, 0)
+
+
+def test_partial_builds_one_zero_and_one_one_per_call(monkeypatch):
+    e = X1 * X2 + X2 * X3 + X1 * X3 * X1
+    built = record_constructions(monkeypatch, Const)
+    for axis, text in enumerate(["x2 + (x3 * x1 + x1 * x3)", "x1 + x3", "x2 + x1 * x1"]):
+        built.clear()
+        assert ex.to_text(ex.partial(e, axis)) == text
+        assert len(built) <= 2
+
+
+def test_a_fold_to_an_operand_returns_the_operand(monkeypatch):
+    zero, zero2, one, two = (ex.const(CH, v) for v in (0.0, 0.0, 1.0, 2.0))
+    built = record_constructions(monkeypatch, Const)
+    assert ex._bin(CH, "*", zero, X1) is zero
+    assert ex._bin(CH, "*", X1, zero) is zero
+    assert ex._bin(CH, "+", zero, zero2) is zero
+    assert ex._bin(CH, "*", one, two) is two
+    assert ex._bin(CH, "/", zero, X1) is zero
+    assert built == []
+
+
+def test_a_fold_to_positive_zero_never_returns_negative_zero():
+    neg = ex.const(CH, -0.0)
+    for got in (ex._bin(CH, "*", X1, neg), ex._bin(CH, "*", neg, X1),
+                ex._bin(CH, "+", neg, neg), ex._bin(CH, "*", neg, ex.const(CH, 1.0))):
+        assert got is not neg
+        assert repr(got) == repr(ex.const(CH, 0.0))
+    zero = ex.const(CH, 0.0)
+    assert ex._bin(CH, "+", zero, neg) is zero
+    assert ex._bin(CH, "+", neg, zero) is zero
+
+
+def test_connection_returns_one_shared_zero(monkeypatch):
+    conn = evolution.Connection(CH, {(0, 0, 1): X1})
+    built = record_constructions(monkeypatch, Const)
+    zeros = [conn.coeff(r, m, n) for r in range(3) for m in range(3) for n in range(3)
+             if (r, m, n) != (0, 0, 1)]
+    assert built == []
+    assert all(z is zeros[0] for z in zeros)
+    assert repr(zeros[0]) == repr(ex.const(CH, 0.0))
+    assert conn.coeff(0, 0, 1) is conn.gamma[(0, 0, 1)]
+
+
+def test_parse_builds_one_leaf_per_name_and_number(monkeypatch):
+    built = record_constructions(monkeypatch, Const, Coord)
+    e = ex.parse_expr("2*x1*x1 + 2*x1", CH)
+    assert sorted(type(n).__name__ for n in built) == ["Const", "Coord"]
+    assert e.right.left is e.left.left.left and e.right.right is e.left.right
+    assert ex.to_text(e) == "2 * x1 * x1 + 2 * x1"
