@@ -130,7 +130,7 @@ class HJEquation:
         repl += [ex.Coord(target, n1 + 1 + 1 + i) for i in range(self.n)]
         lifted_E = ex.compose(self.E, target, repl)
         p_t = ex.Coord(target, n1 + 1)  # momentum conjugate to the time slot
-        return FirstOrderPDE(n1, ex.Binary(target, "+", p_t, lifted_E))
+        return FirstOrderPDE(n1, p_t + lifted_E)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +149,8 @@ def _charpit_system(pde: FirstOrderPDE):
     f_u = ex.partial(F, n)
     p_coord = [ex.Coord(chart, n + 1 + i) for i in range(n)]
     dx = list(f_p)
-    du = ex.sum_of(ex.Binary(chart, "*", p_coord[i], f_p[i]) for i in range(n))
-    dp = [ex.simplify(ex.Unary(chart, "neg",
-                               ex.Binary(chart, "+", f_x[i],
-                                         ex.Binary(chart, "*", p_coord[i], f_u))))
-          for i in range(n)]
+    du = ex.sum_of(p_coord[i] * f_p[i] for i in range(n))
+    dp = [-(f_x[i] + p_coord[i] * f_u) for i in range(n)]
     rhs = tuple(dx + [du] + dp)
     return rhs, ex._tape_for(rhs), F
 
@@ -365,10 +362,8 @@ def _canonical_system(hj: HJEquation):
     e_p = [ex.partial(hj.E, 1 + n + j) for j in range(n)]
     e_x = [ex.partial(hj.E, 1 + j) for j in range(n)]
     dx = [lift(e) for e in e_p]
-    du = ex.simplify(ex.Binary(dst, "-", ex.sum_of(
-        ex.Binary(dst, "*", ex.Coord(dst, n + 2 + j), dx[j]) for j in range(n)),
-        lift(hj.E)))
-    dp = [ex.simplify(ex.Unary(dst, "neg", lift(e))) for e in e_x]
+    du = ex.sum_of(ex.Coord(dst, n + 2 + j) * dx[j] for j in range(n)) - lift(hj.E)
+    dp = [-lift(e) for e in e_x]
     rhs = (ex.Const(dst, 1.0), *dx, du, *dp)
     return rhs, ex._tape_for(rhs), lift(hj.E)
 
@@ -398,11 +393,8 @@ def poisson_bracket(E: ScalarExpr, V: ScalarExpr) -> ScalarExpr:
     if chart.dim < 3 or chart.dim % 2 == 0:
         raise ValueError("bracket needs a (t, x1..xn, p1..pn) chart")
     n = (chart.dim - 1) // 2
-    return ex.sum_of(
-        ex.Binary(chart, "-",
-                  ex.Binary(chart, "*", ex.partial(E, 1 + n + j), ex.partial(V, 1 + j)),
-                  ex.Binary(chart, "*", ex.partial(E, 1 + j), ex.partial(V, 1 + n + j)))
-        for j in range(n))
+    return ex.sum_of(ex.partial(E, 1 + n + j) * ex.partial(V, 1 + j)
+                     - ex.partial(E, 1 + j) * ex.partial(V, 1 + n + j) for j in range(n))
 
 
 def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,

@@ -28,9 +28,10 @@ per verdict, `max_residual`, the `trials`, `tol` and `seed` that replay it
 byte for byte, and any residual texts.
 
 Exit codes: 0 success, 1 assertion failure (--assert-closed on an unclosed
-form), 2 schema/input violation (a form of the wrong degree included), 3 math
-domain error.  All randomness flows from the single configured seed; two runs
-with identical inputs and configuration produce byte-identical artifacts.
+form), 2 schema/input violation (a form of the wrong degree, or an expression
+too deep or too long for the recursive tree passes, included), 3 math domain
+error.  All randomness flows from the single configured seed; two runs with
+identical inputs and configuration produce byte-identical artifacts.
 
 Seed precedence: --seed flag, then the EXFORM_SEED environment variable,
 then 42.
@@ -508,6 +509,9 @@ def main(argv=None) -> int:
         return EXIT_ASSERT
     except (SchemaError, forms.DegreeError) as err:
         print(f"input error: {err}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except RecursionError:  # the tree passes recurse once per nesting level
+        print("input error: expression too deep or too long", file=sys.stderr)
         return EXIT_SCHEMA
     except ex.ExformError as err:
         print(f"math error: {err}", file=sys.stderr)

@@ -31,7 +31,7 @@ def hodge_star(theta: DifferentialForm) -> DifferentialForm:
     coeffs: dict[tuple[int, ...], ScalarExpr] = {}
     for index, coeff in theta.coeffs.items():
         comp = tuple(i for i in range(n) if i not in index)
-        coeffs[comp] = coeff if forms.parity(index + comp) > 0 else ex.Unary(chart, "neg", coeff)
+        coeffs[comp] = coeff if forms.parity(index + comp) > 0 else -coeff
     return DifferentialForm(chart, n - theta.degree, coeffs)
 
 
@@ -84,10 +84,7 @@ def cauchy_riemann_residuals(u: ScalarExpr, v: ScalarExpr) -> tuple[ScalarExpr, 
         raise ValueError("Cauchy-Riemann residuals need a 2-dimensional chart")
     if u.chart != v.chart:
         raise ex.ChartMismatchError("u and v must share one chart")
-    chart = u.chart
-    first = ex.simplify(ex.Binary(chart, "-", ex.partial(v, 0), ex.partial(u, 1)))
-    second = ex.simplify(ex.Binary(chart, "+", ex.partial(u, 0), ex.partial(v, 1)))
-    return first, second
+    return ex.partial(v, 0) - ex.partial(u, 1), ex.partial(u, 0) + ex.partial(v, 1)
 
 
 def harmonic_residual(f: ScalarExpr) -> ScalarExpr:
@@ -118,6 +115,6 @@ def implicit_direction(p: ScalarExpr) -> DirectionField:
     if p.chart.dim != 2:
         raise ValueError("implicit direction needs a 2-dimensional chart")
     return DirectionField(
-        numerator=ex.simplify(ex.Unary(p.chart, "neg", ex.partial(p, 1))),
+        numerator=-ex.partial(p, 1),
         denominator=ex.partial(p, 0),
     )

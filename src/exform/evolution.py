@@ -56,9 +56,7 @@ def torsion(conn: Connection) -> tuple[Commutator1, ...]:
     chart = conn.chart
     n = chart.dim
     return tuple(
-        Commutator1(chart, {(m, nu): ex.simplify(ex.Binary(chart, "-",
-                                                          conn.coeff(r, m, nu),
-                                                          conn.coeff(r, nu, m)))
+        Commutator1(chart, {(m, nu): conn.coeff(r, m, nu) - conn.coeff(r, nu, m)
                             for m in range(n) for nu in range(m + 1, n)})
         for r in range(n))
 
@@ -77,9 +75,8 @@ def curvature(conn: Connection) -> tuple[tuple[Commutator1, ...], ...]:
     nonzero = conn.gamma.keys()
 
     def entry(mu, nu, rho, sigma):
-        terms = [ex.Binary(chart, "-",
-                           ex.partial(conn.coeff(mu, nu, sigma), rho),
-                           ex.partial(conn.coeff(mu, nu, rho), sigma))]
+        terms = [ex.partial(conn.coeff(mu, nu, sigma), rho)
+                 - ex.partial(conn.coeff(mu, nu, rho), sigma)]
         for lam in range(n):
             # a term with a zero factor in each product simplifies to 0 - 0,
             # and t + 0 to t: skipping it leaves the simplified tree as it is
@@ -87,10 +84,8 @@ def curvature(conn: Connection) -> tuple[tuple[Commutator1, ...], ...]:
                     and ((mu, lam, sigma) not in nonzero
                          or (lam, nu, rho) not in nonzero)):
                 continue
-            terms.append(ex.Binary(
-                chart, "-",
-                ex.Binary(chart, "*", conn.coeff(mu, lam, rho), conn.coeff(lam, nu, sigma)),
-                ex.Binary(chart, "*", conn.coeff(mu, lam, sigma), conn.coeff(lam, nu, rho))))
+            terms.append(conn.coeff(mu, lam, rho) * conn.coeff(lam, nu, sigma)
+                         - conn.coeff(mu, lam, sigma) * conn.coeff(lam, nu, rho))
         return ex.sum_of(terms)
 
     return tuple(
@@ -115,8 +110,7 @@ class EvolutionaryCommutator:
         return self.flat.chart
 
     def total_entry(self, i: int, j: int) -> ScalarExpr:
-        return ex.simplify(ex.Binary(self.chart, "+",
-                                     self.flat.k(i, j), self.basis.k(i, j)))
+        return self.flat.k(i, j) + self.basis.k(i, j)
 
     def total(self) -> Commutator1:
         n = self.chart.dim
@@ -147,9 +141,7 @@ def evolutionary_commutator(omega: DifferentialForm, conn: Connection) -> Evolut
     basis_entries: dict[tuple[int, int], ScalarExpr] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            terms = [ex.Binary(chart, "*",
-                               ex.Binary(chart, "-", conn.coeff(s, j, i), conn.coeff(s, i, j)),
-                               a_s)
+            terms = [(conn.coeff(s, j, i) - conn.coeff(s, i, j)) * a_s
                      for s, a_s in enumerate(a) if not ex.is_zero_const(a_s)]
             if terms and not ex.is_zero_const(entry := ex.sum_of(terms)):
                 basis_entries[(i, j)] = entry
@@ -222,15 +214,14 @@ def restrict_relation_to_curve(rel: NonidenticalRelation, curve: "forms.Cell",
     axes = range(curve.chart.dim)
     ts = np.linspace(0.0, 1.0, samples)
     pts = ts.reshape(-1, 1)
-    speed2 = ex.sum_of(ex.Binary(pchart, "*", velocity[a], velocity[a]) for a in axes)
+    speed2 = ex.sum_of(velocity[a] * velocity[a] for a in axes)
     speeds = np.sqrt(ex.evaluate_many(speed2, pts))
     if np.any(speeds < 1e-12):
         bad = int(np.argmin(speeds))
         raise DegenerateCurveError(
             f"curve tangent vanishes at t={ts[bad]:.6g} (|gamma'|={speeds[bad]:.3g})")
-    integrand = ex.sum_of(
-        ex.Binary(pchart, "*", ex.compose(residual.coeff((a,)), pchart, list(curve.maps)),
-                  velocity[a]) for a in axes)
+    integrand = ex.sum_of(ex.compose(residual.coeff((a,)), pchart, list(curve.maps))
+                          * velocity[a] for a in axes)
     values = ex.evaluate_many(integrand, pts)
     return ts, values
 

@@ -19,9 +19,12 @@ dataclass fields, so they never take part in `==`, `hash` or `repr`:
   live in one constructor per kind of inner node (`_bin`, `_pow`, `_un`),
   which tests them on the operands before building anything: a rule that
   fires builds nothing, and a node is built and marked only when none does.
-  `simplify`, `partial` and `sum_of` make every inner node through them.  A
-  node whose children simplify to themselves is kept, not rebuilt, so a
-  simplified tree may share nodes with its input;
+  `simplify`, `partial`, the operators + - * / ** and unary -, and the helpers
+  sin, cos, exp, ln and sqrt make every inner node through them, so an
+  operator's result is `simplify` of the raw node it names.  Raw trees come
+  only from `parse_expr`, `compose` and the node classes.  A node whose
+  children simplify to themselves is kept, not rebuilt, so a simplified tree
+  may share nodes with its input;
 * `partial` keeps a dict from axis to derivative on the differentiated node.
   Inside one call, a memo keyed by `id` differentiates each distinct inner
   node of the argument once; that memo lives only for the call, on no node
@@ -43,9 +46,10 @@ expression that fails, at its first failing point, raises DomainError;
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -117,9 +121,26 @@ def chart(*names: str) -> CoordinateChart:
     return CoordinateChart(tuple(names))
 
 
+def _operator(op: str, reflected: bool = False):
+    """The ScalarExpr method for `op`: `_bin` of the simplified operands,
+    the other operand first if `reflected`."""
+    def method(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        l, r = (o, self) if reflected else (self, o)
+        return _bin(self.chart, op, _copy(l), _copy(r))
+    return method
+
+
 @dataclass(frozen=True)
 class ScalarExpr:
-    """Base node; concrete nodes are Const, Coord, Binary, Power, Unary."""
+    """Base node; concrete nodes are Const, Coord, Binary, Power, Unary.
+
+    The operators + - * / ** and unary -, and the helpers sin, cos, exp, ln
+    and sqrt, apply the simplification rules: each returns `simplify` of the
+    raw node it names.  Raw trees come only from `parse_expr`, `compose` and
+    the node classes."""
 
     chart: CoordinateChart
 
@@ -135,45 +156,18 @@ class ScalarExpr:
             return Const(self.chart, float(other))
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Binary(self.chart, "+", self, o)
-
-    def __radd__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Binary(self.chart, "+", o, self)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Binary(self.chart, "-", self, o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Binary(self.chart, "-", o, self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Binary(self.chart, "*", self, o)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Binary(self.chart, "*", o, self)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Binary(self.chart, "/", self, o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else Binary(self.chart, "/", o, self)
+    __add__, __radd__ = _operator("+"), _operator("+", reflected=True)
+    __sub__, __rsub__ = _operator("-"), _operator("-", reflected=True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", reflected=True)
+    __truediv__, __rtruediv__ = _operator("/"), _operator("/", reflected=True)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             raise TypeError("exponent must be a plain integer")
-        return Power(self.chart, self, exponent)
+        return _pow(self.chart, _copy(self), exponent)
 
     def __neg__(self):
-        return Unary(self.chart, "neg", self)
+        return _un(self.chart, "neg", _copy(self))
 
     def __call__(self, point: Sequence[float]) -> float:
         return evaluate(self, point)
@@ -252,23 +246,23 @@ def coords(ch: CoordinateChart) -> tuple[Coord, ...]:
 
 
 def sin(e: ScalarExpr) -> ScalarExpr:
-    return Unary(e.chart, "sin", e)
+    return _un(e.chart, "sin", _copy(e))
 
 
 def cos(e: ScalarExpr) -> ScalarExpr:
-    return Unary(e.chart, "cos", e)
+    return _un(e.chart, "cos", _copy(e))
 
 
 def exp(e: ScalarExpr) -> ScalarExpr:
-    return Unary(e.chart, "exp", e)
+    return _un(e.chart, "exp", _copy(e))
 
 
 def ln(e: ScalarExpr) -> ScalarExpr:
-    return Unary(e.chart, "ln", e)
+    return _un(e.chart, "ln", _copy(e))
 
 
 def sqrt(e: ScalarExpr) -> ScalarExpr:
-    return Unary(e.chart, "sqrt", e)
+    return _un(e.chart, "sqrt", _copy(e))
 
 
 def free_axes(e: ScalarExpr) -> frozenset[int]:
@@ -626,8 +620,10 @@ def _un(ch: CoordinateChart, fn: str, a: ScalarExpr,
 def simplify(e: ScalarExpr) -> ScalarExpr:
     """Constant folding, 0/1 identities, double negation; idempotent.
 
-    Every node it returns is marked, and a marked node is returned as it is.
-    A node whose children simplify to themselves is kept, not rebuilt."""
+    A bottom-up fold: a raw node simplifies to what its operator or helper
+    builds from its simplified children.  Every node it returns is marked,
+    and a marked node is returned as it is.  A node whose children simplify
+    to themselves is kept, not rebuilt."""
     if getattr(e, "_simple", False):
         return e
     match e:
@@ -643,14 +639,16 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
     raise TypeError(f"not a ScalarExpr node: {e!r}")
 
 
+def _copy(e: ScalarExpr) -> ScalarExpr:
+    """An operand of a new node: kept if marked, else simplified."""
+    return e if getattr(e, "_simple", False) else simplify(e)
+
+
 def sum_of(terms: Iterable[ScalarExpr]) -> ScalarExpr:
-    """The simplified left-associated sum of one or more terms: `simplify` of
-    ((t0 + t1) + t2) + ..., each sum made by the `+` constructor."""
+    """The simplified left-associated sum ((t0 + t1) + t2) + ... of one or
+    more terms."""
     first, *rest = terms
-    total = simplify(first)
-    for t in rest:
-        total = _bin(total.chart, "+", total, simplify(t))
-    return total
+    return reduce(operator.add, rest, _copy(first))
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +669,6 @@ def partial(e: ScalarExpr, axis: int) -> ScalarExpr:
         ch = e.chart
         memo[axis] = _diff(e, axis, {}, (Const(ch, 0.0), Const(ch, 1.0)))
     return memo[axis]
-
-
-def _copy(e: ScalarExpr) -> ScalarExpr:
-    """An operand copied into a derivative: kept if marked, else simplified."""
-    return e if getattr(e, "_simple", False) else simplify(e)
 
 
 def _diff(e: ScalarExpr, axis: int, seen: dict, leaf: tuple[Const, Const]) -> ScalarExpr:

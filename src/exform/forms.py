@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -92,8 +93,13 @@ class DifferentialForm:
                 normalized[index] = coeff
         object.__setattr__(self, "coeffs", dict(sorted(normalized.items())))
 
+    @functools.cached_property
+    def _zero(self) -> Const:
+        """The one zero every absent index reads as, made on the first miss."""
+        return Const(self.chart, 0.0)
+
     def coeff(self, index: Index) -> ScalarExpr:
-        return self.coeffs.get(tuple(index), Const(self.chart, 0.0))
+        return self.coeffs.get(tuple(index), self._zero)
 
     def indices(self) -> list[Index]:
         return list(self.coeffs)
@@ -132,13 +138,10 @@ def one_form(chart: CoordinateChart, components: Sequence[ScalarExpr | float]) -
     return DifferentialForm(chart, 1, {(i,): c for i, c in enumerate(components)})
 
 
-def _accumulate(bucket: dict[Index, ScalarExpr], chart: CoordinateChart,
-                index: Index, sign: int, contribution: ScalarExpr) -> None:
-    term = contribution if sign > 0 else ex.Unary(chart, "neg", contribution)
-    if index in bucket:
-        bucket[index] = ex.Binary(chart, "+", bucket[index], term)
-    else:
-        bucket[index] = term
+def _accumulate(bucket: dict[Index, ScalarExpr], index: Index, sign: int,
+                contribution: ScalarExpr) -> None:
+    term = contribution if sign > 0 else -contribution
+    bucket[index] = bucket[index] + term if index in bucket else term
 
 
 def add_forms(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -147,8 +150,7 @@ def add_forms(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
         raise DegreeError(f"cannot add degrees {a.degree} and {b.degree}")
     merged: dict[Index, ScalarExpr] = dict(a.coeffs)
     for index, coeff in b.coeffs.items():
-        merged[index] = ex.Binary(a.chart, "+", merged[index], coeff) \
-            if index in merged else coeff
+        merged[index] = merged[index] + coeff if index in merged else coeff
     return DifferentialForm(a.chart, a.degree, merged)
 
 
@@ -158,19 +160,13 @@ def subtract_forms(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm
         raise DegreeError(f"cannot subtract degrees {a.degree} and {b.degree}")
     merged: dict[Index, ScalarExpr] = dict(a.coeffs)
     for index, coeff in b.coeffs.items():
-        if index in merged:
-            merged[index] = ex.Binary(a.chart, "-", merged[index], coeff)
-        else:
-            merged[index] = ex.Unary(a.chart, "neg", coeff)
+        merged[index] = merged[index] - coeff if index in merged else -coeff
     return DifferentialForm(a.chart, a.degree, merged)
 
 
 def scale_form(factor: ScalarExpr | float, form: DifferentialForm) -> DifferentialForm:
-    if isinstance(factor, (int, float)):
-        factor = Const(form.chart, float(factor))
     return DifferentialForm(form.chart, form.degree,
-                            {i: ex.Binary(form.chart, "*", factor, c)
-                             for i, c in form.coeffs.items()})
+                            {i: factor * c for i, c in form.coeffs.items()})
 
 
 def _check_same_chart(a: DifferentialForm, b: DifferentialForm) -> None:
@@ -189,8 +185,7 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
             if merged is None:
                 continue
             sign, index = merged
-            _accumulate(bucket, a.chart, index, sign,
-                        ex.Binary(a.chart, "*", ca, cb))
+            _accumulate(bucket, index, sign, ca * cb)
     return DifferentialForm(a.chart, a.degree + b.degree, bucket)
 
 
@@ -208,7 +203,7 @@ def exterior_derivative(theta: DifferentialForm) -> DifferentialForm:
             derivative = ex.partial(coeff, axis)
             if ex.is_zero_const(derivative):
                 continue
-            _accumulate(bucket, chart, new_index, sign, derivative)
+            _accumulate(bucket, new_index, sign, derivative)
     return DifferentialForm(chart, theta.degree + 1, bucket)
 
 
@@ -230,15 +225,16 @@ class Commutator1:
             if not (0 <= i < j < self.chart.dim):
                 raise ValueError(f"entry ({i},{j}) must satisfy 0 <= i < j < n")
 
+    @functools.cached_property
+    def _zero(self) -> Const:
+        """The one zero every absent entry reads as, made on the first miss."""
+        return Const(self.chart, 0.0)
+
     def k(self, i: int, j: int) -> ScalarExpr:
-        if i == j:
-            return Const(self.chart, 0.0)
-        if i < j:
-            return self.entries.get((i, j), Const(self.chart, 0.0))
-        entry = self.entries.get((j, i))
+        entry = self.entries.get((i, j) if i < j else (j, i))
         if entry is None:
-            return Const(self.chart, 0.0)
-        return ex.simplify(ex.Unary(self.chart, "neg", entry))
+            return self._zero
+        return entry if i < j else -entry
 
     def __getitem__(self, i: int) -> tuple[ScalarExpr, ...]:
         i = range(self.chart.dim)[i]    # IndexError past n ends iteration
@@ -262,8 +258,7 @@ def commutator_1form(theta: DifferentialForm) -> Commutator1:
         for j in range(i + 1, chart.dim):
             a_i = theta.coeff((i,))
             a_j = theta.coeff((j,))
-            k = ex.simplify(ex.Binary(chart, "-",
-                                      ex.partial(a_j, i), ex.partial(a_i, j)))
+            k = ex.partial(a_j, i) - ex.partial(a_i, j)
             if not ex.is_zero_const(k):
                 entries[(i, j)] = k
     return Commutator1(chart, entries)
@@ -472,14 +467,12 @@ def boundary(cell: Cell) -> list[Cell]:
 
 def _jacobian_minor(cell: Cell, index: Index) -> ScalarExpr:
     """det of d(maps[index])/d(s) as a symbolic expression over the parameters."""
-    k = cell.k
-    pchart = param_chart(k)
-    partials = [[ex.partial(cell.maps[i], c) for c in range(k)] for i in index]
+    partials = [[ex.partial(cell.maps[i], c) for c in range(cell.k)] for i in index]
     products = []
-    for perm in itertools.permutations(range(k)):
-        prod = functools.reduce(lambda a, b: ex.Binary(pchart, "*", a, b),
+    for perm in itertools.permutations(range(cell.k)):
+        prod = functools.reduce(operator.mul,
                                 (partials[row][col] for row, col in enumerate(perm)))
-        products.append(prod if parity(perm) > 0 else ex.Unary(pchart, "neg", prod))
+        products.append(prod if parity(perm) > 0 else -prod)
     return ex.sum_of(products)
 
 
@@ -530,9 +523,8 @@ def _symbolic_integral(theta: DifferentialForm, cell: Cell, s: np.ndarray,
     """Compose theta into the maps and simplify: 0 * r, l - l and 0 / r drop
     what cancels (x1 ln(x1) dx2 is 0 on the x1 = 0 face); the rest may raise."""
     pchart = param_chart(cell.k)
-    terms = [ex.Binary(pchart, "*", ex.compose(c, pchart, list(cell.maps)),
-                       _jacobian_minor(cell, i)) for i, c in theta.coeffs.items()]
-    integrand = ex.sum_of(terms)
+    integrand = ex.sum_of(ex.compose(c, pchart, list(cell.maps)) * _jacobian_minor(cell, i)
+                          for i, c in theta.coeffs.items())
     if ex.is_zero_const(integrand):
         return 0.0
     return cell.orientation * float(np.dot(w, ex.evaluate_many(integrand, s)))

@@ -11,21 +11,22 @@ FIXTURES = __import__("pathlib").Path(__file__).resolve().parent.parent / "fixtu
 
 
 def rand_expr(rng, chart, depth=3, trig=True):
-    """Random smooth expression: polynomial with optional sin/cos, no division."""
+    """Random smooth expression: polynomial with optional sin/cos, no division,
+    built raw from the node classes (the operators would simplify it)."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return ex.const(chart, float(rng.integers(-3, 4)))
         return ex.coord(chart, int(rng.integers(chart.dim)))
     r = rng.random()
     if trig and r < 0.2:
-        fn = ex.sin if rng.integers(2) == 0 else ex.cos
-        return fn(rand_expr(rng, chart, depth - 1, trig))
+        fn = "sin" if rng.integers(2) == 0 else "cos"
+        return Unary(chart, fn, rand_expr(rng, chart, depth - 1, trig))
     if r < 0.35:
-        return rand_expr(rng, chart, depth - 1, trig) ** int(rng.integers(2, 4))
+        return Power(chart, rand_expr(rng, chart, depth - 1, trig), int(rng.integers(2, 4)))
     op = ("+", "-", "*")[int(rng.integers(3))]
-    return ex.Binary(chart, op,
-                     rand_expr(rng, chart, depth - 1, trig),
-                     rand_expr(rng, chart, depth - 1, trig))
+    return Binary(chart, op,
+                  rand_expr(rng, chart, depth - 1, trig),
+                  rand_expr(rng, chart, depth - 1, trig))
 
 
 def smooth_trees(ch):

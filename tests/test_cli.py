@@ -110,6 +110,19 @@ class TestExitCodes:
         assert "input error: cannot star a degree-3 form over n=2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("coeff", [" + ".join(["x1"] * 1200), "(" * 700 + "x1" + ")" * 700],
+                             ids=["long", "deep"])
+    def test_too_deep_an_expression_is_an_input_error(self, coeff, tmp_path, capsys):
+        # the tree passes recurse once per level: past the interpreter's limit
+        # the command fails as an input error, without a traceback
+        doc = tmp_path / "deep.json"
+        doc.write_text(json.dumps({"schema": "exform/v1", "chart": ["x1"], "degree": 0,
+                                   "terms": [{"index": [], "coeff": coeff}]}))
+        code, out = run(["form", "d", "--in", str(doc)], tmp_path)
+        assert code == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err == "input error: expression too deep or too long\n"
+        assert not out.exists()
+
     def test_exponent_past_the_range_is_a_math_error(self, tmp_path, capsys):
         # x1^(-2^31) parses; its derivative would need the exponent -2^31 - 1
         doc = tmp_path / "lowpower.json"

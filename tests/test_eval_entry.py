@@ -17,6 +17,13 @@ And the error rule has one home: `_kernels._CHECK`, the may-fail operations
 and their tests, is named only in `_kernels`, whose interpreter decides
 which operations to check and carries their codes through the program, so
 the compiler and any program transform need no check lists of their own.
+
+And an expression is derived one way: the raw node classes `Binary`, `Unary`
+and `Power` are named only in `expr`, whose operators and helpers apply the
+simplification rules as they build, and in `tape.pack_exprs`, which reads
+them to dispatch on a node's kind.  Any other module derives an expression
+with the operators, so it never builds a raw tree to simplify in a second
+walk.
 """
 
 import ast
@@ -38,6 +45,11 @@ SAMPLER_ALLOWED = {
     "forms": {"form_residual"},
 }
 ERROR_RULE = "_CHECK"
+NODE_CLASSES = ("Binary", "Unary", "Power")
+NODE_ALLOWED = {
+    "expr": None,
+    "tape": {"pack_exprs"},
+}
 PACKAGE = pathlib.Path(exform.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -107,3 +119,10 @@ def test_error_rule_is_named_only_in_kernels(path):
     _check_owners(path.stem, _name_owners(path, ERROR_RULE),
                   None if path.stem == "_kernels" else set(),
                   "the error rule", "leave error codes to the kernels")
+
+
+@pytest.mark.parametrize("name", NODE_CLASSES)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_raw_nodes_are_named_only_where_allowed(path, name):
+    _check_owners(path.stem, _name_owners(path, name), NODE_ALLOWED.get(path.stem, set()),
+                  f"the node class {name}", "derive expressions with the operators")

@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from exform import charpde as cp
 from exform import expr as ex
-from exform import forms
+from exform import forms, tape
 from exform.expr import Binary, Const, Coord, Power, Unary
 
 import parse_reference
@@ -278,8 +279,11 @@ class TestEvaluatePack:
             exprs = []
             for _ in range(int(rng.integers(2, 6))):
                 a, b = (parts[int(i)] for i in rng.integers(len(parts), size=2))
-                big = ex.exp(ex.exp(a))
-                e = (a * b, ex.sin(a) + b, big - big * b, big * 0.0 + b)[int(rng.integers(4))]
+                big = Unary(CH2, "exp", Unary(CH2, "exp", a))
+                e = (Binary(CH2, "*", a, b), Binary(CH2, "+", Unary(CH2, "sin", a), b),
+                     Binary(CH2, "-", big, Binary(CH2, "*", big, b)),
+                     Binary(CH2, "+", Binary(CH2, "*", big, ex.const(CH2, 0.0)), b)
+                     )[int(rng.integers(4))]
                 exprs.append(e)
                 parts.append(e)
             exprs.append(ex.parse_expr(ex.to_text(exprs[0]), CH2))
@@ -383,25 +387,31 @@ class TestPartial:
 
 
 class TestSimplify:
+    """`simplify` of parsed trees: the operators would apply the rules first."""
+
+    @staticmethod
+    def simplified(text):
+        return ex.simplify(ex.parse_expr(text, CH2))
+
     def test_annihilator(self):
-        assert ex.simplify((X1 * 0) + X2) == X2
+        assert self.simplified("x1 * 0 + x2") == X2
 
     def test_constant_folding(self):
-        assert ex.simplify(ex.const(CH2, 2) + ex.const(CH2, 3)) == ex.const(CH2, 5)
+        assert self.simplified("2 + 3") == ex.const(CH2, 5)
 
     def test_identity(self):
-        assert ex.simplify(X1 * 1) == X1
+        assert self.simplified("x1 * 1") == X1
 
     def test_pow_identities(self):
-        assert ex.simplify(X1 ** 0) == ex.const(CH2, 1.0)
-        assert ex.simplify(X1 ** 1) == X1
+        assert self.simplified("x1^0") == ex.const(CH2, 1.0)
+        assert self.simplified("x1^1") == X1
 
     def test_double_negation(self):
-        assert ex.simplify(-(-X1)) == X1
+        assert self.simplified("-(-x1)") == X1
 
     def test_structural_cancellation(self):
-        assert ex.simplify((X1 * X2) - (X1 * X2)) == ex.const(CH2, 0.0)
-        assert ex.simplify((X1 * X2) - (X2 * X1)) == ex.const(CH2, 0.0)
+        assert self.simplified("x1 * x2 - x1 * x2") == ex.const(CH2, 0.0)
+        assert self.simplified("x1 * x2 - x2 * x1") == ex.const(CH2, 0.0)
 
     def test_neg_absorption(self):
         e = ex.Binary(CH2, "+", Unary(CH2, "neg", X1), X2)
@@ -612,9 +622,27 @@ RAW_OPERANDS = ("(x2 + 0) * x1 + x1 * sin(x2 * 1) + x1 / (x2 - 0) + sin(x1 + 0) 
                 " + ln(x1 * (x2 / 1)) + sqrt(x1 * (1 * x2))")
 
 
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def derive(e):
+    """e built again bottom up with the operators and helpers."""
+    match e:
+        case Binary(op=op, left=l, right=r):
+            return OPERATORS[op](derive(l), derive(r))
+        case Power(base=b, exponent=k):
+            return derive(b) ** k
+        case Unary(fn="neg", arg=a):
+            return -derive(a)
+        case Unary(fn=fn, arg=a):
+            return getattr(ex, fn)(derive(a))
+    return e
+
+
 class TestBuildTimeSimplification:
-    """`partial` and `sum_of` build their trees simplified node by node; they
-    must equal the reference's `simplify` of the unsimplified trees."""
+    """`partial`, `sum_of`, the operators and the helpers build their trees
+    simplified node by node; they must equal the reference's `simplify` of
+    the unsimplified trees."""
 
     @staticmethod
     def _reference(fn, *args):
@@ -659,6 +687,19 @@ class TestBuildTimeSimplification:
         want = self._reference(
             ref.simplify, functools.reduce(lambda a, b: Binary(CH2, "+", a, b), terms))
         assert_same(ex.sum_of(ex.simplify(t) if s else t for t, s in drawn), want)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.one_of(grammar_trees(CH2), dag_trees(CH2)))
+    @example(ex.parse_expr("1 * sin(x1) - sin(x1) * 1 + x2 * -0 + -(-x1) / 1", CH2))
+    def test_operators_build_the_simplified_tree(self, e):
+        want = self._reference(ref.simplify, e)
+        got = derive(e)
+        assert_same(got, want)
+        assert_same(ex.simplify(e), want)
+        packed = [tape.pack_exprs([t]) for t in (got, want)]
+        for field in ("codes", "args", "consts", "outputs"):
+            assert getattr(packed[0], field).tobytes() == getattr(packed[1], field).tobytes()
+        assert ex.simplify(got) is got
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(grammar_trees(CH2), st.integers(0, 1))

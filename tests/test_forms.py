@@ -43,7 +43,8 @@ class TestMultiIndex:
 
 class TestNormalization:
     def test_zero_coefficients_dropped(self):
-        f = forms.DifferentialForm(CH2, 1, {(0,): A1 * 0, (1,): A1})
+        f = forms.DifferentialForm(CH2, 1, {(0,): Binary(CH2, "*", A1, ex.const(CH2, 0.0)),
+                                            (1,): A1})
         assert list(f.coeffs) == [(1,)]
 
     def test_top_degree_single_term(self):
@@ -53,6 +54,13 @@ class TestNormalization:
     def test_numeric_coefficients_coerced(self):
         f = forms.DifferentialForm(CH2, 1, {(0,): 2})
         assert f.coeff((0,)) == ex.const(CH2, 2.0)
+
+    def test_absent_coefficients_share_one_zero(self):
+        f = forms.DifferentialForm(CH3, 1, {(0,): B1})
+        assert f.coeff((1,)) is f.coeff((2,)) == ex.const(CH3, 0.0)
+        k = forms.commutator_1form(forms.one_form(CH3, [-B2, B1, 0.0]))
+        assert list(k.entries) == [(0, 1)]
+        assert k.k(0, 0) is k.k(0, 2) is k.k(2, 1) == ex.const(CH3, 0.0)
 
 
 class TestWedge:

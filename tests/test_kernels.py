@@ -17,8 +17,14 @@ from kernels_reference import _eval_pack_numpy, _eval_tape_numpy, _rk4_numpy
 CH = ex.chart("x1", "x2", "x3")
 
 
+def raw(text):
+    """The parsed tree of `text` over CH: the operators would simplify it."""
+    return ex.parse_expr(text, CH)
+
+
 def edge_expr(rng, chart, depth=3):
-    """rand_expr plus the partial operations: /, ln, sqrt and negative powers."""
+    """rand_expr plus the partial operations: /, ln, sqrt and negative powers,
+    built raw from the node classes."""
     if depth == 0 or rng.random() < 0.25:
         return rand_expr(rng, chart, depth=1)
 
@@ -27,16 +33,15 @@ def edge_expr(rng, chart, depth=3):
 
     r = rng.random()
     if r < 0.15:
-        return sub() / sub()
+        return ex.Binary(chart, "/", sub(), sub())
     if r < 0.25:
-        return ex.ln(sub())
+        return ex.Unary(chart, "ln", sub())
     if r < 0.35:
-        return ex.sqrt(sub())
+        return ex.Unary(chart, "sqrt", sub())
     if r < 0.45:
-        return sub() ** -int(rng.integers(1, 4))
+        return ex.Power(chart, sub(), -int(rng.integers(1, 4)))
     if r < 0.55:
-        fn = (ex.sin, ex.cos, ex.exp, lambda e: -e)[int(rng.integers(4))]
-        return fn(sub())
+        return ex.Unary(chart, ("sin", "cos", "exp", "neg")[int(rng.integers(4))], sub())
     return ex.Binary(chart, ("+", "-", "*")[int(rng.integers(3))], sub(), sub())
 
 
@@ -98,12 +103,12 @@ def shared_packs(rng, x1, x2):
     """Packs whose components share subexpressions by identity and by
     structure, may-fail ones included, in varying component order."""
     ln_x1 = ex.ln(x1)
-    base = [ln_x1 + x2, 2.0 * ln_x1, x1 / (x2 - x2), x1 / 0.0, x1 / -0.0,
-            ex.const(CH, 1.0)]
+    base = [ln_x1 + x2, 2.0 * ln_x1, ex.Binary(CH, "/", x1, ex.Binary(CH, "-", x2, x2)),
+            x1 / 0.0, x1 / -0.0, ex.const(CH, 1.0)]
     yield base
     yield [ex.ln(x1) + x2, 2.0 * ex.ln(x1), ex.ln(x1)]      # by structure only
     yield [1.0 / x2, ln_x1 + 1.0 / x2]      # second component fails ln first
-    yield [x1 * 0.0, x1 * -0.0, x1 * 0.0 + x1 * -0.0]
+    yield [raw("x1 * 0"), raw("x1 * -0"), raw("x1 * 0 + x1 * -0")]
     for _ in range(60):
         parts = [edge_expr(rng, CH, depth=3) for _ in range(3)]
         exprs = []
@@ -111,8 +116,9 @@ def shared_packs(rng, x1, x2):
             a = parts[int(rng.integers(len(parts)))]
             b = parts[int(rng.integers(len(parts)))]
             r = rng.random()
-            e = (a if r < 0.2 else ex.sqrt(a) / b if r < 0.4 else
-                 ex.Binary(CH, ("+", "-", "*", "/")[int(rng.integers(4))], a, b))
+            e = (a if r < 0.2
+                 else ex.Binary(CH, "/", ex.Unary(CH, "sqrt", a), b) if r < 0.4
+                 else ex.Binary(CH, ("+", "-", "*", "/")[int(rng.integers(4))], a, b))
             exprs.append(e)
             parts.append(e)
         # the same trees rebuilt node by node share by structure only
@@ -301,10 +307,12 @@ def test_folded_chain_stays_finite_where_the_tree_overflowed():
 
 def test_single_leaves_and_constant_domain_edges(rng):
     x1, x2, x3 = ex.coords(CH)
-    zero, one = ex.const(CH, 0.0), ex.const(CH, 1.0)
-    cases = [one, x2, -one, ex.sin(x3), one + 2.0, x1 / 0.0, zero / zero,
-             x1 + 1.0 / zero, zero ** -2, zero ** 3, ex.ln(zero), ex.sqrt(-one),
-             ex.ln(x1) + 1.0 / (x2 - x2), ex.Binary(CH, "/", one, x3 - 1.0)]
+    one = ex.const(CH, 1.0)
+    neg_one = ex.Unary(CH, "neg", one)    # the parser reads -1 as a constant
+    cases = [one, x2, neg_one, ex.sin(x3), raw("1 + 2"), x1 / 0.0, raw("0 / 0"),
+             raw("x1 + 1 / 0"), raw("0^(-2)"), raw("0^3"), raw("ln(0)"),
+             ex.Unary(CH, "sqrt", neg_one), raw("ln(x1) + 1 / (x2 - x2)"),
+             ex.Binary(CH, "/", one, x3 - 1.0)]
     pts = edge_points(rng, 16)
     for e in cases:
         check_expr(e, pts)
@@ -567,10 +575,9 @@ def test_ufunc_operands_are_arrays(monkeypatch):
     """Constants, exponents, check zeros and the RK4 step constants reach
     numpy as arrays, so no Python scalar is converted per call."""
     x1, x2, x3 = ex.coords(CH)
-    two = ex.const(CH, 2.0)
-    pack = tape.pack_exprs([x1 / 4.0 + 0.5, ex.ln(two) * x2, ex.sin(x3) ** 3, x1 ** -2,
+    pack = tape.pack_exprs([x1 / 4.0 + 0.5, raw("ln(2) * x2"), ex.sin(x3) ** 3, x1 ** -2,
                             ex.sqrt(x2) - ex.ln(x3), x1 / (x2 - 1.0), x1 / 0.0,
-                            ex.exp(two)])
+                            raw("exp(2)")])
     system = tape.pack_exprs([x2 * 0.5, -x1 * 1.5 + x3 ** 2, ex.const(CH, 1.0)])
     rec = _record_ufuncs(monkeypatch)
     _, errs = _kernels.eval_pack(pack, edge_points(np.random.default_rng(7), 8))

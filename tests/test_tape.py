@@ -17,6 +17,12 @@ FIELDS = ("codes", "args", "consts", "outputs")
 EDGE = np.array([[1.0, 2.0], [0.0, -1.0], [-0.0, 0.0], [-3.0, -0.0], [2.5, 0.5]])
 
 
+def raw(text):
+    """The parsed tree of `text` over CH, as the tape compiler meets it: the
+    operators would apply the simplification rules (a * 0 is 0) first."""
+    return ex.parse_expr(text, CH)
+
+
 def test_compile_expr_is_a_one_component_pack():
     e = ex.sin(A * 2.0) / (B - 2.0)
     one, packed = tape.compile_expr(e), tape.pack_exprs([e])
@@ -32,7 +38,7 @@ def test_compile_expr_is_a_one_component_pack():
 
 def test_components_share_one_sign_exact_pool():
     t = tape.pack_exprs([A + 2.0, B * 2.0, ex.const(CH, 0.0),
-                         ex.const(CH, -0.0), A * 0.0])
+                         ex.const(CH, -0.0), raw("a * 0")])
     assert t.codes.size == 3      # leaves are slots, not operations
     assert [(v, math.copysign(1.0, v)) for v in t.consts.tolist()] == [
         (2.0, 1.0), (0.0, 1.0), (-0.0, -1.0)]
@@ -43,7 +49,7 @@ def test_components_share_one_sign_exact_pool():
 
 
 def test_signed_zero_products_never_share_a_value_number():
-    t = tape.pack_exprs([A * 0.0, A * -0.0, A * 0.0])
+    t = tape.pack_exprs([raw("a * 0"), raw("a * -0"), raw("a * 0")])
     assert t.codes.size == 2
     assert t.outputs[0] == t.outputs[2] != t.outputs[1]
     vals, _ = _kernels.eval_pack(t, np.array([[1.0, 0.0]]))
@@ -86,7 +92,7 @@ def test_constant_operands_that_cannot_fail_are_not_checked():
     """x / 4 and ln(2) cannot fail, so they never report an error; a constant
     that fails its test (x / 0, x / -0, ln(0), 0^-2) fails at every point."""
     zero, two = ex.const(CH, 0.0), ex.const(CH, 2.0)
-    for e in (A / 4.0, ex.ln(two) + A, ex.sqrt(two) * B, two ** -3, A / -2.5):
+    for e in (A / 4.0, raw("ln(2) + a"), raw("sqrt(2) * b"), raw("2^(-3)"), A / -2.5):
         vals, errs = _kernels.eval_tape(tape.compile_expr(e), EDGE)
         assert errs.tolist() == [0] * 5 and not np.isnan(vals).any(), ex.to_text(e)
     for e, code in ((A / 0.0, _kernels.ERR_DIV), (A / -0.0, _kernels.ERR_DIV),
@@ -149,7 +155,8 @@ def test_every_pool_constant_is_read(rng):
     assert sorted(dx.consts.tolist()) == [0.2, 1.1]
     for _ in range(200):
         exprs = [rand_expr(rng, CH, depth=4) for _ in range(3)]
-        exprs += [2.0 * (e * 1.1) / 4.0 - (-(e / 0.5)) for e in exprs]
+        texts = [ex.to_text(e) for e in exprs]
+        exprs += [raw(f"2 * (({t}) * 1.1) / 4 - -(({t}) / 0.5)") for t in texts]
         assert unread_pool_slots(tape.pack_exprs(exprs)) == []
 
 
@@ -174,24 +181,27 @@ def test_constant_folding_rules():
     assert _shape(3.0 * (A * 2.0))[0] == [M]
     assert _shape(0.5 * (1.1 * B) / 0.25) == ([M], [2.2])
     assert _shape(3.0 * (1.1 * A))[0] == [M, M]
-    assert _shape(3.0 * (A * 1.0)) == ([M], [3.0])
+    assert _shape(raw("3 * (a * 1)")) == ([M], [3.0])
     assert _shape(2.0 ** -1000 * (2.0 ** -100 * A))[0] == [M, M]    # 2^-1100 is subnormal
     assert _shape(2.0 ** 1000 * (2.0 ** 100 * A))[0] == [M, M]      # 2^1100 overflows
     # R3: neg flips the scale; a scale of -1 is one negation, of 1 nothing
-    assert _shape(-(-A)) == ([], [])
+    assert _shape(raw("-(-a)")) == ([], [])
     assert _shape(-(A * -1.0)) == ([], [])
     assert _shape(-(2.0 * A)) == ([M], [-2.0])
     assert _shape(-(A / 2.0) * -2.0) == ([], [])
     assert _shape(-A)[0] == _shape((A * 2.0) * -0.5)[0] == _shape(-(A / -4.0) * -4.0)[0] == [N]
-    assert _shape(A * -1.0) == _shape((A * -1.0) * 1.0) == ([N], [])
-    assert _shape(1.0 * A) == ([], [])
-    assert _shape(1.0 * ex.sin(A) - ex.sin(A) * 1.0)[0] == [_kernels.OP_SIN, _kernels.OP_SUB]
-    # R4: correctly rounded operations on constants only
+    assert _shape(A * -1.0) == _shape(raw("a * -1 * 1")) == ([N], [])
+    assert _shape(raw("1 * a")) == ([], [])
+    assert _shape(raw("1 * sin(a) - sin(a) * 1"))[0] == [_kernels.OP_SIN, _kernels.OP_SUB]
+    # R4: correctly rounded operations on constants only; the parser reads
+    # -3 as a constant, so a negation over one is built from the node classes
     two, three = ex.const(CH, 2.0), ex.const(CH, 3.0)
-    assert tape.compile_expr(two / three - ex.sqrt(two) * -three).codes.size == 0
-    assert _shape((two + three) * A) == ([M], [5.0])
-    for e in (ex.sin(two), ex.cos(two), ex.exp(two), ex.ln(two), two ** 2,
-              ex.sqrt(-two), ex.const(CH, 1e300) * 1e300):
+    neg_two, neg_three = ex.Unary(CH, "neg", two), ex.Unary(CH, "neg", three)
+    e = ex.Binary(CH, "-", raw("2 / 3"), ex.Binary(CH, "*", raw("sqrt(2)"), neg_three))
+    assert tape.compile_expr(e).codes.size == 0
+    assert _shape(raw("(2 + 3) * a")) == ([M], [5.0])
+    for e in (*map(raw, ("sin(2)", "cos(2)", "exp(2)", "ln(2)", "2^2", "1e300 * 1e300")),
+              ex.Unary(CH, "sqrt", neg_two)):
         assert tape.compile_expr(e).codes.size == 1
 
 
@@ -210,9 +220,9 @@ def test_folded_values_match_the_tree():
         f = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[e.op]
         return f(tree(e.left), tree(e.right))
 
-    for e in (A / 4.0, 3.0 * (A * 2.0), 0.5 * (1.1 * B) / 0.25, -(-A), -(A * -1.0),
-              -(A / 2.0) * -2.0, (A * 2.0) * -0.5, -(2.0 * A) + B * 0.125 / -4.0,
-              (2.0 * A) + 3.0 * (2.0 * A), ex.sqrt(ex.const(CH, 2.0)) * A):
+    for e in (A / 4.0, 3.0 * (A * 2.0), 0.5 * (1.1 * B) / 0.25, raw("-(-a)"), -(A * -1.0),
+              -(A / 2.0) * -2.0, (A * 2.0) * -0.5, raw("-(2 * a) + b * 0.125 / -4"),
+              (2.0 * A) + 3.0 * (2.0 * A), raw("sqrt(2) * a")):
         vals, errs = _kernels.eval_tape(tape.compile_expr(e), pts)
         assert errs.max() == 0
         assert vals.tobytes() == tree(e).tobytes(), ex.to_text(e)
@@ -231,14 +241,14 @@ def test_an_operation_a_fold_reads_through_stays_if_shared():
     assert vals[:, 0].tolist() == [7.5, 2.5, -2.5]
     # `1 * tiny` cannot fold (2^-1030 is subnormal) and hands `tiny` up as
     # it is: `tiny` is then had twice and stays for the sum
-    tiny = 2.0 ** -1030 * A
-    t = tape.compile_expr(2.0 ** 10 * (1.0 * tiny) + tiny)
+    tiny = f"{2.0 ** -1030!r} * a"
+    t = tape.compile_expr(raw(f"1024 * (1 * ({tiny})) + {tiny}"))
     assert t.codes.size == 3
     assert _kernels.eval_tape(t, np.array([[1.25, 0.0]]))[0].tolist() == [
         2.0 ** -1020 * 1.25 + 2.0 ** -1030 * 1.25]
     # a constant subtree met twice does not share `2 * a`
-    two = ex.const(CH, 1.0) + 1.0
-    t = tape.compile_expr(two + (2.0 * A) * two)
+    two = raw("1 + 1")
+    t = tape.compile_expr(ex.Binary(CH, "+", two, ex.Binary(CH, "*", 2.0 * A, two)))
     assert t.codes.tolist() == [_kernels.OP_MUL, _kernels.OP_ADD]
     assert _kernels.eval_tape(t, np.array([[1.25, 0.0]]))[0].tolist() == [7.0]
 
