@@ -11,11 +11,13 @@ The one rule, `is_zero_residual(r, tol)`: r is zero iff it is finite and
 r <= tol, so a non-finite value is never zero, even at tol = inf.
 `probably_zero` is that rule on that sampler.
 
-Trees are immutable.  Two caches live on the nodes themselves, outside the
-dataclass fields, so they never take part in `==`, `hash` or `repr`:
+Trees are immutable by convention: only a node class's `__init__` sets a
+field, which `tests/test_eval_entry.py` checks.  A node's `__slots__` hold
+its fields (`_fields`: `chart`, then its class's own) and two caches, which
+never take part in `==`, `hash` or `repr`:
 
 * `simplify` marks every node it returns as simplified and returns a marked
-  node unchanged; leaves are marked by their class.  The simplification rules
+  node unchanged; leaves are marked when built.  The simplification rules
   live in one constructor per kind of inner node (`_bin`, `_pow`, `_un`),
   which tests them on the operands before building anything: a rule that
   fires builds nothing, and a node is built and marked only when none does.
@@ -30,14 +32,17 @@ dataclass fields, so they never take part in `==`, `hash` or `repr`:
   node of the argument once; that memo lives only for the call, on no node
   and in no global table, and a result may share subtrees.
 
-Leaves and constants may be shared within one `parse_expr` or one `partial`
-call, never through a global table: a parse makes one Coord per name and one
-Const per number text, a `partial` call one zero and one one for every leaf it
-differentiates, and `_bin` returns a Const operand that is its fold's value,
-to the sign of zero, instead of a copy.
+Leaves and constants may be shared within one `parse_expr`, `partial` or
+`compose` call, never through a global table: a parse makes one Coord per
+name and one Const per number text, a `partial` call one zero and one one for
+every leaf it differentiates, `compose` one copy of each distinct node, and
+`_bin` returns a Const operand that is its fold's value, to the sign of zero,
+instead of a copy.  `compose` and `free_axes` visit each distinct node once
+per call, through a memo keyed by `id` as in `partial`.
 
 Numeric evaluation goes through `evaluate_pack`: expressions over one chart
-run as one tape, cached per tuple, in one kernel call, and `evaluate_many`
+run as one tape, cached per tuple of the same objects (keyed by their ids,
+so a lookup never walks a tree), in one kernel call, and `evaluate_many`
 and `evaluate` are its one-expression cases.  Error rule: the first
 expression that fails, at its first failing point, raises DomainError;
 `evaluate_masked` returns the in-domain mask instead.
@@ -133,16 +138,32 @@ def _operator(op: str, reflected: bool = False):
     return method
 
 
-@dataclass(frozen=True)
 class ScalarExpr:
     """Base node; concrete nodes are Const, Coord, Binary, Power, Unary.
 
     The operators + - * / ** and unary -, and the helpers sin, cos, exp, ln
     and sqrt, apply the simplification rules: each returns `simplify` of the
     raw node it names.  Raw trees come only from `parse_expr`, `compose` and
-    the node classes."""
+    the node classes.  `__init__` sets every slot, and `repr`, `==` and
+    `hash` read `_fields` as a frozen dataclass's would."""
 
-    chart: CoordinateChart
+    __slots__ = ("chart", "_simple", "_partials")
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = ("chart", *cls.__slots__)
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
     # -- construction helpers ------------------------------------------
 
@@ -176,18 +197,18 @@ class ScalarExpr:
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Const(ScalarExpr):
-    value: float
-    _simple = True  # not a field: every leaf is simplified, marked by its class
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite constant {self.value}")
+    def __init__(self, chart: CoordinateChart, value: float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite constant {value}")
+        self.chart, self.value = chart, value
+        self._simple, self._partials = True, None
 
     # 0.0 and -0.0 are different constants (x * -0 is -0 at x > 0), so equal
-    # nodes, and the tapes cached for them, agree in every bit.  The generated
-    # hash of (chart, value) still agrees with ==, as hash(-0.0) == hash(0.0).
+    # nodes agree in every bit.  The base hash of (chart, value) still agrees
+    # with ==, as hash(-0.0) == hash(0.0).
     def __eq__(self, other):
         if other.__class__ is not Const:
             return NotImplemented
@@ -195,38 +216,44 @@ class Const(ScalarExpr):
         return (v == w and (v != 0.0 or math.copysign(1.0, v) == math.copysign(1.0, w))
                 and self.chart == other.chart)
 
+    __hash__ = ScalarExpr.__hash__
 
-@dataclass(frozen=True)
+
 class Coord(ScalarExpr):
-    axis: int
-    _simple = True
+    __slots__ = ("axis",)
 
-    def __post_init__(self):
-        if not 0 <= self.axis < self.chart.dim:
-            raise ValueError(f"axis {self.axis} out of range for {self.chart.names}")
+    def __init__(self, chart: CoordinateChart, axis: int):
+        if not 0 <= axis < chart.dim:
+            raise ValueError(f"axis {axis} out of range for {chart.names}")
+        self.chart, self.axis = chart, axis
+        self._simple, self._partials = True, None
 
 
-@dataclass(frozen=True)
 class Binary(ScalarExpr):
-    op: str  # one of + - * /
-    left: ScalarExpr
-    right: ScalarExpr
+    __slots__ = ("op", "left", "right")  # op: one of + - * /
+
+    def __init__(self, chart: CoordinateChart, op: str, left: ScalarExpr, right: ScalarExpr):
+        self.chart, self.op = chart, op
+        self.left, self.right = left, right
+        self._simple, self._partials = False, None
 
 
-@dataclass(frozen=True)
 class Power(ScalarExpr):
-    base: ScalarExpr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if abs(self.exponent) > 2**31:
-            raise ExformError(f"exponent {self.exponent} out of range: |exponent| > 2^31")
+    def __init__(self, chart: CoordinateChart, base: ScalarExpr, exponent: int):
+        if abs(exponent) > 2**31:
+            raise ExformError(f"exponent {exponent} out of range: |exponent| > 2^31")
+        self.chart, self.base, self.exponent = chart, base, exponent
+        self._simple, self._partials = False, None
 
 
-@dataclass(frozen=True)
 class Unary(ScalarExpr):
-    fn: str  # sin cos exp ln sqrt neg
-    arg: ScalarExpr
+    __slots__ = ("fn", "arg")  # fn: sin cos exp ln sqrt neg
+
+    def __init__(self, chart: CoordinateChart, fn: str, arg: ScalarExpr):
+        self.chart, self.fn, self.arg = chart, fn, arg
+        self._simple, self._partials = False, None
 
 
 def const(ch: CoordinateChart, value: float) -> Const:
@@ -267,18 +294,25 @@ def sqrt(e: ScalarExpr) -> ScalarExpr:
 
 def free_axes(e: ScalarExpr) -> frozenset[int]:
     """Set of coordinate axes the expression actually references."""
-    match e:
-        case Const():
-            return frozenset()
-        case Coord(axis=a):
-            return frozenset((a,))
-        case Binary(left=l, right=r):
-            return free_axes(l) | free_axes(r)
-        case Power(base=b):
-            return free_axes(b)
-        case Unary(arg=a):
-            return free_axes(a)
-    raise TypeError(f"not a ScalarExpr node: {e!r}")
+    return _free_axes(e, {})
+
+
+def _free_axes(e: ScalarExpr, seen: dict) -> frozenset[int]:
+    axes = seen.get(id(e))
+    if axes is None:
+        match e:
+            case Const():
+                axes = frozenset()
+            case Coord(axis=a):
+                axes = frozenset((a,))
+            case Binary(left=l, right=r):
+                axes = _free_axes(l, seen) | _free_axes(r, seen)
+            case Power(base=a) | Unary(arg=a):
+                axes = _free_axes(a, seen)
+            case _:
+                raise TypeError(f"not a ScalarExpr node: {e!r}")
+        seen[id(e)] = axes
+    return axes
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +541,7 @@ _UNARY_FOLD = {
 # One constructor per kind of inner node holds its rules, tried in order; a
 # rule that makes a new node calls a constructor again.  Given simplified
 # operands, each returns a simplified tree.  `node`, from `simplify`, is the
-# node to keep when no rule fires.  Marks are set by object.__setattr__ and
-# read by getattr, never __dict__, which makes CPython build a dict per node.
+# node to keep when no rule fires.
 
 
 def _const(ch: CoordinateChart, v: float, l: ScalarExpr, r: ScalarExpr) -> Const:
@@ -569,7 +602,7 @@ def _bin(ch: CoordinateChart, op: str, l: ScalarExpr, r: ScalarExpr,
             return l
     if node is None:
         node = Binary(ch, op, l, r)
-    object.__setattr__(node, "_simple", True)
+    node._simple = True
     return node
 
 
@@ -589,7 +622,7 @@ def _pow(ch: CoordinateChart, b: ScalarExpr, k: int,
             return Const(ch, v)
     if node is None:
         node = Power(ch, b, k)
-    object.__setattr__(node, "_simple", True)
+    node._simple = True
     return node
 
 
@@ -613,7 +646,7 @@ def _un(ch: CoordinateChart, fn: str, a: ScalarExpr,
             return Const(ch, math.sqrt(v))
     if node is None:
         node = Unary(ch, fn, a)
-    object.__setattr__(node, "_simple", True)
+    node._simple = True
     return node
 
 
@@ -624,7 +657,7 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
     builds from its simplified children.  Every node it returns is marked,
     and a marked node is returned as it is.  A node whose children simplify
     to themselves is kept, not rebuilt."""
-    if getattr(e, "_simple", False):
+    if e._simple:
         return e
     match e:
         case Binary(op=op, left=l, right=r):
@@ -641,7 +674,7 @@ def simplify(e: ScalarExpr) -> ScalarExpr:
 
 def _copy(e: ScalarExpr) -> ScalarExpr:
     """An operand of a new node: kept if marked, else simplified."""
-    return e if getattr(e, "_simple", False) else simplify(e)
+    return e if e._simple else simplify(e)
 
 
 def sum_of(terms: Iterable[ScalarExpr]) -> ScalarExpr:
@@ -661,10 +694,9 @@ def partial(e: ScalarExpr, axis: int) -> ScalarExpr:
     differentiated once per call, so the result may share subtrees."""
     if not 0 <= axis < e.chart.dim:
         raise ValueError(f"axis {axis} out of range for {e.chart.names}")
-    memo = getattr(e, "_partials", None)
+    memo = e._partials
     if memo is None:
-        memo = {}
-        object.__setattr__(e, "_partials", memo)
+        memo = e._partials = {}
     if axis not in memo:
         ch = e.chart
         memo[axis] = _diff(e, axis, {}, (Const(ch, 0.0), Const(ch, 1.0)))
@@ -729,38 +761,68 @@ def _diff(e: ScalarExpr, axis: int, seen: dict, leaf: tuple[Const, Const]) -> Sc
 
 def compose(e: ScalarExpr, new_chart: CoordinateChart,
             replacements: Sequence[ScalarExpr]) -> ScalarExpr:
-    """Rebuild `e` over `new_chart`, replacing coordinate i by replacements[i]."""
+    """Rebuild `e` over `new_chart`, replacing coordinate i by replacements[i]:
+    a raw copy, in which no rule folds, that keeps the sharing of `e`."""
     if len(replacements) != e.chart.dim:
         raise ValueError("need one replacement per source coordinate")
     for r in replacements:
         if r.chart != new_chart:
             raise ChartMismatchError("replacement is not over the target chart")
-    return _compose(e, new_chart, tuple(replacements))
+    return _compose(e, new_chart, tuple(replacements), {})
 
 
-def _compose(e, new_chart, repl):
-    match e:
-        case Const(value=v):
-            return Const(new_chart, v)
-        case Coord(axis=a):
-            return repl[a]
-        case Binary(op=op, left=l, right=r):
-            return Binary(new_chart, op,
-                          _compose(l, new_chart, repl), _compose(r, new_chart, repl))
-        case Power(base=b, exponent=k):
-            return Power(new_chart, _compose(b, new_chart, repl), k)
-        case Unary(fn=fn, arg=a):
-            return Unary(new_chart, fn, _compose(a, new_chart, repl))
-    raise TypeError(f"not a ScalarExpr node: {e!r}")
+def _compose(e, new_chart, repl, seen):
+    c = seen.get(id(e))
+    if c is None:
+        match e:
+            case Const(value=v):
+                c = Const(new_chart, v)
+            case Coord(axis=a):
+                c = repl[a]
+            case Binary(op=op, left=l, right=r):
+                c = Binary(new_chart, op, _compose(l, new_chart, repl, seen),
+                           _compose(r, new_chart, repl, seen))
+            case Power(base=b, exponent=k):
+                c = Power(new_chart, _compose(b, new_chart, repl, seen), k)
+            case Unary(fn=fn, arg=a):
+                c = Unary(new_chart, fn, _compose(a, new_chart, repl, seen))
+            case _:
+                raise TypeError(f"not a ScalarExpr node: {e!r}")
+        seen[id(e)] = c
+    return c
 
 
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
 
+class _Same:
+    """A tape-cache key equal to a key of the same expression objects.  The
+    cache keeps the key, and so the expressions: no id is reused while its
+    entry lives."""
+
+    __slots__ = ("exprs", "ids")
+
+    def __init__(self, exprs: tuple[ScalarExpr, ...]):
+        self.exprs, self.ids = exprs, tuple(map(id, exprs))
+
+    def __hash__(self) -> int:
+        return hash(self.ids)  # once per lookup: lru_cache keeps the hash
+
+    def __eq__(self, other) -> bool:
+        return self.ids == other.ids
+
+
 @lru_cache(maxsize=4096)
+def _compile(key: _Same) -> tape.Tape:
+    return tape.pack_exprs(key.exprs)
+
+
 def _tape_for(exprs: tuple[ScalarExpr, ...]) -> tape.Tape:
-    return tape.pack_exprs(exprs)
+    return _compile(_Same(exprs))
+
+
+_tape_for.cache_info, _tape_for.cache_clear = _compile.cache_info, _compile.cache_clear
 
 
 def evaluate(e: ScalarExpr, point: Sequence[float]) -> float:

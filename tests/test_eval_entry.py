@@ -24,6 +24,14 @@ simplification rules as they build, and in `tape.pack_exprs`, which reads
 them to dispatch on a node's kind.  Any other module derives an expression
 with the operators, so it never builds a raw tree to simplify in a second
 walk.
+
+And a node, once built, does not change: its fields (`chart`, `value`,
+`axis`, `op`, `left`, `right`, `base`, `exponent`, `fn`, `arg`) are plain
+slots, assigned only in the `__init__` of the node classes that have them.
+Its two caches are slots too: the simplified mark `_simple` may be set only
+there and in the constructors `_bin`, `_pow` and `_un`, and the derivative
+memo `_partials` only there and in `partial`.  Nothing else assigns or
+deletes them, directly or through `setattr`/`object.__setattr__`.
 """
 
 import ast
@@ -50,6 +58,18 @@ NODE_ALLOWED = {
     "expr": None,
     "tape": {"pack_exprs"},
 }
+# node class -> its fields
+NODE_FIELDS = {
+    "Const": ("chart", "value"),
+    "Coord": ("chart", "axis"),
+    "Binary": ("chart", "op", "left", "right"),
+    "Power": ("chart", "base", "exponent"),
+    "Unary": ("chart", "fn", "arg"),
+}
+NODE_INITS = {f"{cls}.__init__" for cls in NODE_FIELDS}
+# node cache -> the functions besides the node classes' __init__ that set it
+NODE_CACHES = {"_simple": {"_bin", "_pow", "_un"}, "_partials": {"partial"}}
+SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 PACKAGE = pathlib.Path(exform.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -93,6 +113,22 @@ def _name_owners(path, name):
     return owners
 
 
+def _store_owners(path, name):
+    """The owners that assign or delete an attribute `name`: as a target, or
+    through a setter call that names it as a string."""
+    owners = set()
+    for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8"))):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr == name:
+                if isinstance(sub.ctx, (ast.Store, ast.Del)):
+                    owners.add(owner)
+            elif (isinstance(sub, ast.Call) and len(sub.args) >= 2
+                    and getattr(sub.func, "id", getattr(sub.func, "attr", None)) in SETTERS
+                    and isinstance(sub.args[1], ast.Constant) and sub.args[1].value == name):
+                owners.add(owner)
+    return owners
+
+
 def _check_owners(stem, owners, allowed, what, instead):
     if allowed is None:
         assert owners, f"{stem} no longer names {what}"
@@ -126,3 +162,19 @@ def test_error_rule_is_named_only_in_kernels(path):
 def test_raw_nodes_are_named_only_where_allowed(path, name):
     _check_owners(path.stem, _name_owners(path, name), NODE_ALLOWED.get(path.stem, set()),
                   f"the node class {name}", "derive expressions with the operators")
+
+
+def _node_store_allowed(stem, name):
+    if stem != "expr":
+        return set()
+    if name in NODE_CACHES:
+        return NODE_INITS | NODE_CACHES[name]
+    return {f"{cls}.__init__" for cls, fields in NODE_FIELDS.items() if name in fields}
+
+
+@pytest.mark.parametrize("name", sorted({f for fs in NODE_FIELDS.values() for f in fs}
+                                        | set(NODE_CACHES)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_node_slots_are_assigned_only_where_allowed(path, name):
+    _check_owners(path.stem, _store_owners(path, name), _node_store_allowed(path.stem, name),
+                  f"the node slot {name}", "leave a built node as it is")

@@ -2,6 +2,7 @@ import functools
 import gc
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,80 @@ class TestEvaluate:
         batch = ex.evaluate_many(e, pts)
         for k, row in enumerate(pts):
             assert batch[k] == ex.evaluate(e, row)
+
+    def test_long_flat_sum(self):
+        # the tape-cache lookup does not walk the 700-level chain
+        e = ex.parse_expr(" + ".join(["x1"] * 700), CH2)
+        assert ex.evaluate(e, (1.0, 0.0)) == 700.0
+
+
+def tree_value(e, x):
+    """e at the point x, evaluated node by node with `math`."""
+    match e:
+        case Const(value=v):
+            return v
+        case Coord(axis=a):
+            return x[a]
+        case Binary(op=op, left=l, right=r):
+            return OPERATORS[op](tree_value(l, x), tree_value(r, x))
+        case Power(base=b, exponent=k):
+            return tree_value(b, x) ** k
+        case Unary(fn=fn, arg=a):
+            return getattr(math, fn)(tree_value(a, x))
+    raise TypeError(e)
+
+
+class TestTapeCache:
+    """`_tape_for` keys a pack by the identity of its expressions."""
+
+    def test_equal_but_distinct_packs_get_identical_tapes(self):
+        texts = ("sin(x1)*x2 + x1^3", "x1 / (1 + x2^2) - x1 * -0")
+        one, two = (tuple(ex.parse_expr(t, CH2) for t in texts) for _ in range(2))
+        assert one == two and not any(a is b for a, b in zip(one, two))
+        first, second = ex._tape_for(one), ex._tape_for(two)
+        assert first is not second and ex._tape_for(one) is first
+        for field in ("codes", "args", "consts", "outputs"):
+            assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+        assert (first.nreg, first.dim) == (second.nreg, second.dim)
+
+    def test_no_tape_is_served_for_a_dead_id(self, rng):
+        """A dropped expression's ids are soon reused by new nodes; while its
+        entry lives the cache holds it, so no new expression gets its tape.
+        More expressions than the cache holds, so entries are evicted too."""
+        ex._tape_for.cache_clear()
+        for _ in range(ex._tape_for.cache_info().maxsize + 1000):
+            e = rand_expr(rng, CH2, depth=3)
+            x = rng.uniform(-2.0, 2.0, size=2)
+            assert math.isclose(ex.evaluate(e, x), tree_value(e, x),
+                                rel_tol=1e-9, abs_tol=1e-9), ex.to_text(e)
+
+    def test_cache_clear_empties_the_cache(self):
+        ex.evaluate(X1 * X2, (1.0, 2.0))
+        assert ex._tape_for.cache_info().currsize > 0
+        ex._tape_for.cache_clear()
+        assert ex._tape_for.cache_info().currsize == 0
+
+
+class TestNodeCost:
+    """A node costs about a tuple of its fields: slots, no per-node dict."""
+
+    def test_nodes_have_no_dict(self):
+        nodes = (ex.const(CH2, 1.5), X1, Binary(CH2, "+", X1, X2), Power(CH2, X1, 3),
+                 Unary(CH2, "sin", X1))
+        for node in nodes:
+            assert not hasattr(node, "__dict__"), type(node).__name__
+
+    def test_binary_is_at_most_96_bytes(self):
+        nodes = [None] * 1000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(len(nodes)):
+                nodes[k] = Binary(CH2, "+", X1, X2)
+            size = (tracemalloc.get_traced_memory()[0] - before) / len(nodes)
+        finally:
+            tracemalloc.stop()
+        assert size <= 96
 
 
 def assert_bits(got, want):
@@ -599,6 +674,13 @@ class TestCompose:
             direct = ex.evaluate(composed, (s,))
             assert direct == ex.evaluate(X1 ** 2 + X2, (2 * s, s + 1))
 
+    def test_each_distinct_node_is_rebuilt_once(self):
+        f = ex.parse_expr("sin(0.7*x1 - 1.3*x2) * exp(0.4*x2) / (1 + (0.9*x1)^2)", CH2)
+        e = ex.partial(ex.partial(ex.partial(ex.partial(f, 0), 1), 0), 1)
+        composed = ex.compose(e, CH2, ex.coords(CH2))
+        assert_same(composed, e)
+        assert distinct_nodes(composed) <= distinct_nodes(e)
+
     def test_wrong_replacement_count(self):
         target = ex.chart("s1")
         with pytest.raises(ValueError):
@@ -614,6 +696,16 @@ class TestChartSafety:
     def test_free_axes(self):
         e = ex.parse_expr("sin(x2) + 3", CH2)
         assert ex.free_axes(e) == {1}
+
+    def test_free_axes_walks_each_distinct_node_once(self, monkeypatch):
+        e = X2
+        for _ in range(60):  # 2^60 paths, 181 distinct nodes
+            e = Binary(CH2, "*", e, Binary(CH2, "+", e, ex.const(CH2, 1.0)))
+        calls = []
+        walk = ex._free_axes
+        monkeypatch.setattr(ex, "_free_axes", lambda e, seen: calls.append(e) or walk(e, seen))
+        assert ex.free_axes(e) == {1}
+        assert len(calls) <= 2 * distinct_nodes(e) + 1
 
 
 # every rule of `partial` that copies an operand, over operands that simplify
