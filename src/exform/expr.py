@@ -37,8 +37,8 @@ Leaves and constants may be shared within one `parse_expr`, `partial` or
 name and one Const per number text, a `partial` call one zero and one one for
 every leaf it differentiates, `compose` one copy of each distinct node, and
 `_bin` returns a Const operand that is its fold's value, to the sign of zero,
-instead of a copy.  `compose` and `free_axes` visit each distinct node once
-per call, through a memo keyed by `id` as in `partial`.
+instead of a copy.  `compose` visits each distinct node once per call,
+through a memo keyed by `id` as in `partial`.
 
 Numeric evaluation goes through `evaluate_pack`: expressions over one chart
 run as one tape, cached per tuple of the same objects (keyed by their ids,
@@ -294,25 +294,18 @@ def sqrt(e: ScalarExpr) -> ScalarExpr:
 
 def free_axes(e: ScalarExpr) -> frozenset[int]:
     """Set of coordinate axes the expression actually references."""
-    return _free_axes(e, {})
-
-
-def _free_axes(e: ScalarExpr, seen: dict) -> frozenset[int]:
-    axes = seen.get(id(e))
-    if axes is None:
-        match e:
-            case Const():
-                axes = frozenset()
-            case Coord(axis=a):
-                axes = frozenset((a,))
-            case Binary(left=l, right=r):
-                axes = _free_axes(l, seen) | _free_axes(r, seen)
-            case Power(base=a) | Unary(arg=a):
-                axes = _free_axes(a, seen)
-            case _:
-                raise TypeError(f"not a ScalarExpr node: {e!r}")
-        seen[id(e)] = axes
-    return axes
+    match e:
+        case Const():
+            return frozenset()
+        case Coord(axis=a):
+            return frozenset((a,))
+        case Binary(left=l, right=r):
+            return free_axes(l) | free_axes(r)
+        case Power(base=b):
+            return free_axes(b)
+        case Unary(arg=a):
+            return free_axes(a)
+    raise TypeError(f"not a ScalarExpr node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,15 @@ walk.
 
 And a node, once built, does not change: its fields (`chart`, `value`,
 `axis`, `op`, `left`, `right`, `base`, `exponent`, `fn`, `arg`) are plain
-slots, assigned only in the `__init__` of the node classes that have them.
-Its two caches are slots too: the simplified mark `_simple` may be set only
-there and in the constructors `_bin`, `_pow` and `_un`, and the derivative
-memo `_partials` only there and in `partial`.  Nothing else assigns or
-deletes them, directly or through `setattr`/`object.__setattr__`.
+slots, assigned in `expr` only in the `__init__` of the node classes that
+have them.  These names are generic, so other modules, whose objects may
+carry the same names, are not read for them; those modules cannot name the
+inner node classes anyway (above).  The two caches are slots too, and their
+names are the nodes' own: in every module, the simplified mark `_simple` may
+be set only in the node classes' `__init__` and the constructors `_bin`,
+`_pow` and `_un`, and the derivative memo `_partials` only there and in
+`partial`.  Nothing else assigns or deletes them, directly or through
+`setattr`/`object.__setattr__`.
 """
 
 import ast
@@ -172,9 +176,15 @@ def _node_store_allowed(stem, name):
     return {f"{cls}.__init__" for cls, fields in NODE_FIELDS.items() if name in fields}
 
 
-@pytest.mark.parametrize("name", sorted({f for fs in NODE_FIELDS.values() for f in fs}
-                                        | set(NODE_CACHES)))
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+# the field names are generic, so they are checked in `expr`, where the node
+# classes live; the cache names are the nodes' own, so they are checked in
+# every module
+@pytest.mark.parametrize("path, name",
+                         [(p, name) for p in MODULES
+                          for name in sorted({f for fs in NODE_FIELDS.values() for f in fs}
+                                             | set(NODE_CACHES))
+                          if p.stem == "expr" or name in NODE_CACHES],
+                         ids=lambda v: getattr(v, "stem", v))
 def test_node_slots_are_assigned_only_where_allowed(path, name):
     _check_owners(path.stem, _store_owners(path, name), _node_store_allowed(path.stem, name),
                   f"the node slot {name}", "leave a built node as it is")
