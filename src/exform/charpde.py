@@ -6,25 +6,23 @@ Poisson-bracket transport, Lagrangian solution fans, caustic detection via
 the fan Jacobian, and the function-vs-functional classification of sampled
 derivative fields by their finite-difference commutator.
 
-Strips are integrated with classical fixed-step RK4 through the compiled
-tape kernels, so whole fans advance in one batched call.  A `Fan` is that
-call's read-only trajectory, and ``fan[k]`` makes strip k as views of it.
+Strips are integrated with classical fixed-step RK4 through `ex.rk4`, so
+whole fans advance in one batched call.  A `Fan` is that call's read-only
+trajectory, and ``fan[k]`` makes strip k as views of it.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from . import evolution
 from . import expr as ex
 from . import forms
-from . import tape
 from .evolution import Pseudostructure
 from .expr import CoordinateChart, ExformError, ScalarExpr
 
@@ -97,6 +95,19 @@ class FirstOrderPDE:
     def chart(self) -> CoordinateChart:
         return self.F.chart
 
+    @functools.cached_property
+    def _system(self):
+        """Symbolic strip derivatives over the extended chart, and F:
+        dx_i = F_{p_i}, du = sum p_i F_{p_i}, dp_i = -(F_{x_i} + p_i F_u)."""
+        n, chart, F = self.n, self.chart, self.F
+        f_p = [ex.partial(F, n + 1 + i) for i in range(n)]
+        f_x = [ex.partial(F, i) for i in range(n)]
+        f_u = ex.partial(F, n)
+        p_coord = [ex.Coord(chart, n + 1 + i) for i in range(n)]
+        du = ex.sum_of(p_coord[i] * f_p[i] for i in range(n))
+        dp = [-(f_x[i] + p_coord[i] * f_u) for i in range(n)]
+        return (*f_p, du, *dp), F
+
 
 @dataclass(frozen=True)
 class HJEquation:
@@ -125,40 +136,40 @@ class HJEquation:
         n1 = self.n + 1
         target = extended_chart(n1)
         # source chart (t, x.., p..) maps to (t=x1', x_i=x(i+1)', p_i=p(i+1)')
-        repl = [ex.Coord(target, 0)]
-        repl += [ex.Coord(target, 1 + i) for i in range(self.n)]
-        repl += [ex.Coord(target, n1 + 1 + 1 + i) for i in range(self.n)]
-        lifted_E = ex.compose(self.E, target, repl)
-        p_t = ex.Coord(target, n1 + 1)  # momentum conjugate to the time slot
+        axes = ex.coords(target)
+        lifted_E = ex.compose(self.E, target, axes[:n1] + axes[n1 + 2:])
+        p_t = axes[n1 + 1]  # momentum conjugate to the time slot
         return FirstOrderPDE(n1, p_t + lifted_E)
+
+    @functools.cached_property
+    def _system(self):
+        """Lifted state derivatives over (t, x.., u, p..):
+        dt = 1, dx_j = E_{p_j}, du = sum p_j E_{p_j} - E, dp_j = -E_{x_j}.
+        Returns them and E, all over that chart."""
+        n = self.n
+        dst = lifted_chart(n)
+        axes = ex.coords(dst)
+        repl = axes[:n + 1] + axes[n + 2:]  # every axis of (t, x.., p..), u skipped
+
+        def lift(e: ScalarExpr) -> ScalarExpr:
+            return ex.compose(e, dst, repl)
+
+        e_p = [ex.partial(self.E, 1 + n + j) for j in range(n)]
+        e_x = [ex.partial(self.E, 1 + j) for j in range(n)]
+        dx = [lift(e) for e in e_p]
+        du = ex.sum_of(ex.Coord(dst, n + 2 + j) * dx[j] for j in range(n)) - lift(self.E)
+        dp = [-lift(e) for e in e_x]
+        return (ex.Const(dst, 1.0), *dx, du, *dp), lift(self.E)
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
-@lru_cache(maxsize=64)
-def _charpit_system(pde: FirstOrderPDE):
-    """Symbolic strip derivatives over the extended chart, their packed tape
-    and F: dx_i = F_{p_i}, du = sum p_i F_{p_i}, dp_i = -(F_{x_i} + p_i F_u)."""
-    n = pde.n
-    chart = pde.chart
-    F = pde.F
-    f_p = [ex.partial(F, n + 1 + i) for i in range(n)]
-    f_x = [ex.partial(F, i) for i in range(n)]
-    f_u = ex.partial(F, n)
-    p_coord = [ex.Coord(chart, n + 1 + i) for i in range(n)]
-    dx = list(f_p)
-    du = ex.sum_of(p_coord[i] * f_p[i] for i in range(n))
-    dp = [-(f_x[i] + p_coord[i] * f_u) for i in range(n)]
-    rhs = tuple(dx + [du] + dp)
-    return rhs, ex._tape_for(rhs), F
-
-
 def charpit_rhs(pde: FirstOrderPDE, state: Sequence[float]):
     """Strip derivatives (dx/ds, du/ds, dp/ds) at a state (x, u, p)."""
     n = pde.n
-    v = ex.evaluate_pack(_charpit_system(pde)[0], _state_rows(n, [state]))[:, 0]
+    v = ex.evaluate_pack(pde._system[0], _state_rows(n, [state]))[:, 0]
     return v[:n].copy(), float(v[n]), v[n + 1:].copy()
 
 
@@ -295,19 +306,18 @@ class Fan:
                                    state[:, n + 1:], self.drift[:, k], self.step)
 
 
-def _rk4(pack: tape.Tape, states0: np.ndarray, span: float,
+def _rk4(rhs: Sequence[ScalarExpr], states0: np.ndarray, span: float,
          steps: int) -> tuple[np.ndarray, float]:
     """Batched RK4 over [0, span]: the read-only trajectory (steps+1, m, d)
     and the step h; a failed step raises."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h = span / steps
-    traj, err = _kernels.rk4(pack, states0, h, steps)
+    traj, err = ex.rk4(rhs, states0, h, steps)
     if err is not None:
-        step, comp, code = err
+        step, comp, message = err
         raise StripIntegrationError(
-            f"{_kernels.ERR_MESSAGES[code]} in strip component {comp} "
-            f"at step {step}", step)
+            f"{message} in strip component {comp} at step {step}", step)
     traj.flags.writeable = False
     return traj, h
 
@@ -328,7 +338,7 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
     """Integrate a fan of Charpit strips in one batched RK4 run; each initial
     state (x, u, p) must satisfy |F| <= 1e-10."""
     states0 = _state_rows(pde.n, initials)
-    _, pack, F = _charpit_system(pde)
+    rhs, F = pde._system
     f0, ok = ex.evaluate_masked(F, states0)
     if not ok.all():
         raise ex.DomainError("F undefined at an initial state")
@@ -337,35 +347,12 @@ def integrate_strips(pde: FirstOrderPDE, initials, s_end: float,
         k = int(np.argmax(bad))
         raise OffSurfaceError(
             f"initial state {k} off the surface: |F| = {abs(f0[k]):.3e} > {ON_SURFACE_TOL}")
-    traj, h = _rk4(pack, states0, s_end, steps)
+    traj, h = _rk4(rhs, states0, s_end, steps)
     return Fan(np.arange(steps + 1) * h, traj, _audit(F, traj, "F"), h)
 
 
 # ---------------------------------------------------------------------------
 # canonical relations
-
-
-@lru_cache(maxsize=64)
-def _canonical_system(hj: HJEquation):
-    """Lifted state derivatives over (t, x.., u, p..):
-    dt = 1, dx_j = E_{p_j}, du = sum p_j E_{p_j} - E, dp_j = -E_{x_j}.
-    Returns them, their packed tape and E, all over that chart."""
-    n = hj.n
-    dst = lifted_chart(n)
-    repl = [ex.Coord(dst, 0)]
-    repl += [ex.Coord(dst, 1 + i) for i in range(n)]
-    repl += [ex.Coord(dst, n + 2 + i) for i in range(n)]
-
-    def lift(e: ScalarExpr) -> ScalarExpr:
-        return ex.compose(e, dst, repl)
-
-    e_p = [ex.partial(hj.E, 1 + n + j) for j in range(n)]
-    e_x = [ex.partial(hj.E, 1 + j) for j in range(n)]
-    dx = [lift(e) for e in e_p]
-    du = ex.sum_of(ex.Coord(dst, n + 2 + j) * dx[j] for j in range(n)) - lift(hj.E)
-    dp = [-lift(e) for e in e_x]
-    rhs = (ex.Const(dst, 1.0), *dx, du, *dp)
-    return rhs, ex._tape_for(rhs), lift(hj.E)
 
 
 def canonical_rhs(hj: HJEquation, state: Sequence[float]):
@@ -376,7 +363,7 @@ def canonical_rhs(hj: HJEquation, state: Sequence[float]):
     if flat.shape != (2 * n + 1,):
         raise ValueError(f"state must be (t, x1..xn, p1..pn) of length {2 * n + 1}")
     # the lifted system never reads u, so any value stands in for it
-    v = ex.evaluate_pack(_canonical_system(hj)[0], [np.insert(flat, 1 + n, 0.0)])[:, 0]
+    v = ex.evaluate_pack(hj._system[0], [np.insert(flat, 1 + n, 0.0)])[:, 0]
     return v[1:1 + n].copy(), v[n + 2:].copy(), float(v[1 + n])
 
 
@@ -406,8 +393,8 @@ def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,
     quantity when E has no explicit time dependence).
     """
     states0 = np.insert(_state_rows(hj.n, initials), 0, 0.0, axis=1)
-    _, pack, E = _canonical_system(hj)
-    traj, h = _rk4(pack, states0, t_end, steps)
+    rhs, E = hj._system
+    traj, h = _rk4(rhs, states0, t_end, steps)
     e_vals = _audit(E, traj, "E")
     # dt/ds = 1 for every strip, so all strips share one time column
     return Fan(traj[:, 0, 0], traj[:, :, 1:], e_vals - e_vals[0], h)

@@ -180,9 +180,7 @@ class NonidenticalRelation:
 
 def relation_indices(rel: NonidenticalRelation) -> list[tuple[int, ...]]:
     """All increasing multi-indices of the omega degree, lexicographic."""
-    import itertools
-    n = rel.omega.chart.dim
-    return [tuple(c) for c in itertools.combinations(range(n), rel.omega.degree)]
+    return forms.increasing_indices(rel.omega.chart.dim, rel.omega.degree)
 
 
 def relation_residual(rel: NonidenticalRelation, point: Sequence[float]) -> np.ndarray:

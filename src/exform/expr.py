@@ -14,7 +14,7 @@ r <= tol, so a non-finite value is never zero, even at tol = inf.
 Trees are immutable by convention: only a node class's `__init__` sets a
 field, which `tests/test_eval_entry.py` checks.  A node's `__slots__` hold
 its fields (`_fields`: `chart`, then its class's own) and two caches, which
-never take part in `==`, `hash` or `repr`:
+never take part in `==` or `repr` (a node has no hash):
 
 * `simplify` marks every node it returns as simplified and returns a marked
   node unchanged; leaves are marked when built.  The simplification rules
@@ -45,7 +45,8 @@ run as one tape, cached per tuple of the same objects (keyed by their ids,
 so a lookup never walks a tree), in one kernel call, and `evaluate_many`
 and `evaluate` are its one-expression cases.  Error rule: the first
 expression that fails, at its first failing point, raises DomainError;
-`evaluate_masked` returns the in-domain mask instead.
+`evaluate_masked` returns the in-domain mask instead.  `rk4` integrates
+ds/dt = exprs(s) on the same cached tape and names its first failure.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ class ScalarExpr:
     The operators + - * / ** and unary -, and the helpers sin, cos, exp, ln
     and sqrt, apply the simplification rules: each returns `simplify` of the
     raw node it names.  Raw trees come only from `parse_expr`, `compose` and
-    the node classes.  `__init__` sets every slot, and `repr`, `==` and
-    `hash` read `_fields` as a frozen dataclass's would."""
+    the node classes.  `__init__` sets every slot, and `repr` and `==` read
+    `_fields` as a frozen dataclass's would; a node is unhashable."""
 
     __slots__ = ("chart", "_simple", "_partials")
 
@@ -161,9 +162,6 @@ class ScalarExpr:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values(self) == other._values(other)
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
 
     # -- construction helpers ------------------------------------------
 
@@ -207,16 +205,13 @@ class Const(ScalarExpr):
         self._simple, self._partials = True, None
 
     # 0.0 and -0.0 are different constants (x * -0 is -0 at x > 0), so equal
-    # nodes agree in every bit.  The base hash of (chart, value) still agrees
-    # with ==, as hash(-0.0) == hash(0.0).
+    # nodes agree in every bit
     def __eq__(self, other):
         if other.__class__ is not Const:
             return NotImplemented
         v, w = self.value, other.value
         return (v == w and (v != 0.0 or math.copysign(1.0, v) == math.copysign(1.0, w))
                 and self.chart == other.chart)
-
-    __hash__ = ScalarExpr.__hash__
 
 
 class Coord(ScalarExpr):
@@ -856,6 +851,15 @@ def evaluate_masked(e: ScalarExpr, points: np.ndarray) -> tuple[np.ndarray, np.n
     unit-stride is not copied."""
     vals, errs = _kernels.eval_pack(_tape_for((e,)), points)
     return vals[0], errs[0] == 0
+
+
+def rk4(exprs: Sequence[ScalarExpr], states: np.ndarray, h: float, steps: int):
+    """Fixed-step RK4 of ds/dt = exprs(s) from (m, dim) states: the trajectory
+    (steps+1, m, dim), and None or the first (step, component, message)."""
+    traj, err = _kernels.rk4(_tape_for(tuple(exprs)), states, h, steps)
+    if err is not None:
+        err = *err[:2], _kernels.ERR_MESSAGES[err[2]]
+    return traj, err
 
 
 def _in_domain_values(e: ScalarExpr, trials: int, seed: int):

@@ -57,6 +57,11 @@ def parity(seq: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def increasing_indices(dim: int, degree: int) -> list[Index]:
+    """All increasing multi-indices of the degree over dim axes, lexicographic."""
+    return list(itertools.combinations(range(dim), degree))
+
+
 def merge_indices(a: Index, b: Index) -> tuple[int, Index] | None:
     """(parity of a + b, merged) for increasing a and b; None if an axis repeats."""
     if set(a) & set(b):
@@ -326,8 +331,7 @@ class HomotopyField:
         return self.source.chart
 
     def indices(self) -> list[Index]:
-        n = self.chart.dim
-        return [tuple(c) for c in itertools.combinations(range(n), self.degree)]
+        return increasing_indices(self.chart.dim, self.degree)
 
     def coefficient(self, index: Index, point: Sequence[float]) -> float:
         index = tuple(index)

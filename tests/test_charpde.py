@@ -64,7 +64,8 @@ def charpit_strips_by_copies(pde, initials, s_end, steps):
     states0 = np.stack([np.concatenate([np.atleast_1d(np.asarray(x, float)), [float(u)],
                                         np.atleast_1d(np.asarray(p, float))])
                         for x, u, p in initials])
-    _, pack, F = cp._charpit_system(pde)
+    rhs, F = pde._system
+    pack = ex._tape_for(rhs)
     h = s_end / steps
     traj, err = _kernels.rk4(pack, states0, h, steps)
     assert err is None
@@ -89,7 +90,7 @@ def solve_hj_by_stacking(hj, u0, grid, t_end, steps):
     p_init = ex.evaluate_many(ex.partial(u0, 0), nodes[:, None])
     states0 = np.stack([np.concatenate([[0.0], [x0], [u], [p]])
                         for x0, u, p in zip(nodes, u_init, p_init)])
-    pack = cp._canonical_system(hj)[1]
+    pack = ex._tape_for(hj._system[0])
     h = t_end / steps
     traj, err = _kernels.rk4(pack, states0, h, steps)
     assert err is None
@@ -211,11 +212,11 @@ class TestStripIntegration:
     def test_audit_reads_the_trajectory_without_copying_it(self):
         """The audit of a 512-strip, 200-step fan (d = 5) allocates less than
         the trajectory it reads: no copy of the states is made."""
-        _, pack, F = cp._charpit_system(EIKONAL)
+        rhs, F = EIKONAL._system
         theta = np.linspace(0.0, 2 * np.pi, 512)
         states0 = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(512),
                                    np.cos(theta), np.sin(theta)])
-        traj, _ = cp._rk4(pack, states0, 1.0, 200)
+        traj, _ = cp._rk4(rhs, states0, 1.0, 200)
         assert traj.shape == (201, 512, 5)
         cp._audit(F, traj, "F")       # compile the audit tape outside the trace
         tracemalloc.start()
@@ -427,20 +428,42 @@ class TestCanonical:
 
     def test_each_strip_system_compiles_once(self, monkeypatch):
         """A fan and a single-state right-hand side share one compiled pack,
-        and the audit quantity (E or F) is compiled once."""
+        and the audit quantity (E or F) is compiled once.  The equations are
+        fresh, so no earlier test has compiled their systems."""
         sizes = []
         pack_exprs = tape.pack_exprs
         monkeypatch.setattr(tape, "pack_exprs",
                             lambda exprs: sizes.append(len(exprs)) or pack_exprs(exprs))
-        for cache in (cp._canonical_system, cp._charpit_system, ex._tape_for):
-            cache.cache_clear()
-        cp.integrate_canonical_strips(OSCILLATOR, [((0.5,), 0.0, (0.2,))], 1.0, 10)
-        cp.canonical_rhs(OSCILLATOR, (0.0, 0.5, 0.2))
+        hj = cp.HJEquation.from_text(1, "p1^2/2 + x1^2/2")
+        cp.integrate_canonical_strips(hj, [((0.5,), 0.0, (0.2,))], 1.0, 10)
+        cp.canonical_rhs(hj, (0.0, 0.5, 0.2))
         assert sizes == [4, 1]
         sizes.clear()
-        cp.integrate_strips(EIKONAL, [((0.0, 0.0), 0.0, (0.6, 0.8))], 0.5, 10)
-        cp.charpit_rhs(EIKONAL, ((0.0, 0.0), 0.0, (0.6, 0.8)))
-        assert sizes == [5, 1]
+        pde = cp.FirstOrderPDE.from_text(2, "p1^2 + p2^2 - 1")
+        cp.integrate_strips(pde, [((0.0, 0.0), 0.0, (0.6, 0.8))], 0.5, 10)
+        cp.charpit_rhs(pde, ((0.0, 0.0), 0.0, (0.6, 0.8)))
+        assert sizes == [1, 5]      # the on-surface check compiles F first
+
+    def test_deep_equations_run_and_are_unhashable(self):
+        """E and F of 600 terms p1*x1 run through every strip entry: no
+        structural hash of the equation recurses down the sum before a
+        derivative is taken.  A node, and an equation holding one, is
+        unhashable."""
+        text = " + ".join(["p1*x1"] * 600)
+        hj, pde = cp.HJEquation.from_text(1, text), cp.FirstOrderPDE.from_text(1, text)
+        dx, dp, du = cp.canonical_rhs(hj, (0.0, 0.5, 0.25))
+        assert (dx.tolist(), dp.tolist(), du) == ([300.0], [-150.0], 0.0)
+        dx, du, dp = cp.charpit_rhs(pde, ((0.5,), 0.0, (0.25,)))
+        assert (dx.tolist(), du, dp.tolist()) == ([300.0], 75.0, [-150.0])
+        fans = [cp.integrate_strips(pde, [((0.0,), 0.0, (0.5,))], 1e-3, 10),
+                cp.integrate_canonical_strips(hj, [((0.5,), 0.0, (0.2,))], 1e-3, 10)]
+        u0 = ex.parse_expr("x1^2/2", cp.base_chart(1))
+        fans.append(cp.solve_hj(hj, u0, [0.1, 0.2, 0.3], 1e-3, 10).strips)
+        for fan in fans:
+            assert np.isfinite(fan.states).all() and np.isfinite(fan.drift).all()
+        for obj in (hj.E, pde.F, ex.const(hj.chart, 0.0), hj, pde):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
 
     def test_domain_error_raises(self):
         hj = cp.HJEquation.from_text(1, "p1^2/2 + ln(x1)")

@@ -354,9 +354,8 @@ RK4_CASES = [
 
 def _system(system):
     """(right-hand sides, register tape) of a system's characteristic ODEs."""
-    if isinstance(system, cp.HJEquation):
-        return cp._canonical_system(system)[:2]
-    return cp._charpit_system(system)[:2]
+    rhs = system._system[0]
+    return rhs, ex._tape_for(rhs)
 
 
 def test_rk4_matches_reference_on_canonical_and_charpit_systems():
@@ -594,9 +593,9 @@ def test_rk4_step_runs_one_stage_program_when_every_read_row_is_frozen(monkeypat
     those at 2.  A stage program is the calls of one `eval_pack` of the tape.
     The skeleton is three 2-call stage updates and the 7-call combination;
     under reuse it is the combination alone, forming 2 k2 once (6 calls)."""
-    quad = cp._canonical_system(cp.HJEquation.from_text(1, "1.2*p1^2/2 + 0.3*p1"))[1]
-    eik = cp._charpit_system(PDE_EIK)[1]
-    osc = cp._canonical_system(HJ_OSC)[1]
+    quad = _system(cp.HJEquation.from_text(1, "1.2*p1^2/2 + 0.3*p1"))[1]
+    eik = _system(PDE_EIK)[1]
+    osc = _system(HJ_OSC)[1]
     # dp (quad's last component, eik's last two) is the pool constant -0.0
     for t, dp in ((quad, [3]), (eik, [3, 4])):
         first_const = t.nreg + t.dim

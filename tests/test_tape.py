@@ -79,7 +79,7 @@ def test_fan_quad_pack_has_no_repeats_and_free_constant_components():
     """The `fan` benchmark's quad canonical system: dx/dt is computed once
     although du/dt repeats it, and the constant components dt/dt = 1 and
     dp/dt = -0 cost no operation."""
-    rhs, pack, _ = cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))
+    rhs, pack = _fan_pack("quad")
     assert pack.codes.size <= 8
     constant = [c for c, e in enumerate(rhs) if isinstance(e, ex.Const)]
     assert constant == [0, 3]
@@ -110,7 +110,7 @@ def test_constant_operands_that_cannot_fail_are_not_checked():
 def test_fan_quad_pack_has_no_checks():
     """The quad system's divisions are by the constants 2 and 4, so they cannot
     fail, and they became multiplications by 1/2 and 1/4 (R1)."""
-    rhs, pack, _ = cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))
+    rhs, pack = _fan_pack("quad")
     assert ["/ 4" in ex.to_text(e) for e in rhs] == [False, True, True, False]
     assert _kernels.OP_DIV not in pack.codes.tolist()
     y = np.vstack([np.zeros(4), -np.ones(4), [0.0, -0.0, 0.0, -0.0], [-2.0, 0.0, -0.0, 3.0]])
@@ -118,12 +118,18 @@ def test_fan_quad_pack_has_no_checks():
     assert not errs.any() and np.isfinite(vals).all()
 
 
+def _strip_pack(system):
+    """(right-hand sides, compiled tape) of an equation's strip system."""
+    rhs = system._system[0]
+    return rhs, ex._tape_for(rhs)
+
+
 def _fan_pack(kind):
     if kind == "quad":
-        return cp._canonical_system(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))[:2]
+        return _strip_pack(cp.HJEquation.from_text(1, "1.1*p1^2/2 + (0.2)*p1"))
     if kind == "osc":
-        return cp._canonical_system(cp.HJEquation.from_text(1, "p1^2/2 + 0.245*x1^2"))[:2]
-    return cp._charpit_system(cp.FirstOrderPDE.from_text(2, "p1 + p2 - u"))[:2]
+        return _strip_pack(cp.HJEquation.from_text(1, "p1^2/2 + 0.245*x1^2"))
+    return _strip_pack(cp.FirstOrderPDE.from_text(2, "p1 + p2 - u"))
 
 
 def test_fan_packs_fold_their_constant_chains():
@@ -149,7 +155,7 @@ def test_every_pool_constant_is_read(rng):
     and 0.2, not the 2, 2.2, 4.4 and 4 met on the way."""
     for kind in ("quad", "osc", "growth"):
         assert unread_pool_slots(_fan_pack(kind)[1]) == [], kind
-    eik = cp._charpit_system(cp.FirstOrderPDE.from_text(2, "p1^2 + p2^2 - 0.81"))[1]
+    eik = _strip_pack(cp.FirstOrderPDE.from_text(2, "p1^2 + p2^2 - 0.81"))[1]
     assert unread_pool_slots(eik) == []
     dx = tape.compile_expr(_fan_pack("quad")[0][1])
     assert sorted(dx.consts.tolist()) == [0.2, 1.1]
