@@ -19,11 +19,12 @@ float.  A component's output register is the caller's output row itself,
 so results need no copy out; only components that are a coordinate, a
 constant or a repeat of an earlier component are copied.  :func:`eval_pack`
 runs the program once per batch and :func:`rk4` once per RK4 stage, or once
-per step when every coordinate row the program reads has a constant
-derivative that leaves it bit for bit unchanged (see :func:`rk4`);
-:func:`eval_tape` is :func:`eval_pack` on a one-component tape.  :func:`rk4`
-writes constant components into its stage rows once, before the step loop.
-Results are bit-reproducible run to run.
+per call when every coordinate row the program reads has a constant
+derivative that leaves it bit for bit unchanged: the slope and the step
+increment are then loop-invariant, so each step after the first is one add
+(see :func:`rk4`).  :func:`eval_tape` is :func:`eval_pack` on a
+one-component tape.  :func:`rk4` writes constant components into its stage
+rows once, before the step loop.  Results are bit-reproducible run to run.
 
 Error codes: 0 ok, 1 division by zero, 2 ln of non-positive, 3 sqrt of
 negative, 4 zero base with negative exponent.  A may-fail operation is
@@ -233,15 +234,20 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
 
     A coordinate row is read when an operation takes it as an operand (both
     of ``+ - * /``, the first of the others) or a component copies it.  Row
-    r is frozen when component r is a pool constant k and both ``k * (h/2)``
-    and ``k * h`` are -0.0 (``dp = -0`` of an x-independent Hamiltonian, for
-    h > 0).  Since ``y + -0.0`` is ``y`` for every float ``y``, each stage
-    state then holds ``y`` itself in every frozen row.  When every row read
-    is frozen, all four stages read the same bits, so one stage program is
-    bound and run per step, k2 = k3 = k4 = k1, the three stage updates are
-    skipped and ``2 * k2`` is formed once for both middle terms.  The result
-    keeps every bit, error codes included: a later stage could fail only
-    where the first did.
+    r is frozen when component r is a pool constant k and ``k * (h/2)``,
+    ``k * h`` and the increment ``(h/6) * (((k + 2k) + 2k) + k)`` are all
+    -0.0 (``dp = -0`` of an x-independent Hamiltonian, for h > 0).  Since
+    ``y + -0.0`` is ``y`` for every float ``y``, every stage state of every
+    step then holds the initial ``y`` itself in every frozen row.  When every
+    row read is frozen, the stage program reads the same bits at every stage
+    and every step, so its slope and the increment
+    ``acc = (h/6) * (((k1 + 2 k2) + 2 k3) + k4)`` are loop-invariant (code
+    motion; Cooper & Torczon, *Engineering a Compiler*, 2nd ed., §10.3).
+    One stage program is then bound and run once per call, at step 0, with
+    k2 = k3 = k4 = k1 and no stage updates; each later step is the one call
+    ``y + acc``.  The result keeps every bit, error codes included: a later
+    stage or step could fail only where step 0 did, and a non-finite ``acc``
+    still makes the state after step 0 non-finite.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     d = t.outputs.shape[0]
@@ -260,10 +266,13 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
         read.update((a, b) if code <= OP_DIV else (a,))
     pool = dict(enumerate(t.consts.tolist(), nreg + d))   # constant slot -> value
     slope = [pool.get(s, math.nan) for s in outs]   # a constant component, or NaN
-    # reuse when every row read is frozen: k*(h/2) and k*h are -0.0 (docstring)
-    reuse = all((v, math.copysign(1.0, v)) == (0.0, -1.0)
-                for r in range(d) if nreg + r in read
-                for v in (slope[r] * (0.5 * h), slope[r] * h))
+
+    def frozen(k):
+        """k*(h/2), k*h and the increment (h/6)*(((k+2k)+2k)+k) are -0.0."""
+        return all((v, math.copysign(1.0, v)) == (0.0, -1.0)
+                   for v in (k * (0.5 * h), k * h, (((k + k * 2.0) + k * 2.0) + k) * (h / 6.0)))
+
+    reuse = all(frozen(slope[r]) for r in range(d) if nreg + r in read)
     stage_state = np.empty((d, m))
     ks = np.empty((1 if reuse else 4, d, m))
     acc = np.empty((d, m))
@@ -294,6 +303,9 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
     with np.errstate(all="ignore"):
         for step in range(nsteps):
             y, new = traj[step], traj[step + 1]
+            if reuse and step:
+                np.add(y, acc, new)   # acc is loop-invariant under reuse
+                continue
             stage_state[:] = y
             bad = rhs(stages[0])
             for k, frac, stage in later:
@@ -306,8 +318,7 @@ def rk4(t, y0: np.ndarray, h: float, nsteps: int):
                 break
             # y + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
             np.add(k1, np.multiply(k2, two, new), acc)
-            if k3 is not k2:
-                np.multiply(k3, two, new)
+            np.multiply(k3, two, new)
             np.add(acc, new, acc)
             np.add(acc, k4, acc)
             np.add(y, np.multiply(acc, sixth_h, acc), new)

@@ -395,9 +395,10 @@ def integrate_canonical_strips(hj: HJEquation, initials, t_end: float,
     states0 = np.insert(_state_rows(hj.n, initials), 0, 0.0, axis=1)
     rhs, E = hj._system
     traj, h = _rk4(rhs, states0, t_end, steps)
-    e_vals = _audit(E, traj, "E")
+    drift = _audit(E, traj, "E")
+    drift -= drift[0].copy()   # in place: no second (samples, m) array
     # dt/ds = 1 for every strip, so all strips share one time column
-    return Fan(traj[:, 0, 0], traj[:, :, 1:], e_vals - e_vals[0], h)
+    return Fan(traj[:, 0, 0], traj[:, :, 1:], drift, h)
 
 
 @dataclass(frozen=True)

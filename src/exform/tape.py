@@ -21,8 +21,9 @@ live to the end of the program.
 
 The compiler has two halves.  The front end lowers each tree node to one
 call of ``op``, the one entry for an operation: it folds constants by four
-rules that give the IEEE result of the tree itself except at the edge below,
-and hands anything else to the value numbering.
+rules and squares by a fifth, all of which give the IEEE result of the tree
+itself except at the edge below, and hands anything else to the value
+numbering.
 
 * R1: ``x / c`` with ``c = ±2^k`` and ``1/c`` normal is ``x * (1/c)``, which
   is exact everywhere.
@@ -38,6 +39,11 @@ and hands anything else to the value numbering.
   division by a nonzero constant, ``sqrt`` of a constant >= 0, ``neg``) is
   done in Python float arithmetic, when its result is finite.  ``sin``,
   ``cos``, ``exp``, ``ln`` and ``^`` are never folded, nor is ``x / 0``.
+* R5: ``w^2`` of a non-constant ``w`` is ``w * w``, so it shares one value
+  with a product ``w * w`` elsewhere (the osc system's ``p1^2`` and
+  ``p1 * p1``).  The kernels' ``np.power(w, 2.0)`` and ``w * w`` agree bit
+  for bit, signed zeros, infinities, NaN and the subnormal and overflow
+  edges included; ``tests/test_tape.py`` pins that for numpy's power loop.
 
 The edge is R2's: where the tree's intermediate ``c·w`` overflows, the folded
 tape can stay finite (``(2 * x) * 0.75`` at ``x = 1e308`` is inf in the tree
@@ -155,11 +161,13 @@ def pack_exprs(exprs) -> Tape:
 
     def op(code: int, a: int, b: int) -> int:
         """code on a and b (the exponent of OP_POW, 0 for a unary operation),
-        folded where R1-R4 apply."""
+        folded where R1-R5 apply."""
         if code == OP_NEG:
             return const(-consts[~a - dim]) if a < lo else scale(-1.0, a)
         if code == OP_SQRT and a < lo and consts[~a - dim] >= 0.0:
             return const(math.sqrt(consts[~a - dim]))
+        if code == OP_POW and b == 2 and a >= lo:
+            return number(OP_MUL, a, a)        # R5
         if code <= OP_DIV and (a < lo or b < lo):
             if code == OP_MUL and b < lo <= a:
                 a, b = b, a                    # the constant factor first

@@ -386,8 +386,8 @@ def test_rk4_matches_reference_on_canonical_and_charpit_systems():
 
 
 def _reuse_cases():
-    """(right-hand sides, initial states, h, steps, whether rk4 reuses its
-    first stage), the reuse rule's edge cases among them."""
+    """(right-hand sides, initial states, h, steps, whether rk4 runs its
+    stage program once per call), the reuse rule's edge cases among them."""
     chart = ex.chart("a", "b", "c", "d")
     a, b, c, _ = ex.coords(chart)
     xu = ex.chart("x", "u")
@@ -397,6 +397,14 @@ def _reuse_cases():
         return ex.const(xu, v)
 
     signed_zeros = np.array([[-0.0, -0.0], [0.5, -0.0], [0.0, 0.0]])
+    # the fan's scale: 512 strips, 200 steps
+    x0 = np.linspace(-1.0, 1.0, 512)
+    k0, m0, c0 = -0.8, 0.3, 0.1          # focusing data u0 = k x^2/2 + m x + c
+    hj_lift = np.column_stack([np.zeros(512), x0, k0 * x0 ** 2 / 2 + m0 * x0 + c0,
+                               k0 * x0 + m0])
+    angle = np.random.default_rng(0).uniform(0.0, 2 * np.pi, 512)
+    eik_fan = np.column_stack([np.random.default_rng(1).uniform(-1.0, 1.0, (512, 3)),
+                               np.cos(angle), np.sin(angle)])
     return [
         ([b * c, b * c, a, ex.const(chart, -0.0)],
          np.array([[0.1, 0.2, 0.3, 0.4], [1.0, -0.5, 0.25, 0.0]]), 0.01, 50, False),
@@ -412,6 +420,13 @@ def _reuse_cases():
         ([ex.sin(u), k(-1e-320)], signed_zeros, 1e-5, 4, True),
         # -5e-324 * h/2 rounds to -0, but -5e-324 * h does not
         ([u * 1e300, k(-5e-324)], np.array([[0.0, 0.0]]), 1.0, 2, False),
+        # -15 * 5e-324 * h/2 and * h round to -0, but the increment
+        # (h/6) * (-90 * 5e-324) rounds to -5e-324, so u moves at every step
+        ([u * 1e300, k(-15 * 5e-324)], np.array([[0.0, 0.0]]), 1 / 30, 4, False),
+        # the quad HJ lift with focusing data, and eikonal Charpit strips
+        (list(_system(cp.HJEquation.from_text(1, "0.9*p1^2/2 + (-0.3)*p1"))[0]),
+         hj_lift, 1.5 / 200, 200, True),
+        (list(_system(PDE_EIK)[0]), eik_fan, 1.0 / 200, 200, True),
         # a domain error at the first stage and a blow-up, each under reuse
         ([ex.ln(u), k(-0.0)], np.array([[0.0, 0.5], [0.0, -1.0]]), 0.1, 5, True),
         ([ex.exp(u) * 1e307, k(-0.0)], np.array([[1.7e308, 1.0], [0.0, -1.0]]), 0.1, 8, True),
@@ -588,11 +603,12 @@ def test_ufunc_operands_are_arrays(monkeypatch):
     assert any(v.ndim == 0 for v in rec.operands)
 
 
-def test_rk4_step_runs_one_stage_program_when_every_read_row_is_frozen(monkeypatch):
-    """The ufunc calls of one RK4 step, counted as the calls at 3 steps less
-    those at 2.  A stage program is the calls of one `eval_pack` of the tape.
-    The skeleton is three 2-call stage updates and the 7-call combination;
-    under reuse it is the combination alone, forming 2 k2 once (6 calls)."""
+def test_rk4_runs_the_stage_program_once_per_call_when_every_read_row_is_frozen(monkeypatch):
+    """Ufunc calls and stage-program runs of one `rk4` call.  A stage program
+    is the calls of one `eval_pack` of the tape.  Under reuse one call runs
+    it once, at step 0, whatever the number of steps, and each later step is
+    one ufunc call (``y + acc``).  Otherwise each step runs it four times and
+    adds three 2-call stage updates and the 7-call combination."""
     quad = _system(cp.HJEquation.from_text(1, "1.2*p1^2/2 + 0.3*p1"))[1]
     eik = _system(PDE_EIK)[1]
     osc = _system(HJ_OSC)[1]
@@ -603,18 +619,29 @@ def test_rk4_step_runs_one_stage_program_when_every_read_row_is_frozen(monkeypat
             assert s >= first_const and t.consts[s - first_const] == 0
             assert np.signbit(t.consts[s - first_const])
     rec = _record_ufuncs(monkeypatch)
+    runs = []
+    run = _kernels._run
+    monkeypatch.setattr(_kernels, "_run", lambda steps: runs.append(1) or run(steps))
 
     def calls(f, *args):
         before = rec.calls
+        runs.clear()
         err = f(*args)[1]
         assert err is None or not err.any()
-        return rec.calls - before
+        return rec.calls - before, len(runs)
 
-    for t, stages, skeleton in ((quad, 1, 6), (eik, 1, 6), (osc, 4, 13)):
+    for t, reuse in ((quad, True), (eik, True), (osc, False)):
         y0 = np.linspace(0.1, 0.9, 8 * t.dim).reshape(8, t.dim)
-        program = calls(_kernels.eval_pack, t, y0)
-        step = calls(_kernels.rk4, t, y0, 0.01, 3) - calls(_kernels.rk4, t, y0, 0.01, 2)
-        assert step == stages * program + skeleton
+        program, _ = calls(_kernels.eval_pack, t, y0)
+        one, one_runs = calls(_kernels.rk4, t, y0, 0.01, 1)
+        for nsteps in (2, 3, 200):
+            total, total_runs = calls(_kernels.rk4, t, y0, 0.01, nsteps)
+            if reuse:
+                assert total_runs == one_runs == 1
+                assert total - one == nsteps - 1
+            else:
+                assert total_runs == 4 * nsteps
+                assert total - one == (nsteps - 1) * (4 * program + 13)
 
 
 def test_eval_pack_reads_an_f_ordered_batch_bit_for_bit(rng):

@@ -66,6 +66,45 @@ def test_square_reads_one_slot_twice():
     assert t.args[1, 1] == t.args[1, 2] == t.args[0, 0]
 
 
+def test_a_square_is_a_product_and_shares_its_value():
+    """R5: w^2 of a non-constant w is w * w, one value with a product w * w;
+    a constant's square is never folded."""
+    t = tape.pack_exprs([A ** 2, A * A, (A + B) ** 2, raw("2^2")])
+    assert t.codes.tolist() == [_kernels.OP_MUL, _kernels.OP_ADD, _kernels.OP_MUL,
+                                _kernels.OP_POW]
+    assert t.outputs[0] == t.outputs[1]
+    assert t.args[0, 1] == t.args[0, 2] == t.nreg   # coordinate a's slot
+    assert t.args[2, 1] == t.args[2, 2] == t.args[1, 0]
+    # the osc system's du/dt reads p1 * p1 and p1^2: one operation now
+    rhs, pack = _fan_pack("osc")
+    assert "p1 * (2 * p1 * 2 / 4)" in ex.to_text(rhs[2]) and "p1^2" in ex.to_text(rhs[2])
+    assert pack.codes.size == 7
+    assert _kernels.OP_POW not in pack.codes.tolist()
+
+
+def test_numpy_squares_as_a_product_bit_for_bit():
+    """The kernels ran w^2 as np.power(w, 2.0); R5 runs it as w * w.  The two
+    agree bit for bit at signed zeros, infinities, NaN, subnormals, where w^2
+    overflows or leaves the normal range, and at random magnitudes up to
+    1e±170.  If numpy's power loop changes, this fails first."""
+    tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    edges = np.array([0.0, 1.0, 5e-324, 1e-320, tiny / 2, tiny, np.sqrt(tiny),
+                      np.sqrt(5e-324), np.sqrt(tiny / 2), np.sqrt(big), 1e154, 1.5e154,
+                      1e-154, 1e-162, 1e-161, big])
+    with np.errstate(over="ignore"):   # nextafter(max, inf) is inf
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    rng = np.random.default_rng(5)
+    squares = np.concatenate([
+        np.sqrt(np.linspace(5e-324, 4 * tiny, 20_000)),   # subnormal and near-normal squares
+        np.sqrt(big) * np.linspace(0.999, 1.001, 20_000),  # either side of overflow
+        10.0 ** rng.uniform(-170.0, 170.0, 100_000)])
+    x = np.concatenate([edges, squares, [np.inf, np.nan]])
+    x = np.concatenate([x, -x])
+    with np.errstate(all="ignore"):
+        power, product = np.power(x, np.array(2.0)), x * x
+    assert power.view(np.int64).tolist() == product.view(np.int64).tolist()
+
+
 def test_repeats_within_and_across_components_run_once():
     shared = ex.ln(A) + B
     t = tape.pack_exprs([shared * shared, ex.ln(A) + B, 2.0 * ex.ln(A)])
